@@ -1,8 +1,8 @@
 """Air-to-ground channel: link geometry, path loss, gains and capacities.
 
 All functions are pure. The channel is reciprocal by construction: the same
-amplitude gain applies uplink and downlink; only the transmit power differs
-between the two capacity formulas.
+amplitude gain applies uplink and downlink; only the transmit power passed
+to `capacity` differs between the two directions.
 """
 
 from __future__ import annotations
@@ -11,7 +11,33 @@ import math
 from dataclasses import dataclass
 
 from .errors import CoincidentPositions, InvariantViolation
-from .types import ChannelParams, PathLossConstants, Position3D, UavState
+from .types import Position3D
+
+
+@dataclass(frozen=True)
+class ChannelParams:
+    """The `channel` config section: link budget and path-loss environment."""
+
+    beta0: float = 1e-4            # -40 dB reference gain at 1 m (simulator default)
+    noise_psd_w: float = 4e-21     # thermal noise floor, ~ -174 dBm/Hz
+    bandwidth_hz: float = 1e6
+    bs_tx_power_w: float = 1.0
+    # representative suburban constants of the elevation-dependent path-loss
+    # exponent; the environment they model is config-supplied, not fixed here
+    a1: float = 10.39
+    a2: float = 2.09
+    a3: float = 0.05
+    a4: float = 7.37
+
+    def __post_init__(self):
+        for name in ("beta0", "noise_psd_w", "bandwidth_hz", "bs_tx_power_w", "a1"):
+            if getattr(self, name) <= 0:
+                raise InvariantViolation(f"{name} must be strictly positive")
+        # Denominator 1 + a4*exp(a3*(theta - a4)) must stay positive on [0, 90];
+        # it is monotone in theta, so checking the endpoints suffices.
+        for theta in (0.0, 90.0):
+            if 1.0 + self.a4 * math.exp(self.a3 * (theta - self.a4)) <= 0:
+                raise InvariantViolation("path-loss denominator not positive on [0, 90] deg")
 
 
 @dataclass(frozen=True)
@@ -46,28 +72,23 @@ def link_geometry(uav_pos: Position3D, bs_pos: Position3D) -> LinkGeometry:
     return LinkGeometry(distance_m=dist, elevation_deg=elev)
 
 
-def path_loss_exponent(geom: LinkGeometry, plc: PathLossConstants) -> float:
+def path_loss_exponent(geom: LinkGeometry, params: ChannelParams) -> float:
     """Elevation-dependent path-loss exponent a1 / (1 + a4*exp(a3*(theta - a4))) + a2."""
     theta = geom.elevation_deg
-    return plc.a1 / (1.0 + plc.a4 * math.exp(plc.a3 * (theta - plc.a4))) + plc.a2
+    return (params.a1 / (1.0 + params.a4 * math.exp(params.a3 * (theta - params.a4)))
+            + params.a2)
 
 
 def channel_gain(geom: LinkGeometry, params: ChannelParams) -> float:
     """Amplitude gain sqrt(beta0) * d^(-alpha/2); identical for both directions."""
-    alpha = path_loss_exponent(geom, params.plc)
+    alpha = path_loss_exponent(geom, params)
     return math.sqrt(params.beta0) * geom.distance_m ** (-alpha / 2.0)
 
 
-def _capacity(h: float, tx_power_w: float, params: ChannelParams) -> float:
+def capacity(h: float, tx_power_w: float, params: ChannelParams) -> float:
+    """Link rate in bits/s: W * log2(1 + P h^2 / (W sigma^2)).
+
+    P is the UAV transmit power uplink and the BS transmit power downlink.
+    """
     snr = tx_power_w * h * h / (params.bandwidth_hz * params.noise_psd_w)
     return params.bandwidth_hz * math.log2(1.0 + snr)
-
-
-def capacity_uplink(h: float, params: ChannelParams, uav: UavState) -> float:
-    """Uplink rate in bits/s: W * log2(1 + P_u h^2 / (W sigma^2))."""
-    return _capacity(h, uav.tx_power_w, params)
-
-
-def capacity_downlink(h: float, params: ChannelParams) -> float:
-    """Downlink rate in bits/s, same form with the BS transmit power."""
-    return _capacity(h, params.bs_tx_power_w, params)

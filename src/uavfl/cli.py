@@ -6,27 +6,27 @@ import argparse
 import os
 import sys
 
-from .config import ExperimentConfig, load_config
+from .config import ExperimentConfig, config_from_dict, load_config
 from .datagen import (MANIFEST_HEADER, generate_uav_dataset, load_manifest,
                       write_pgm)
-from .harness import (build_scenario, compare_strategies, emit_csv, emit_metadata,
-                      emit_summary_csv, genspec_from_config, run_experiment)
+from .errors import UavFlError
+from .harness import (compare_strategies, emit_csv, emit_metadata, emit_summary_csv,
+                      run_experiment)
 from .similarity import SsimParams, deduplicate
+
+# CLI flag (argparse dest) -> the top-level config key it overrides
+_OVERRIDES = {"strategy": "strategy", "ssim_th": "ssim_threshold", "seed": "master_seed",
+              "out": "output_dir", "workers": "workers"}
 
 
 def _load(args) -> ExperimentConfig:
-    config = load_config(args.config) if args.config else ExperimentConfig()
-    if getattr(args, "strategy", None):
-        config.strategy = args.strategy
-    if getattr(args, "ssim_th", None) is not None:
-        config.ssim_threshold = args.ssim_th
-    if getattr(args, "seed", None) is not None:
-        config.master_seed = args.seed
-    if getattr(args, "out", None):
-        config.output_dir = args.out
-    if getattr(args, "workers", None) is not None:
-        config.workers = args.workers
-    return config
+    """The config file (or the defaults) with the CLI overrides applied before
+    validation, so a bad override fails like a bad file value."""
+    overrides = {key: getattr(args, dest) for dest, key in _OVERRIDES.items()
+                 if getattr(args, dest, None) is not None}
+    if args.config:
+        return load_config(args.config, **overrides)
+    return config_from_dict(overrides)
 
 
 def cmd_run(args) -> int:
@@ -56,11 +56,10 @@ def cmd_gen_data(args) -> int:
     config = _load(args)
     out = config.output_dir
     os.makedirs(out, exist_ok=True)
-    genspec = genspec_from_config(config)
     rows = [",".join(MANIFEST_HEADER)]
     for uid in range(1, config.n_uavs + 1):
         subregion = (uid - 1) % config.subregion_count + 1
-        data = generate_uav_dataset(genspec, subregion, uid, config.master_seed,
+        data = generate_uav_dataset(config.generator, subregion, uid, config.master_seed,
                                     shard_count=config.n_rounds_max)
         img_dir = os.path.join(out, f"uav{uid:03d}")
         os.makedirs(img_dir, exist_ok=True)
@@ -126,7 +125,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except UavFlError as exc:
+        print(f"uavfl: error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -1,4 +1,9 @@
-"""Experiment configuration: presets, JSON loading, strict key checking."""
+"""Experiment configuration: presets, JSON loading, strict key checking.
+
+The `channel`, `cost`, `generator` and `ssim` sections are the domain types
+of the modules that consume them, so each section is validated once, when
+the config is built, and a bad value fails as a ConfigError naming it.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +12,11 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
-from .errors import ConfigError
+from .channel import ChannelParams
+from .cost import CostParams
+from .datagen import GenSpec
+from .errors import ConfigError, InvariantViolation
+from .similarity import SsimParams
 
 SCENARIO_PRESETS = {
     # (n_uavs, cohort_size, subregion_count, per_subregion_quota, n_rounds_max)
@@ -17,61 +26,11 @@ SCENARIO_PRESETS = {
 
 
 @dataclass
-class ChannelConfig:
-    beta0: float = 1e-4            # -40 dB reference gain at 1 m (simulator default)
-    noise_psd_w: float = 4e-21     # thermal noise floor, ~ -174 dBm/Hz
-    bandwidth_hz: float = 1e6
-    bs_tx_power_w: float = 1.0
-    # representative suburban constants from the path-loss literature;
-    # the environment they model is config-supplied, not fixed here
-    a1: float = 10.39
-    a2: float = 2.09
-    a3: float = 0.05
-    a4: float = 7.37
-
-
-@dataclass
-class CostConfig:
-    cpu_hz: float = 1e7
-    cycles_per_sample: float = 7e4
-    chip_coeff: float = 1e-22
-    tx_power_w: float = 0.28
-    epochs_per_round: int = 1
-    param_size_bits: int = 32
-
-
-@dataclass
 class ModelConfig:
     hidden_dim: int = 64
     learning_rate: float = 1e-2
     batch_size: int = 32
     adam_eps: float = 1e-8
-
-
-@dataclass
-class GeneratorConfig:
-    image_side: int = 32
-    samples_min: int = 500
-    samples_max: int = 1000
-    redundancy: float = 0.1
-    class_balance: float = 0.5
-    walk_window: int = 8
-    walk_weight: float = 0.97
-    class_share: float = 0.6
-    block_min: int = 20
-    block_max: int = 40
-    offset_span: int = 250
-    n_waves: int = 12
-    freq_max: float = 6.0
-    contrast: float = 40.0
-    test_fraction: float = 0.2
-
-
-@dataclass
-class SsimConfig:
-    k1: float = 0.01
-    k2: float = 0.03
-    max_pairs: int = 1000
 
 
 @dataclass
@@ -104,11 +63,11 @@ class ExperimentConfig:
     convergence_window: int = 10
     convergence_tol: float = 0.005
     workers: int = 1
-    channel: ChannelConfig = field(default_factory=ChannelConfig)
-    cost: CostConfig = field(default_factory=CostConfig)
+    channel: ChannelParams = field(default_factory=ChannelParams)
+    cost: CostParams = field(default_factory=CostParams)
     model: ModelConfig = field(default_factory=ModelConfig)
-    generator: GeneratorConfig = field(default_factory=GeneratorConfig)
-    ssim: SsimConfig = field(default_factory=SsimConfig)
+    generator: GenSpec = field(default_factory=GenSpec)
+    ssim: SsimParams = field(default_factory=SsimParams)
     geometry: GeometryConfig = field(default_factory=GeometryConfig)
     battery: BatteryConfig = field(default_factory=BatteryConfig)
 
@@ -137,11 +96,11 @@ class ExperimentConfig:
 
 
 _NESTED = {
-    "channel": ChannelConfig,
-    "cost": CostConfig,
+    "channel": ChannelParams,
+    "cost": CostParams,
     "model": ModelConfig,
-    "generator": GeneratorConfig,
-    "ssim": SsimConfig,
+    "generator": GenSpec,
+    "ssim": SsimParams,
     "geometry": GeometryConfig,
     "battery": BatteryConfig,
 }
@@ -154,7 +113,10 @@ def _build(cls, data: dict, where: str):
     unknown = set(data) - known
     if unknown:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
-    return cls(**data)
+    try:
+        return cls(**data)
+    except InvariantViolation as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
@@ -174,6 +136,11 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     return ExperimentConfig(**kwargs)
 
 
-def load_config(path: str) -> ExperimentConfig:
+def load_config(path: str, **overrides) -> ExperimentConfig:
+    """Load a JSON config file; `overrides` replace top-level keys before it is
+    validated."""
     with open(path, encoding="utf-8") as fh:
-        return config_from_dict(json.load(fh))
+        data = json.load(fh)
+    if isinstance(data, dict):
+        data = {**data, **overrides}
+    return config_from_dict(data)

@@ -14,6 +14,26 @@ from .types import FlTask, UavState
 
 
 @dataclass(frozen=True)
+class CostParams:
+    """The `cost` config section: fleet-wide CPU, radio and training constants."""
+
+    cpu_hz: float = 1e7            # cycles/s
+    cycles_per_sample: float = 7e4
+    chip_coeff: float = 1e-22      # effective J*s^2/cycle^3 constant of the CPU energy model
+    tx_power_w: float = 0.28
+    epochs_per_round: int = 1
+    param_size_bits: int = 32
+
+    def __post_init__(self):
+        if self.cpu_hz <= 0 or self.tx_power_w < 0 or self.cycles_per_sample < 0:
+            raise InvariantViolation("bad CPU/radio parameters")
+        if self.chip_coeff < 0:
+            raise InvariantViolation("chip_coeff must be >= 0")
+        if self.epochs_per_round < 1 or self.param_size_bits < 1:
+            raise InvariantViolation("epochs_per_round and param_size_bits must be >= 1")
+
+
+@dataclass(frozen=True)
 class RoundCost:
     train_time_s: float
     uplink_time_s: float
@@ -36,29 +56,18 @@ class RoundCost:
         return self.train_energy_j + self.tx_energy_j
 
 
-def local_training_time(uav: UavState, task: FlTask, shard_size: int) -> float:
+def local_training_time(params: CostParams, task: FlTask, shard_size: int) -> float:
     """Seconds to run `epochs_per_round` epochs over one shard on the UAV CPU."""
-    if uav.cpu_hz <= 0:
-        raise InvariantViolation("cpu_hz must be > 0")
-    return task.epochs_per_round * uav.cycles_per_sample * shard_size / uav.cpu_hz
+    return task.epochs_per_round * params.cycles_per_sample * shard_size / params.cpu_hz
 
 
-def _tx_time(task: FlTask, rate_bps: float) -> float:
+def tx_time(task: FlTask, rate_bps: float) -> float:
+    """Seconds to send the full parameter vector at the given rate, either way."""
     if task.param_count == 0:
         return 0.0
     if rate_bps <= 0:
         raise ZeroRate("link rate must be > 0")
     return task.param_count * task.param_size_bits / rate_bps
-
-
-def uplink_time(task: FlTask, rate_bps: float) -> float:
-    """Seconds to upload the full parameter vector at the given rate."""
-    return _tx_time(task, rate_bps)
-
-
-def downlink_time(task: FlTask, rate_bps: float) -> float:
-    """Seconds to receive the full parameter vector at the given rate."""
-    return _tx_time(task, rate_bps)
 
 
 def round_duration(costs: list[RoundCost]) -> float:
@@ -68,28 +77,27 @@ def round_duration(costs: list[RoundCost]) -> float:
     return max(c.total_time_s for c in costs)
 
 
-def training_energy(uav: UavState, train_time_s: float) -> float:
+def training_energy(params: CostParams, train_time_s: float) -> float:
     """CPU energy chi * t * gamma^3 for the local training phase."""
-    return uav.chip_coeff * train_time_s * uav.cpu_hz ** 3
+    return params.chip_coeff * train_time_s * params.cpu_hz ** 3
 
 
-def transmit_energy(uav: UavState, uplink_time_s: float) -> float:
+def transmit_energy(params: CostParams, uplink_time_s: float) -> float:
     """Radio energy P_u * t_up; downlink reception is not charged."""
-    return uav.tx_power_w * uplink_time_s
+    return params.tx_power_w * uplink_time_s
 
 
-def estimate_round_cost(uav: UavState, task: FlTask, shard_size: int,
+def estimate_round_cost(params: CostParams, task: FlTask, shard_size: int,
                         rate_up_bps: float, rate_down_bps: float) -> RoundCost:
     """Full per-round cost for one UAV given its shard size and link rates."""
-    t_train = local_training_time(uav, task, shard_size)
-    t_up = uplink_time(task, rate_up_bps)
-    t_down = downlink_time(task, rate_down_bps)
+    t_train = local_training_time(params, task, shard_size)
+    t_up = tx_time(task, rate_up_bps)
     return RoundCost(
         train_time_s=t_train,
         uplink_time_s=t_up,
-        downlink_time_s=t_down,
-        train_energy_j=training_energy(uav, t_train),
-        tx_energy_j=transmit_energy(uav, t_up),
+        downlink_time_s=tx_time(task, rate_down_bps),
+        train_energy_j=training_energy(params, t_train),
+        tx_energy_j=transmit_energy(params, t_up),
     )
 
 

@@ -25,8 +25,13 @@ from .errors import (BadHeader, BadPgmMagic, InvariantViolation, LabelOutOfRange
 from .types import Dataset, GrayImage, LabeledSample
 
 
+BASE_LEVEL = 128.0  # grey level that a zero pixel field maps to
+
+
 @dataclass(frozen=True)
 class GenSpec:
+    """The `generator` config section: shape and redundancy of the synthetic data."""
+
     image_side: int = 32
     samples_min: int = 500
     samples_max: int = 1000
@@ -41,7 +46,6 @@ class GenSpec:
     n_waves: int = 12             # cosine modes of the smooth class patterns
     freq_max: float = 6.0         # spatial frequency band of the class patterns
     contrast: float = 40.0
-    base_level: float = 128.0
     test_fraction: float = 0.2
 
     def __post_init__(self):
@@ -144,7 +148,7 @@ def generate_uav_dataset(spec: GenSpec, subregion_id: int, uav_id: int,
     """Deterministic synthetic dataset for one UAV.
 
     pixel field = rho*scene(class) + (1-rho)*(w*walk_frame + (1-w)*noise),
-    quantized to 8 bits around `base_level`. rho=1 collapses each class to
+    quantized to 8 bits around `BASE_LEVEL`. rho=1 collapses each class to
     its scene (identical images); rho=0 yields effectively independent
     images. All randomness derives from (rng_seed, subregion_id, uav_id).
     """
@@ -170,7 +174,7 @@ def generate_uav_dataset(spec: GenSpec, subregion_id: int, uav_id: int,
         noise = rng_u.standard_normal((spec.image_side, spec.image_side))
         varying = (wv * frames[t] + (1.0 - wv) * noise) / eta_norm
         field = rho * patterns[cls] + (1.0 - rho) * varying
-        pix = np.clip(np.rint(spec.base_level + spec.contrast * field), 0, 255)
+        pix = np.clip(np.rint(BASE_LEVEL + spec.contrast * field), 0, 255)
         samples.append(LabeledSample(
             image=GrayImage(pix.astype(np.uint8)),
             label=cls,

@@ -41,10 +41,6 @@ class AlreadyDeduplicated(UavFlError):
     pass
 
 
-class SubregionExhausted(UavFlError):
-    """No feasible UAV remains in a sub-region (logged, round proceeds degraded)."""
-
-
 class CohortInfeasible(UavFlError):
     pass
 

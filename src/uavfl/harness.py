@@ -19,17 +19,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .channel import capacity_downlink, capacity_uplink, channel_gain, link_geometry
+from .channel import ChannelParams, capacity, channel_gain, link_geometry
 from .config import ExperimentConfig
-from .cost import RoundCost, charge_round, estimate_round_cost, round_duration
-from .datagen import GenSpec, generate_uav_dataset
+from .cost import CostParams, RoundCost, charge_round, estimate_round_cost, round_duration
+from .datagen import generate_uav_dataset
 from .errors import CohortInfeasible, UavFlError
 from .learning import (ModelSpec, aggregate, evaluate_matrix, local_train,
                        model_init, samples_to_matrix)
 from .selection import Selection, deeps_select, is_feasible, random_select
 from .similarity import DiversityScore, SsimParams, dataset_diversity, deduplicate
-from .types import (ChannelParams, Dataset, FlTask, PathLossConstants, Position3D,
-                    RoundRecord, UavState, validate_scenario)
+from .types import Dataset, FlTask, Position3D, RoundRecord, UavState, validate_scenario
 
 _TAG_PLACEMENT = 1
 _TAG_BATTERY = 2
@@ -46,11 +45,11 @@ class Scenario:
     uavs: list[UavState]
     task: FlTask
     channel: ChannelParams
+    cost: CostParams
     rate_up: dict[int, float]
     rate_down: dict[int, float]
     model_spec: ModelSpec
     ssim_params: SsimParams
-    max_pairs: int
     test_x: np.ndarray
     test_y: np.ndarray
 
@@ -87,18 +86,9 @@ class RunSummary:
         return self.strategy
 
 
-def genspec_from_config(config: ExperimentConfig) -> GenSpec:
-    """Copy the generator section of a config onto a GenSpec (shared fields)."""
-    fields = {f.name for f in dataclasses.fields(GenSpec)}
-    values = {k: v for k, v in dataclasses.asdict(config.generator).items()
-              if k in fields}
-    return GenSpec(**values)
-
-
 def build_scenario(config: ExperimentConfig) -> Scenario:
     """Generate datasets, place UAVs, derive link rates and the test pool."""
     seed = config.master_seed
-    genspec = genspec_from_config(config)
     gen = config.generator
     model_spec = ModelSpec(
         input_dim=gen.image_side * gen.image_side,
@@ -117,12 +107,7 @@ def build_scenario(config: ExperimentConfig) -> Scenario:
         param_count=model_spec.param_count,
         param_size_bits=config.cost.param_size_bits,
     )
-    ch = config.channel
-    channel = ChannelParams(
-        beta0=ch.beta0, noise_psd_w=ch.noise_psd_w, bandwidth_hz=ch.bandwidth_hz,
-        bs_tx_power_w=ch.bs_tx_power_w,
-        plc=PathLossConstants(a1=ch.a1, a2=ch.a2, a3=ch.a3, a4=ch.a4),
-    )
+    channel = config.channel
 
     geo = config.geometry
     bs_pos = Position3D(geo.region_m / 2.0, geo.region_m / 2.0, geo.bs_altitude_m)
@@ -137,31 +122,26 @@ def build_scenario(config: ExperimentConfig) -> Scenario:
         subregion = (uid - 1) % config.subregion_count + 1
         x, y = place_rng.uniform(0.0, geo.region_m, size=2)
         battery = float(battery_rng.uniform(config.battery.min_j, config.battery.max_j))
-        data = generate_uav_dataset(genspec, subregion, uid, seed,
+        data = generate_uav_dataset(gen, subregion, uid, seed,
                                     shard_count=config.n_rounds_max)
         uav = UavState(
             id=uid, subregion_id=subregion,
             position=Position3D(float(x), float(y), geo.uav_altitude_m),
             battery_j=battery, battery_max_j=config.battery.max_j,
-            cpu_hz=config.cost.cpu_hz,
-            cycles_per_sample=config.cost.cycles_per_sample,
-            chip_coeff=config.cost.chip_coeff,
-            tx_power_w=config.cost.tx_power_w,
             dataset=data.train,
         )
         h = channel_gain(link_geometry(uav.position, bs_pos), channel)
-        rate_up[uid] = capacity_uplink(h, channel, uav)
-        rate_down[uid] = capacity_downlink(h, channel)
+        rate_up[uid] = capacity(h, config.cost.tx_power_w, channel)
+        rate_down[uid] = capacity(h, channel.bs_tx_power_w, channel)
         test_pool.extend(data.test)
         uavs.append(uav)
 
     validate_scenario(uavs, task, config.subregion_count)
     test_x, test_y = samples_to_matrix(test_pool, model_spec)
     return Scenario(
-        uavs=uavs, task=task, channel=channel, rate_up=rate_up, rate_down=rate_down,
-        model_spec=model_spec,
-        ssim_params=SsimParams(k1=config.ssim.k1, k2=config.ssim.k2),
-        max_pairs=config.ssim.max_pairs,
+        uavs=uavs, task=task, channel=channel, cost=config.cost,
+        rate_up=rate_up, rate_down=rate_down,
+        model_spec=model_spec, ssim_params=config.ssim,
         test_x=test_x, test_y=test_y,
     )
 
@@ -173,8 +153,7 @@ def _shard_diversity(uav: UavState, round_k: int, scenario: Scenario,
         # a 0/1-sample shard carries no evidence of redundancy
         return DiversityScore(mean_pairwise_ssim=0.0, pairs_evaluated=0)
     seed = np.random.SeedSequence([master_seed, _TAG_DIVERSITY, round_k, uav.id])
-    return dataset_diversity(shard, scenario.ssim_params,
-                             max_pairs=scenario.max_pairs, rng_seed=seed)
+    return dataset_diversity(shard, scenario.ssim_params, rng_seed=seed)
 
 
 def _find_convergence(accuracies: list[float], window: int, tol: float) -> int | None:
@@ -215,7 +194,7 @@ def run_experiment(config: ExperimentConfig, scenario: Scenario | None = None,
     for k in range(1, task.n_rounds_max + 1):
         alive = [u for u in uavs if u.alive]
         costs: dict[int, RoundCost] = {
-            u.id: estimate_round_cost(u, task, u.dataset.shard_size(k),
+            u.id: estimate_round_cost(scenario.cost, task, u.dataset.shard_size(k),
                                       scenario.rate_up[u.id], scenario.rate_down[u.id])
             for u in alive
         }
@@ -232,7 +211,7 @@ def run_experiment(config: ExperimentConfig, scenario: Scenario | None = None,
                     dedup_removed += deduplicate(u.dataset, task.ssim_threshold,
                                                  scenario.ssim_params)
                     costs[uid] = estimate_round_cost(
-                        u, task, u.dataset.shard_size(k),
+                        scenario.cost, task, u.dataset.shard_size(k),
                         scenario.rate_up[uid], scenario.rate_down[uid])
         else:
             try:
@@ -291,7 +270,7 @@ def run_experiment(config: ExperimentConfig, scenario: Scenario | None = None,
             for u in uavs:
                 if not u.alive:
                     continue
-                nxt = estimate_round_cost(u, task, u.dataset.shard_size(k + 1),
+                nxt = estimate_round_cost(scenario.cost, task, u.dataset.shard_size(k + 1),
                                           scenario.rate_up[u.id], scenario.rate_down[u.id])
                 if not is_feasible(u, nxt):
                     u.alive = False
@@ -340,6 +319,15 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
+def _write(path: str, text: str) -> None:
+    """Write an artifact with LF line endings; an OSError becomes a UavFlError."""
+    try:
+        with open(path, "w", newline="\n", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UavFlError(f"cannot write {path}: {exc}") from exc
+
+
 def emit_csv(records: list[RoundRecord], path: str) -> None:
     """Per-round CSV, LF line endings, floats at 6 significant digits."""
     if not records:
@@ -352,11 +340,7 @@ def emit_csv(records: list[RoundRecord], path: str) -> None:
             str(r.alive_uavs), str(r.dropouts),
             ";".join(str(i) for i in r.selected_ids),
         ]))
-    try:
-        with open(path, "w", newline="\n", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise UavFlError(f"cannot write {path}: {exc}") from exc
+    _write(path, "\n".join(lines) + "\n")
 
 
 SUMMARY_HEADER = "strategy,ssim_th,avg_round_time_s,rounds_to_convergence,time_to_convergence_min,final_accuracy,converged"
@@ -372,8 +356,7 @@ def emit_summary_csv(summaries: list[RunSummary], path: str) -> None:
             _fmt(s.time_to_convergence_min), _fmt(s.final_accuracy),
             str(s.converged).lower(),
         ]))
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write(path, "\n".join(lines) + "\n")
 
 
 def emit_metadata(config: ExperimentConfig, path: str) -> None:
@@ -383,9 +366,7 @@ def emit_metadata(config: ExperimentConfig, path: str) -> None:
         "package_version": __version__,
         "config": config.to_dict(),
     }
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write(path, json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
 def compare_strategies(config: ExperimentConfig,

@@ -17,23 +17,30 @@ from .errors import (AlreadyDeduplicated, DimensionMismatch, InvariantViolation,
 from .types import Dataset, GrayImage, LabeledSample
 
 
+DYNAMIC_RANGE = 255.0  # intensity range of the uint8 pixels of a GrayImage
+
+
 @dataclass(frozen=True)
 class SsimParams:
+    """The `ssim` config section: SSIM stabilizers and the diversity pair cap."""
+
     k1: float = 0.01
     k2: float = 0.03
-    dynamic_range: float = 255.0
+    max_pairs: int = 1000  # most pairs one shard-diversity estimate evaluates
 
     def __post_init__(self):
-        if self.k1 <= 0 or self.k2 <= 0 or self.dynamic_range <= 0:
-            raise InvariantViolation("stabilizers and dynamic range must be positive")
+        if self.k1 <= 0 or self.k2 <= 0:
+            raise InvariantViolation("stabilizers must be positive")
+        if self.max_pairs < 1:
+            raise InvariantViolation("max_pairs must be >= 1")
 
     @property
     def c1(self) -> float:
-        return (self.k1 * self.dynamic_range) ** 2
+        return (self.k1 * DYNAMIC_RANGE) ** 2
 
     @property
     def c2(self) -> float:
-        return (self.k2 * self.dynamic_range) ** 2
+        return (self.k2 * DYNAMIC_RANGE) ** 2
 
 
 @dataclass(frozen=True)
@@ -77,22 +84,20 @@ def _all_pairs(n: int) -> list[tuple[int, int]]:
 
 
 def dataset_diversity(shard: list[LabeledSample], p: SsimParams = SsimParams(),
-                      max_pairs: int = 1000, rng_seed=0) -> DiversityScore:
+                      rng_seed=0) -> DiversityScore:
     """Mean SSIM over unordered sample pairs of one shard.
 
-    Exhaustive when the shard has at most `max_pairs` pairs; otherwise a
-    seeded without-replacement sample of `max_pairs` distinct pairs. The
+    Exhaustive when the shard has at most `p.max_pairs` pairs; otherwise a
+    seeded without-replacement sample of `p.max_pairs` distinct pairs. The
     mean is accumulated in a fixed order, so results are deterministic.
     """
     n = len(shard)
     if n < 2:
         raise TooFewSamples("diversity needs at least 2 samples")
-    if max_pairs < 1:
-        raise InvariantViolation("max_pairs must be >= 1")
     pairs = _all_pairs(n)
-    if len(pairs) > max_pairs:
+    if len(pairs) > p.max_pairs:
         rng = np.random.default_rng(rng_seed)
-        idx = rng.choice(len(pairs), size=max_pairs, replace=False)
+        idx = rng.choice(len(pairs), size=p.max_pairs, replace=False)
         pairs = [pairs[i] for i in np.sort(idx)]
     total = 0.0
     for i, j in pairs:

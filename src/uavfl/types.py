@@ -1,4 +1,4 @@
-"""Shared domain types: images, datasets, UAV state, task and channel parameters.
+"""Shared domain types: images, datasets, UAV state, task and round records.
 
 All types validate their invariants at construction time and raise
 InvariantViolation instead of clamping. Everything is an immutable value
@@ -8,7 +8,6 @@ mutated by the harness between rounds.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,62 +98,24 @@ class Position3D:
             raise InvariantViolation("altitude must be >= 0")
 
 
-@dataclass(frozen=True)
-class PathLossConstants:
-    """Environment constants of the elevation-dependent path-loss exponent."""
-
-    a1: float
-    a2: float
-    a3: float
-    a4: float
-
-    def __post_init__(self):
-        if self.a1 <= 0:
-            raise InvariantViolation("a1 must be > 0")
-        # Denominator 1 + a4*exp(a3*(theta - a4)) must stay positive on [0, 90];
-        # it is monotone in theta, so checking the endpoints suffices.
-        for theta in (0.0, 90.0):
-            if 1.0 + self.a4 * math.exp(self.a3 * (theta - self.a4)) <= 0:
-                raise InvariantViolation("path-loss denominator not positive on [0, 90] deg")
-
-
-@dataclass(frozen=True)
-class ChannelParams:
-    beta0: float          # reference channel gain at 1 m (power ratio)
-    noise_psd_w: float    # AWGN unitary power
-    bandwidth_hz: float
-    bs_tx_power_w: float
-    plc: PathLossConstants
-
-    def __post_init__(self):
-        for name in ("beta0", "noise_psd_w", "bandwidth_hz", "bs_tx_power_w"):
-            if getattr(self, name) <= 0:
-                raise InvariantViolation(f"{name} must be strictly positive")
-
-
 @dataclass
 class UavState:
-    """One UAV: position, battery, compute/radio parameters, local data."""
+    """One UAV: position, battery, local data.
+
+    CPU and radio constants are fleet-wide and live in `cost.CostParams`.
+    """
 
     id: int
     subregion_id: int
     position: Position3D
     battery_j: float
     battery_max_j: float
-    cpu_hz: float            # cycles/s
-    cycles_per_sample: float
-    chip_coeff: float        # effective J*s^2/cycle^3 constant of the CPU energy model
-    tx_power_w: float
     dataset: Dataset
     alive: bool = True
 
     def __post_init__(self):
         if not 0 <= self.battery_j <= self.battery_max_j:
             raise InvariantViolation("battery_j must lie in [0, battery_max_j]")
-        if self.cpu_hz <= 0 or self.tx_power_w < 0 or self.cycles_per_sample < 0:
-            raise InvariantViolation("bad CPU/radio parameters")
-        if self.chip_coeff < 0:
-            raise InvariantViolation("chip_coeff must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -25,18 +25,14 @@ def make_sample(image: GrayImage, label: int = 0) -> LabeledSample:
 
 
 def make_uav(uid: int = 1, subregion: int = 1, battery: float = 100.0,
-             battery_max: float = 100.0, cpu_hz: float = 1e6,
-             cycles_per_sample: float = 1e3, chip_coeff: float = 1e-20,
-             tx_power_w: float = 0.1, n_samples: int = 1,
+             battery_max: float = 100.0, n_samples: int = 1,
              shard_count: int = 1) -> UavState:
     img = const_image(0, side=4)
     ds = Dataset(samples=[make_sample(img) for _ in range(n_samples)],
                  shard_count=shard_count)
     return UavState(id=uid, subregion_id=subregion,
                     position=Position3D(0.0, 0.0, 10.0),
-                    battery_j=battery, battery_max_j=battery_max,
-                    cpu_hz=cpu_hz, cycles_per_sample=cycles_per_sample,
-                    chip_coeff=chip_coeff, tx_power_w=tx_power_w, dataset=ds)
+                    battery_j=battery, battery_max_j=battery_max, dataset=ds)
 
 
 def make_task(**overrides) -> FlTask:

@@ -14,17 +14,16 @@ import time
 import numpy as np
 import pytest
 
-from uavfl.channel import (LinkGeometry, capacity_uplink, channel_gain,
+from uavfl.channel import (ChannelParams, LinkGeometry, capacity, channel_gain,
                            link_geometry, path_loss_exponent)
 from uavfl.config import config_from_dict, load_config
-from uavfl.cost import (RoundCost, downlink_time, local_training_time,
-                        training_energy, transmit_energy, uplink_time)
+from uavfl.cost import (CostParams, RoundCost, local_training_time, training_energy,
+                        transmit_energy, tx_time)
 from uavfl.harness import build_scenario, compare_strategies, run_experiment
 from uavfl.learning import ModelSpec, aggregate, loss_and_grad
 from uavfl.selection import deeps_score, deeps_select, oracle_select
 from uavfl.similarity import DiversityScore, SsimParams, ssim_pair
-from uavfl.types import (ChannelParams, Dataset, FlTask, GrayImage, LabeledSample,
-                         PathLossConstants, Position3D, UavState)
+from uavfl.types import Dataset, FlTask, GrayImage, LabeledSample, Position3D, UavState
 
 HERE = os.path.dirname(__file__)
 CALIBRATED_CONFIG = os.path.join(HERE, "..", "configs", "scenario1_calibrated.json")
@@ -43,8 +42,7 @@ def rel_err(a: float, b: float) -> float:
 def make_uav(**overrides) -> UavState:
     img = GrayImage(np.zeros((4, 4), dtype=np.uint8))
     defaults = dict(id=1, subregion_id=1, position=Position3D(0.0, 0.0, 100.0),
-                    battery_j=5000.0, battery_max_j=10000.0, cpu_hz=1e7,
-                    cycles_per_sample=7e4, chip_coeff=1e-22, tx_power_w=0.28,
+                    battery_j=5000.0, battery_max_j=10000.0,
                     dataset=Dataset(samples=[LabeledSample(image=img, label=0)],
                                     shard_count=1))
     defaults.update(overrides)
@@ -67,31 +65,29 @@ def test_criterion_1_formula_exactness(capsys):
     g = link_geometry(Position3D(100, 0, 100), Position3D(0, 0, 0))
     checks.append(rel_err(g.distance_m, 100.0 * math.sqrt(2)))
     checks.append(rel_err(g.elevation_deg, 45.0))
-    plc = PathLossConstants(a1=2.0, a2=2.0, a3=0.1, a4=10.0)
+    plc = ChannelParams(a1=2.0, a2=2.0, a3=0.1, a4=10.0)
     geo10 = LinkGeometry(distance_m=1.0, elevation_deg=10.0)
     checks.append(rel_err(path_loss_exponent(geo10, plc), 2.0 / 11.0 + 2.0))
     checks.append(rel_err(path_loss_exponent(
-        LinkGeometry(1.0, 30.0), PathLossConstants(1.0, 2.0, 0.0, 1.0)), 2.5))
+        LinkGeometry(1.0, 30.0), ChannelParams(a1=1.0, a2=2.0, a3=0.0, a4=1.0)), 2.5))
     free_space = ChannelParams(beta0=1e-4, noise_psd_w=1e-6, bandwidth_hz=1e6,
-                               bs_tx_power_w=1.0,
-                               plc=PathLossConstants(1e-300, 2.0, 0.05, 7.37))
+                               bs_tx_power_w=1.0, a1=1e-300, a2=2.0, a3=0.05, a4=7.37)
     checks.append(rel_err(channel_gain(LinkGeometry(100.0, 45.0), free_space), 1e-4))
     unit_snr = ChannelParams(beta0=1.0, noise_psd_w=1e-6, bandwidth_hz=1e6,
-                             bs_tx_power_w=1.0,
-                             plc=PathLossConstants(10.39, 2.09, 0.05, 7.37))
-    checks.append(rel_err(
-        capacity_uplink(1.0, unit_snr, make_uav(tx_power_w=1.0)), 1e6))
+                             bs_tx_power_w=1.0, a1=10.39, a2=2.09, a3=0.05, a4=7.37)
+    checks.append(rel_err(capacity(1.0, 1.0, unit_snr), 1e6))
 
     # latency
-    uav = make_uav()
+    params = CostParams(cpu_hz=1e7, cycles_per_sample=7e4, chip_coeff=1e-22,
+                        tx_power_w=0.28)
     task5 = make_task(epochs_per_round=5)
-    checks.append(rel_err(local_training_time(uav, task5, 100), 3.5))
-    checks.append(rel_err(uplink_time(make_task(), 1e6), 0.032))
-    checks.append(rel_err(downlink_time(make_task(), 2e6), 0.016))
+    checks.append(rel_err(local_training_time(params, task5, 100), 3.5))
+    checks.append(rel_err(tx_time(make_task(), 1e6), 0.032))
+    checks.append(rel_err(tx_time(make_task(), 2e6), 0.016))
 
     # energy
-    checks.append(rel_err(training_energy(uav, 1.0), 0.1))
-    checks.append(rel_err(transmit_energy(uav, 0.032), 0.00896))
+    checks.append(rel_err(training_energy(params, 1.0), 0.1))
+    checks.append(rel_err(transmit_energy(params, 0.032), 0.00896))
 
     # selection score
     cost = RoundCost(train_time_s=3.5, uplink_time_s=0.032, downlink_time_s=0.032,

@@ -42,6 +42,18 @@ class TestRun:
         meta = json.load(open(os.path.join(out, "metadata.json")))
         assert meta["master_seed"] == 9
 
+    @pytest.mark.parametrize("flag,value", [("--workers", "0"), ("--workers", "-3"),
+                                            ("--ssim-th", "1.5")])
+    def test_bad_override_is_one_line_error(self, tiny_config_file, tmp_path, capsys,
+                                            flag, value):
+        out = str(tmp_path / "out")
+        code = main(["run", "--config", tiny_config_file, "--out", out, flag, value])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("uavfl: error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not os.path.exists(os.path.join(out, "metadata.json"))
+
 
 class TestCompare:
     def test_compare_writes_three_runs(self, tiny_config_file, tmp_path, capsys):

@@ -1,9 +1,13 @@
 import json
+import os
 
 import pytest
 
 from uavfl.config import ExperimentConfig, config_from_dict, load_config
 from uavfl.errors import ConfigError
+
+CALIBRATED = os.path.join(os.path.dirname(__file__), "..", "configs",
+                          "scenario1_calibrated.json")
 
 
 class TestPresets:
@@ -65,6 +69,16 @@ class TestFromDict:
         with pytest.raises(ConfigError):
             config_from_dict([1, 2])
 
+    @pytest.mark.parametrize("section,values", [
+        ("generator", {"redundancy": 2.0}),
+        ("channel", {"beta0": 0}),
+        ("ssim", {"k1": 0}),
+        ("cost", {"cpu_hz": 0}),
+    ])
+    def test_bad_section_value_fails_at_load(self, section, values):
+        with pytest.raises(ConfigError, match=f"^{section}: "):
+            config_from_dict({section: values})
+
 
 class TestLoadAndHash:
     def test_load_config(self, tmp_path):
@@ -76,12 +90,16 @@ class TestLoadAndHash:
         assert c.n_uavs == 4 and c.master_seed == 9
 
     def test_shipped_calibrated_config_parses(self):
-        import os
-        path = os.path.join(os.path.dirname(__file__), "..", "configs",
-                            "scenario1_calibrated.json")
-        c = load_config(path)
+        c = load_config(CALIBRATED)
         assert (c.n_uavs, c.cohort_size) == (40, 10)
         assert c.n_rounds_max <= 200
+
+    def test_overrides_apply_before_validation(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"master_seed": 9, "workers": 2}))
+        assert load_config(str(path), master_seed=3).master_seed == 3
+        with pytest.raises(ConfigError):
+            load_config(str(path), workers=0)
 
     def test_hash_is_stable_and_sensitive(self):
         a = ExperimentConfig(master_seed=1)
@@ -89,3 +107,11 @@ class TestLoadAndHash:
         c = ExperimentConfig(master_seed=2)
         assert a.config_hash() == b.config_hash()
         assert a.config_hash() != c.config_hash()
+
+    def test_hash_is_pinned(self):
+        # digests of the serialised defaults and of the calibrated config; a
+        # change here means metadata.json no longer matches earlier runs
+        assert ExperimentConfig().config_hash() == \
+            "8cab36c5a2e52b7b52cb032c08409d64b810e9808944e5da3519c42b69d128e4"
+        assert load_config(CALIBRATED).config_hash() == \
+            "c453e2eec1c7f0f66a63038d36e7adf7a612b662067bb0c8d6f70274ad1ce726"

@@ -1,9 +1,9 @@
 import pytest
 
 from conftest import make_task, make_uav
-from uavfl.cost import (RoundCost, charge_round, downlink_time, estimate_round_cost,
+from uavfl.cost import (CostParams, RoundCost, charge_round, estimate_round_cost,
                         local_training_time, round_duration, training_energy,
-                        transmit_energy, uplink_time)
+                        transmit_energy, tx_time)
 from uavfl.errors import EmptyCohort, InsufficientBattery, InvariantViolation, ZeroRate
 
 REL = 1e-12
@@ -20,46 +20,48 @@ def cost_of(train=0.0, up=0.0, down=0.0, e_train=0.0, e_tx=0.0) -> RoundCost:
 
 class TestTrainingTime:
     def test_hand_evaluated(self):
-        uav = make_uav(cpu_hz=1e7, cycles_per_sample=7e4)
+        params = CostParams(cpu_hz=1e7, cycles_per_sample=7e4)
         task = make_task(epochs_per_round=5)
-        assert rel_err(local_training_time(uav, task, 100), 3.5) <= REL
+        assert rel_err(local_training_time(params, task, 100), 3.5) <= REL
 
     def test_empty_shard(self):
-        uav = make_uav(cpu_hz=1e7, cycles_per_sample=7e4)
-        assert local_training_time(uav, make_task(), 0) == 0.0
+        params = CostParams(cpu_hz=1e7, cycles_per_sample=7e4)
+        assert local_training_time(params, make_task(), 0) == 0.0
 
     def test_doubling_cpu_halves_time(self):
         task = make_task(epochs_per_round=3)
-        t1 = local_training_time(make_uav(cpu_hz=1e7, cycles_per_sample=7e4), task, 50)
-        t2 = local_training_time(make_uav(cpu_hz=2e7, cycles_per_sample=7e4), task, 50)
+        t1 = local_training_time(CostParams(cpu_hz=1e7, cycles_per_sample=7e4), task, 50)
+        t2 = local_training_time(CostParams(cpu_hz=2e7, cycles_per_sample=7e4), task, 50)
         assert rel_err(t1, 2.0 * t2) <= REL
 
 
 class TestTransmissionTime:
     def test_uplink_hand_evaluated(self):
         task = make_task(param_count=1000, param_size_bits=32)
-        assert rel_err(uplink_time(task, 1e6), 0.032) <= REL
+        assert rel_err(tx_time(task, 1e6), 0.032) <= REL
 
     def test_downlink_hand_evaluated(self):
         task = make_task(param_count=1000, param_size_bits=32)
-        assert rel_err(downlink_time(task, 2e6), 0.016) <= REL
+        assert rel_err(tx_time(task, 2e6), 0.016) <= REL
 
     def test_nothing_to_send(self):
         task = make_task(param_count=0)
-        assert uplink_time(task, 1e6) == 0.0
+        assert tx_time(task, 1e6) == 0.0
 
     def test_rate_limit(self):
         task = make_task(param_count=1000, param_size_bits=32)
-        assert uplink_time(task, 1e15) < 1e-7
+        assert tx_time(task, 1e15) < 1e-7
 
     def test_symmetry(self):
+        # one parameter vector each way: equal rates give equal up/down times
         task = make_task(param_count=1000, param_size_bits=32)
-        assert uplink_time(task, 5e5) == downlink_time(task, 5e5)
+        c = estimate_round_cost(CostParams(), task, 10, rate_up_bps=5e5, rate_down_bps=5e5)
+        assert c.uplink_time_s == c.downlink_time_s
 
     def test_zero_rate(self):
         task = make_task(param_count=1000)
         with pytest.raises(ZeroRate):
-            uplink_time(task, 0.0)
+            tx_time(task, 0.0)
 
 
 class TestRoundDuration:
@@ -79,28 +81,28 @@ class TestRoundDuration:
 
 class TestEnergy:
     def test_training_energy_hand_evaluated(self):
-        uav = make_uav(cpu_hz=1e7, chip_coeff=1e-22)
-        assert rel_err(training_energy(uav, 1.0), 0.1) <= REL
+        params = CostParams(cpu_hz=1e7, chip_coeff=1e-22)
+        assert rel_err(training_energy(params, 1.0), 0.1) <= REL
 
     def test_zero_time(self):
-        assert training_energy(make_uav(cpu_hz=1e7, chip_coeff=1e-22), 0.0) == 0.0
+        assert training_energy(CostParams(cpu_hz=1e7, chip_coeff=1e-22), 0.0) == 0.0
 
     def test_doubling_cpu_quadruples_energy(self):
         # t scales as 1/cpu_hz, energy as cpu_hz^3 * t, so energy scales as cpu_hz^2
         task = make_task(epochs_per_round=1)
-        u1 = make_uav(cpu_hz=1e7, cycles_per_sample=7e4, chip_coeff=1e-22)
-        u2 = make_uav(cpu_hz=2e7, cycles_per_sample=7e4, chip_coeff=1e-22)
-        e1 = training_energy(u1, local_training_time(u1, task, 100))
-        e2 = training_energy(u2, local_training_time(u2, task, 100))
+        p1 = CostParams(cpu_hz=1e7, cycles_per_sample=7e4, chip_coeff=1e-22)
+        p2 = CostParams(cpu_hz=2e7, cycles_per_sample=7e4, chip_coeff=1e-22)
+        e1 = training_energy(p1, local_training_time(p1, task, 100))
+        e2 = training_energy(p2, local_training_time(p2, task, 100))
         assert rel_err(e2, 4.0 * e1) <= REL
 
     def test_transmit_energy_hand_evaluated(self):
-        uav = make_uav(tx_power_w=0.28)
-        assert rel_err(transmit_energy(uav, 0.032), 0.00896) <= REL
+        params = CostParams(tx_power_w=0.28)
+        assert rel_err(transmit_energy(params, 0.032), 0.00896) <= REL
 
     def test_transmit_energy_degenerate(self):
-        assert transmit_energy(make_uav(tx_power_w=0.28), 0.0) == 0.0
-        assert transmit_energy(make_uav(tx_power_w=0.0), 0.032) == 0.0
+        assert transmit_energy(CostParams(tx_power_w=0.28), 0.0) == 0.0
+        assert transmit_energy(CostParams(tx_power_w=0.0), 0.032) == 0.0
 
 
 class TestRoundCost:
@@ -114,10 +116,10 @@ class TestRoundCost:
         assert rel_err(c.total_energy_j, 0.359) <= REL
 
     def test_estimate_round_cost_composes(self):
-        uav = make_uav(cpu_hz=1e7, cycles_per_sample=7e4, chip_coeff=1e-22,
-                       tx_power_w=0.28)
+        params = CostParams(cpu_hz=1e7, cycles_per_sample=7e4, chip_coeff=1e-22,
+                            tx_power_w=0.28)
         task = make_task(epochs_per_round=5, param_count=1000, param_size_bits=32)
-        c = estimate_round_cost(uav, task, 100, rate_up_bps=1e6, rate_down_bps=1e6)
+        c = estimate_round_cost(params, task, 100, rate_up_bps=1e6, rate_down_bps=1e6)
         assert rel_err(c.train_time_s, 3.5) <= REL
         assert rel_err(c.uplink_time_s, 0.032) <= REL
         assert rel_err(c.train_energy_j, 1e-22 * 3.5 * 1e21) <= REL

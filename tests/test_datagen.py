@@ -8,7 +8,7 @@ from uavfl.datagen import (GenSpec, MANIFEST_HEADER, generate_uav_dataset,
                            load_manifest, read_pgm, write_pgm)
 from uavfl.errors import (BadHeader, BadPgmMagic, InvariantViolation,
                           LabelOutOfRange, MissingFile)
-from uavfl.similarity import dataset_diversity
+from uavfl.similarity import SsimParams, dataset_diversity
 from uavfl.types import GrayImage
 
 FAST = GenSpec(samples_min=120, samples_max=150, offset_span=30, test_fraction=0.2)
@@ -71,7 +71,7 @@ class TestGenerate:
         # fraction of all sampled pairs
         spec = GenSpec(redundancy=0.0)
         data = generate_uav_dataset(spec, 1, 1, rng_seed=7)
-        d = dataset_diversity(data.train.samples, max_pairs=800)
+        d = dataset_diversity(data.train.samples, SsimParams(max_pairs=800))
         assert abs(d.mean_pairwise_ssim) < 0.05
 
     def test_redundancy_monotonicity(self):
@@ -80,7 +80,7 @@ class TestGenerate:
             spec = dataclasses.replace(FAST, redundancy=rho)
             data = generate_uav_dataset(spec, 1, 1, rng_seed=7)
             means.append(dataset_diversity(data.train.samples,
-                                           max_pairs=500).mean_pairwise_ssim)
+                                           SsimParams(max_pairs=500)).mean_pairwise_ssim)
         assert means[0] < means[1] < means[2]
 
     def test_same_subregion_shares_scene(self):

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from uavfl.config import config_from_dict
+from uavfl.datagen import GenSpec
 from uavfl.errors import UavFlError
-from uavfl.harness import (CSV_HEADER, _find_convergence, build_scenario,
+from uavfl.harness import (CSV_HEADER, RunSummary, _find_convergence, build_scenario,
                            compare_strategies, emit_csv, emit_metadata,
-                           emit_summary_csv, genspec_from_config, run_experiment)
+                           emit_summary_csv, run_experiment)
 from uavfl.types import RoundRecord
 
 TINY = {
@@ -37,9 +38,9 @@ def record(k=1, acc=0.5, energy=1.0):
 
 
 class TestScenarioBuild:
-    def test_genspec_copies_shared_fields(self):
-        config = tiny_config()
-        spec = genspec_from_config(config)
+    def test_generator_section_is_the_genspec(self):
+        spec = tiny_config().generator
+        assert isinstance(spec, GenSpec)
         assert spec.image_side == 8
         assert spec.samples_min == 40
 
@@ -164,6 +165,18 @@ class TestEmission:
         assert meta["master_seed"] == 5
         assert meta["config_hash"] == config.config_hash()
         assert meta["config"]["n_uavs"] == 4
+
+    def test_summary_csv_unwritable_dir(self, tmp_path):
+        s = RunSummary(strategy="random", ssim_threshold=None, avg_round_time_s=2.5,
+                       rounds_to_convergence=1, time_to_convergence_min=0.04,
+                       final_accuracy=0.5, converged=False, records=[record()],
+                       initial_battery_total_j=10.0, final_battery_total_j=9.0)
+        with pytest.raises(UavFlError, match="cannot write"):
+            emit_summary_csv([s], str(tmp_path / "missing" / "summary.csv"))
+
+    def test_metadata_unwritable_dir(self, tmp_path):
+        with pytest.raises(UavFlError, match="cannot write"):
+            emit_metadata(tiny_config(), str(tmp_path / "missing" / "meta.json"))
 
 
 class TestCompare:

@@ -60,15 +60,15 @@ class TestDatasetDiversity:
 
     def test_sampled_mode_degenerates_to_exhaustive(self, rng):
         shard = [make_sample(random_image(rng)) for _ in range(8)]
-        exact = dataset_diversity(shard, max_pairs=1000)
-        sampled = dataset_diversity(shard, max_pairs=28)  # exactly C(8, 2)
+        exact = dataset_diversity(shard, SsimParams(max_pairs=1000))
+        sampled = dataset_diversity(shard, SsimParams(max_pairs=28))  # exactly C(8, 2)
         assert exact.mean_pairwise_ssim == sampled.mean_pairwise_ssim
         assert exact.pairs_evaluated == sampled.pairs_evaluated == 28
 
     def test_sampling_is_seed_deterministic(self, rng):
         shard = [make_sample(random_image(rng)) for _ in range(30)]
-        d1 = dataset_diversity(shard, max_pairs=50, rng_seed=3)
-        d2 = dataset_diversity(shard, max_pairs=50, rng_seed=3)
+        d1 = dataset_diversity(shard, SsimParams(max_pairs=50), rng_seed=3)
+        d2 = dataset_diversity(shard, SsimParams(max_pairs=50), rng_seed=3)
         assert d1 == d2
         assert d1.pairs_evaluated == 50
 
@@ -77,9 +77,8 @@ class TestDatasetDiversity:
             dataset_diversity([make_sample(const_image(0))])
 
     def test_bad_max_pairs(self):
-        shard = [make_sample(const_image(0)) for _ in range(3)]
         with pytest.raises(InvariantViolation):
-            dataset_diversity(shard, max_pairs=0)
+            SsimParams(max_pairs=0)
 
 
 def dedup_oracle(samples, th, p=SsimParams()):
