@@ -75,8 +75,8 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_dedup_report(args) -> int:
+    params = load_config(args.config).ssim if args.config else SsimParams()
     datasets = load_manifest(args.manifest, image_root=os.path.dirname(args.manifest))
-    params = SsimParams()
     total_before = total_after = 0
     print(f"{'uav':>6}{'samples':>10}{'removed':>10}{'kept':>10}")
     for uid, ds in datasets.items():
@@ -118,6 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ded = sub.add_parser("dedup-report", help="near-duplicate removal stats for a manifest")
     ded.add_argument("--manifest", required=True)
+    ded.add_argument("--config", help="JSON config file; its ssim section sets k1 and k2")
     ded.add_argument("--ssim-th", type=float, dest="ssim_th", default=0.5)
     ded.set_defaults(func=cmd_dedup_report)
     return parser

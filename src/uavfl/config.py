@@ -115,7 +115,7 @@ def _build(cls, data: dict, where: str):
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
     try:
         return cls(**data)
-    except InvariantViolation as exc:
+    except (InvariantViolation, TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
@@ -138,9 +138,15 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
 def load_config(path: str, **overrides) -> ExperimentConfig:
     """Load a JSON config file; `overrides` replace top-level keys before it is
-    validated."""
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+    validated. An unreadable file or malformed JSON fails as a ConfigError
+    naming the path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc.strerror or exc}") from exc
+    except ValueError as exc:  # json.JSONDecodeError, or bytes that are not UTF-8
+        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if isinstance(data, dict):
         data = {**data, **overrides}
     return config_from_dict(data)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .channel import ChannelParams, capacity, channel_gain, link_geometry
+from .channel import capacity, channel_gain, link_geometry
 from .config import ExperimentConfig
 from .cost import CostParams, RoundCost, charge_round, estimate_round_cost, round_duration
 from .datagen import generate_uav_dataset
@@ -44,7 +44,6 @@ class Scenario:
 
     uavs: list[UavState]
     task: FlTask
-    channel: ChannelParams
     cost: CostParams
     rate_up: dict[int, float]
     rate_down: dict[int, float]
@@ -139,7 +138,7 @@ def build_scenario(config: ExperimentConfig) -> Scenario:
     validate_scenario(uavs, task, config.subregion_count)
     test_x, test_y = samples_to_matrix(test_pool, model_spec)
     return Scenario(
-        uavs=uavs, task=task, channel=channel, cost=config.cost,
+        uavs=uavs, task=task, cost=config.cost,
         rate_up=rate_up, rate_down=rate_down,
         model_spec=model_spec, ssim_params=config.ssim,
         test_x=test_x, test_y=test_y,

@@ -54,6 +54,17 @@ class TestRun:
         assert "Traceback" not in err
         assert not os.path.exists(os.path.join(out, "metadata.json"))
 
+    @pytest.mark.parametrize("content", [None, "{not json"], ids=["missing", "malformed"])
+    def test_unreadable_config_is_one_line_error(self, tmp_path, capsys, content):
+        path = tmp_path / "cfg.json"
+        if content is not None:
+            path.write_text(content)
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("uavfl: error: ") and err.count("\n") == 1
+        assert str(path) in err
+
 
 class TestCompare:
     def test_compare_writes_three_runs(self, tiny_config_file, tmp_path, capsys):
@@ -80,3 +91,19 @@ class TestGenDataAndDedupReport:
         report = capsys.readouterr().out
         assert "total:" in report
         assert f"total: {n_rows} ->" in report
+
+    def test_dedup_report_reads_ssim_section(self, tiny_config_file, tmp_path, capsys):
+        out = str(tmp_path / "data")
+        assert main(["gen-data", "--config", tiny_config_file, "--out", out]) == 0
+        manifest = os.path.join(out, "manifest.csv")
+        capsys.readouterr()
+
+        def report(*extra):
+            assert main(["dedup-report", "--manifest", manifest, *extra]) == 0
+            return capsys.readouterr().out
+
+        default = report()
+        assert report("--config", tiny_config_file) == default  # TINY keeps k1, k2
+        wide = tmp_path / "wide.json"
+        wide.write_text(json.dumps({"ssim": {"k1": 0.1, "k2": 0.1}}))
+        assert report("--config", str(wide)) != default

@@ -74,6 +74,7 @@ class TestFromDict:
         ("channel", {"beta0": 0}),
         ("ssim", {"k1": 0}),
         ("cost", {"cpu_hz": 0}),
+        ("generator", {"redundancy": "x"}),  # wrong type, not out of range
     ])
     def test_bad_section_value_fails_at_load(self, section, values):
         with pytest.raises(ConfigError, match=f"^{section}: "):

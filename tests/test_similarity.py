@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import const_image, make_image, make_sample, random_image
 from uavfl.errors import (AlreadyDeduplicated, DimensionMismatch, InvariantViolation,
                           TooFewSamples)
-from uavfl.similarity import (SsimParams, dataset_diversity, deduplicate, ssim_pair)
+from uavfl.similarity import (DEDUP_BLOCK, SsimParams, dataset_diversity, deduplicate,
+                              ssim_pair)
 from uavfl.types import Dataset
 
 # hand-evaluated extreme-contrast pair: zero variances and covariance reduce
@@ -148,3 +151,125 @@ class TestDeduplicate:
                 assert ssim_pair(kept[i].image, kept[j].image) <= th + 1e-9
         rerun = Dataset(samples=list(kept), shard_count=1)
         assert deduplicate(rerun, th) == 0
+
+
+# Reference kernels: the per-pair and per-candidate loops the module used
+# before it stacked moments per call. The stacked kernels must match them bit
+# for bit on power-of-two image sizes (see the similarity module docstring).
+
+def moments_oracle(img):
+    x = img.data.astype(np.float64).ravel()
+    mu = float(np.mean(x))
+    xc = x - mu
+    return xc, mu, float(np.dot(xc, xc)) / x.size
+
+
+def ssim_oracle(a, b, p):
+    ac, mu_a, var_a = moments_oracle(a)
+    bc, mu_b, var_b = moments_oracle(b)
+    cov = float(np.dot(ac, bc)) / ac.size
+    num = (2.0 * mu_a * mu_b + p.c1) * (2.0 * cov + p.c2)
+    den = (mu_a * mu_a + mu_b * mu_b + p.c1) * (var_a + var_b + p.c2)
+    return num / den
+
+
+def diversity_oracle(shard, p, rng_seed):
+    n = len(shard)
+    pairs = [(i, j) for i in range(n - 1) for j in range(i + 1, n)]
+    if len(pairs) > p.max_pairs:
+        rng = np.random.default_rng(rng_seed)
+        idx = rng.choice(len(pairs), size=p.max_pairs, replace=False)
+        pairs = [pairs[i] for i in np.sort(idx)]
+    total = 0.0
+    for i, j in pairs:
+        total += ssim_oracle(shard[i].image, shard[j].image, p)
+    return total / len(pairs), len(pairs)
+
+
+def gemv_dedup_oracle(samples, th, p):
+    """Sequential greedy dedup: one matrix-vector product per candidate."""
+    if not samples:
+        return []
+    moments = [moments_oracle(s.image) for s in samples]
+    centered = np.array([m[0] for m in moments])
+    mus = np.array([m[1] for m in moments])
+    vars_ = np.array([m[2] for m in moments])
+    kept = []
+    for i in range(len(samples)):
+        if kept:
+            cov = centered[kept] @ centered[i] / centered.shape[1]
+            num = (2.0 * mus[kept] * mus[i] + p.c1) * (2.0 * cov + p.c2)
+            den = (mus[kept] ** 2 + mus[i] ** 2 + p.c1) * (vars_[kept] + vars_[i] + p.c2)
+            if np.any(num > th * den):
+                continue
+        kept.append(i)
+    return [samples[i] for i in kept]
+
+
+def image_set(seed, n, side):
+    """n correlated uint8 images: noisy copies of a few bases, with exact
+    duplicates and flat images mixed in, so dedup both keeps and removes."""
+    rng = np.random.default_rng(seed)
+    bases = rng.integers(0, 256, size=(3, side, side))
+    out = []
+    for _ in range(n):
+        kind = rng.integers(0, 10)
+        if kind == 0 and out:
+            out.append(out[rng.integers(0, len(out))])
+            continue
+        if kind == 1:
+            data = np.full((side, side), rng.integers(0, 256))
+        else:
+            noise = rng.normal(0, rng.uniform(1, 90), size=(side, side))
+            data = np.clip(bases[rng.integers(0, 3)] + noise, 0, 255)
+        out.append(make_sample(make_image(data)))
+    return out
+
+
+sides = st.sampled_from([8, 32])
+params = st.builds(SsimParams, k1=st.sampled_from([0.01, 0.05]),
+                   k2=st.sampled_from([0.03, 0.1]), max_pairs=st.integers(1, 300))
+thresholds = st.floats(0.05, 0.95)
+
+
+@st.composite
+def image_pairs(draw):
+    side = draw(sides)
+    return [make_image(draw(arrays(np.uint8, (side, side)))) for _ in range(2)]
+
+
+class TestStackedKernelsMatchOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(image_pairs(), params)
+    def test_ssim_pair(self, pair, p):
+        a, b = pair
+        s = ssim_pair(a, b, p)
+        assert s == ssim_oracle(a, b, p)
+        assert s == ssim_pair(b, a, p)
+        assert -1.0 <= s <= 1.0
+        assert ssim_pair(a, a, p) == 1.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 40), sides, params,
+           st.integers(0, 2**16))
+    def test_dataset_diversity(self, seed, n, side, p, rng_seed):
+        # max_pairs up to 300 against C(n, 2) up to 780: both modes occur
+        shard = image_set(seed, n, side)
+        got = dataset_diversity(shard, p, rng_seed=rng_seed)
+        assert (got.mean_pairwise_ssim, got.pairs_evaluated) == \
+            diversity_oracle(shard, p, rng_seed)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1),
+           st.sampled_from([0, 1, DEDUP_BLOCK - 1, DEDUP_BLOCK, DEDUP_BLOCK + 1,
+                            3 * DEDUP_BLOCK + 5]),
+           sides, thresholds, params)
+    def test_deduplicate_and_idempotence(self, seed, n, side, th, p):
+        samples = image_set(seed, n, side)
+        ds = Dataset(samples=list(samples), shard_count=1)
+        removed = deduplicate(ds, th, p)
+        expected = gemv_dedup_oracle(samples, th, p)
+        assert [id(s) for s in ds.samples] == [id(s) for s in expected]
+        assert removed == n - len(expected)
+        rerun = Dataset(samples=list(ds.samples), shard_count=1)
+        assert deduplicate(rerun, th, p) == 0
