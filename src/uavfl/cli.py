@@ -63,10 +63,11 @@ def cmd_gen_data(args) -> int:
                                     shard_count=config.n_rounds_max)
         img_dir = os.path.join(out, f"uav{uid:03d}")
         os.makedirs(img_dir, exist_ok=True)
-        for i, s in enumerate(data.train.samples):
+        train = data.train.samples
+        for i, (image, label) in enumerate(zip(train.images, train.labels)):
             rel = os.path.join(f"uav{uid:03d}", f"{i:05d}.pgm")
-            write_pgm(os.path.join(out, rel), s.image)
-            rows.append(f"{rel},{s.label},{subregion},{uid}")
+            write_pgm(os.path.join(out, rel), image)
+            rows.append(f"{rel},{label},{subregion},{uid}")
     manifest = os.path.join(out, "manifest.csv")
     with open(manifest, "w", newline="\n", encoding="utf-8") as fh:
         fh.write("\n".join(rows) + "\n")

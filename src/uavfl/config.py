@@ -16,6 +16,7 @@ from .channel import ChannelParams
 from .cost import CostParams
 from .datagen import GenSpec
 from .errors import ConfigError, InvariantViolation
+from .learning import ModelSpec
 from .similarity import SsimParams
 
 SCENARIO_PRESETS = {
@@ -46,6 +47,10 @@ class BatteryConfig:
     max_j: float = 1e4
 
 
+# top-level field annotation -> the JSON value types it accepts (bool only for bool)
+_SCALAR_TYPES = {"int": int, "float": (int, float), "str": str, "bool": bool}
+
+
 @dataclass
 class ExperimentConfig:
     scenario: str = "scenario1"    # scenario1 | scenario2 | custom
@@ -72,6 +77,10 @@ class ExperimentConfig:
     battery: BatteryConfig = field(default_factory=BatteryConfig)
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value, kinds = getattr(self, f.name), _SCALAR_TYPES.get(f.type)
+            if kinds and (not isinstance(value, kinds) or isinstance(value, bool) != (f.type == "bool")):
+                raise ConfigError(f"{f.name}: expected {f.type}, got {type(value).__name__}")
         if self.scenario not in ("scenario1", "scenario2", "custom"):
             raise ConfigError(f"unknown scenario {self.scenario!r}")
         if self.strategy not in ("deeps", "random"):
@@ -85,6 +94,18 @@ class ExperimentConfig:
             raise ConfigError("cohort_size must equal quota x subregion_count")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        try:
+            self.model_spec()
+        except (InvariantViolation, TypeError, ValueError) as exc:
+            raise ConfigError(f"model: {exc}") from exc
+
+    def model_spec(self) -> ModelSpec:
+        """The model a run trains: the `model` section on flattened
+        generator.image_side x image_side inputs."""
+        m = self.model
+        return ModelSpec(input_dim=self.generator.image_side ** 2, hidden_dim=m.hidden_dim,
+                         learning_rate=m.learning_rate, batch_size=m.batch_size,
+                         adam_eps=m.adam_eps)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

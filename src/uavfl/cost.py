@@ -56,18 +56,18 @@ class RoundCost:
         return self.train_energy_j + self.tx_energy_j
 
 
-def local_training_time(params: CostParams, task: FlTask, shard_size: int) -> float:
+def local_training_time(params: CostParams, shard_size: int) -> float:
     """Seconds to run `epochs_per_round` epochs over one shard on the UAV CPU."""
-    return task.epochs_per_round * params.cycles_per_sample * shard_size / params.cpu_hz
+    return params.epochs_per_round * params.cycles_per_sample * shard_size / params.cpu_hz
 
 
-def tx_time(task: FlTask, rate_bps: float) -> float:
+def tx_time(params: CostParams, task: FlTask, rate_bps: float) -> float:
     """Seconds to send the full parameter vector at the given rate, either way."""
     if task.param_count == 0:
         return 0.0
     if rate_bps <= 0:
         raise ZeroRate("link rate must be > 0")
-    return task.param_count * task.param_size_bits / rate_bps
+    return task.param_count * params.param_size_bits / rate_bps
 
 
 def round_duration(costs: list[RoundCost]) -> float:
@@ -90,12 +90,12 @@ def transmit_energy(params: CostParams, uplink_time_s: float) -> float:
 def estimate_round_cost(params: CostParams, task: FlTask, shard_size: int,
                         rate_up_bps: float, rate_down_bps: float) -> RoundCost:
     """Full per-round cost for one UAV given its shard size and link rates."""
-    t_train = local_training_time(params, task, shard_size)
-    t_up = tx_time(task, rate_up_bps)
+    t_train = local_training_time(params, shard_size)
+    t_up = tx_time(params, task, rate_up_bps)
     return RoundCost(
         train_time_s=t_train,
         uplink_time_s=t_up,
-        downlink_time_s=tx_time(task, rate_down_bps),
+        downlink_time_s=tx_time(params, task, rate_down_bps),
         train_energy_j=training_energy(params, t_train),
         tx_energy_j=transmit_energy(params, t_up),
     )

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BadHeader, BadPgmMagic, InvariantViolation, LabelOutOfRange,
-                     MissingFile)
-from .types import Dataset, GrayImage, LabeledSample
+from .errors import (BadHeader, BadPgmMagic, DimensionMismatch, InvariantViolation,
+                     LabelOutOfRange, MissingFile)
+from .types import Dataset, Samples
 
 
 BASE_LEVEL = 128.0  # grey level that a zero pixel field maps to
@@ -70,7 +70,7 @@ class UavData:
     """80/20 split of one UAV's generated samples."""
 
     train: Dataset
-    test: list[LabeledSample]
+    test: Samples
 
 
 def _smooth_field(rng: np.random.Generator, side: int, n_waves: int,
@@ -167,31 +167,27 @@ def generate_uav_dataset(spec: GenSpec, subregion_id: int, uav_id: int,
     rho = spec.redundancy
     wv = spec.walk_weight
     eta_norm = np.sqrt(wv * wv + (1.0 - wv) ** 2)
-    samples: list[LabeledSample] = []
+    images = np.empty((n, spec.image_side, spec.image_side), dtype=np.uint8)
     for i in range(n):
         t = offset + i
-        cls = int(labels[t])
         noise = rng_u.standard_normal((spec.image_side, spec.image_side))
         varying = (wv * frames[t] + (1.0 - wv) * noise) / eta_norm
-        field = rho * patterns[cls] + (1.0 - rho) * varying
-        pix = np.clip(np.rint(BASE_LEVEL + spec.contrast * field), 0, 255)
-        samples.append(LabeledSample(
-            image=GrayImage(pix.astype(np.uint8)),
-            label=cls,
-            source_id=f"gen/s{subregion_id}/u{uav_id}/f{t}",
-        ))
+        field = rho * patterns[int(labels[t])] + (1.0 - rho) * varying
+        images[i] = np.clip(np.rint(BASE_LEVEL + spec.contrast * field), 0, 255)
+    samples = Samples(images, labels[offset:offset + n],
+                      [f"gen/s{subregion_id}/u{uav_id}/f{t}" for t in range(offset, offset + n)])
 
-    n_test = int(round(spec.test_fraction * n))
-    test_idx = set(rng_u.permutation(n)[:n_test].tolist())
-    train = [s for i, s in enumerate(samples) if i not in test_idx]
-    test = [s for i, s in enumerate(samples) if i in test_idx]
-    return UavData(train=Dataset(samples=train, shard_count=shard_count), test=test)
+    test = np.zeros(n, dtype=bool)
+    test[rng_u.permutation(n)[:int(round(spec.test_fraction * n))]] = True
+    return UavData(train=Dataset(samples=samples[~test], shard_count=shard_count),
+                   test=samples[test])
 
 
 # --- PGM + manifest ingestion -------------------------------------------------
 
-def read_pgm(path: str) -> GrayImage:
-    """Binary PGM (P5), maxval 255; '#' comments in the header are allowed."""
+def read_pgm(path: str) -> np.ndarray:
+    """Binary PGM (P5), maxval 255, as a read-only (height, width) uint8 array;
+    '#' comments in the header are allowed."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -230,14 +226,15 @@ def read_pgm(path: str) -> GrayImage:
     pixels = raw[i:i + width * height]
     if len(pixels) != width * height:
         raise BadHeader(f"{path}: expected {width * height} pixel bytes, got {len(pixels)}")
-    data = np.frombuffer(pixels, dtype=np.uint8).reshape(height, width)
-    return GrayImage(data.copy())
+    return np.frombuffer(pixels, dtype=np.uint8).reshape(height, width)
 
 
-def write_pgm(path: str, image: GrayImage) -> None:
+def write_pgm(path: str, image: np.ndarray) -> None:
+    if image.ndim != 2 or image.dtype != np.uint8:
+        raise InvariantViolation("write_pgm takes a 2-D uint8 array")
     with open(path, "wb") as fh:
-        fh.write(f"P5\n{image.width} {image.height}\n255\n".encode())
-        fh.write(image.data.tobytes())
+        fh.write(f"P5\n{image.shape[1]} {image.shape[0]}\n255\n".encode())
+        fh.write(image.tobytes())
 
 
 MANIFEST_HEADER = ["path", "label", "subregion", "uav"]
@@ -245,7 +242,7 @@ MANIFEST_HEADER = ["path", "label", "subregion", "uav"]
 
 def load_manifest(manifest_path: str, image_root: str = "",
                   shard_count: int = 200) -> dict[int, Dataset]:
-    """Group manifest rows into per-UAV Datasets, loading each PGM image."""
+    """Group manifest rows into per-UAV Datasets of stacked PGM images."""
     try:
         fh = open(manifest_path, newline="", encoding="utf-8")
     except OSError as exc:
@@ -259,19 +256,29 @@ def load_manifest(manifest_path: str, image_root: str = "",
         if header != MANIFEST_HEADER:
             raise BadHeader(f"{manifest_path}: header must be exactly {','.join(MANIFEST_HEADER)}")
 
-        grouped: dict[int, list[LabeledSample]] = {}
+        grouped: dict[int, list[tuple[np.ndarray, int, str]]] = {}
         for row in reader:
             if not row:
                 continue
+            where = f"{manifest_path}, line {reader.line_num}"
             if len(row) != 4:
-                raise BadHeader(f"{manifest_path}: row has {len(row)} columns: {row}")
+                raise BadHeader(f"{where}: row has {len(row)} columns: {row}")
             rel_path, label_s, _subregion, uav_s = row
-            label = int(label_s)
-            if label not in (0, 1):
-                raise LabelOutOfRange(f"label {label} for {rel_path} (binary task)")
+            if label_s.strip() not in ("0", "1"):
+                raise LabelOutOfRange(f"{where}: label {label_s!r} for {rel_path} is not 0 or 1")
+            try:
+                uav = int(uav_s)
+            except ValueError:
+                raise BadHeader(f"{where}: uav {uav_s!r} is not an integer") from None
             image = read_pgm(os.path.join(image_root, rel_path) if image_root else rel_path)
-            grouped.setdefault(int(uav_s), []).append(
-                LabeledSample(image=image, label=label, source_id=rel_path))
+            grouped.setdefault(uav, []).append((image, int(label_s), rel_path))
 
-    return {uav: Dataset(samples=samples, shard_count=shard_count)
-            for uav, samples in sorted(grouped.items())}
+    datasets = {}
+    for uav, rows in sorted(grouped.items()):
+        images, labels, ids = zip(*rows)
+        shapes = sorted({image.shape for image in images})
+        if len(shapes) > 1:
+            raise DimensionMismatch(f"{manifest_path}: UAV {uav} mixes image shapes {shapes}")
+        datasets[uav] = Dataset(samples=Samples(np.stack(images), labels, ids),
+                                shard_count=shard_count)
+    return datasets

@@ -28,7 +28,7 @@ from .learning import (ModelSpec, aggregate, evaluate_matrix, local_train,
                        model_init, samples_to_matrix)
 from .selection import Selection, deeps_select, is_feasible, random_select
 from .similarity import DiversityScore, SsimParams, dataset_diversity, deduplicate
-from .types import Dataset, FlTask, Position3D, RoundRecord, UavState, validate_scenario
+from .types import FlTask, Position3D, RoundRecord, Samples, UavState, validate_scenario
 
 _TAG_PLACEMENT = 1
 _TAG_BATTERY = 2
@@ -53,12 +53,9 @@ class Scenario:
     test_y: np.ndarray
 
     def fresh_copy(self) -> "Scenario":
-        uavs = [dataclasses.replace(
-            u,
-            dataset=Dataset(samples=list(u.dataset.samples),
-                            shard_count=u.dataset.shard_count,
-                            dedup_done=False),
-        ) for u in self.uavs]
+        # samples are read-only, so the copies share them; dedup rebinds its own
+        uavs = [dataclasses.replace(u, dataset=dataclasses.replace(u.dataset, dedup_done=False))
+                for u in self.uavs]
         return dataclasses.replace(self, uavs=uavs)
 
 
@@ -88,23 +85,14 @@ class RunSummary:
 def build_scenario(config: ExperimentConfig) -> Scenario:
     """Generate datasets, place UAVs, derive link rates and the test pool."""
     seed = config.master_seed
-    gen = config.generator
-    model_spec = ModelSpec(
-        input_dim=gen.image_side * gen.image_side,
-        hidden_dim=config.model.hidden_dim,
-        learning_rate=config.model.learning_rate,
-        batch_size=config.model.batch_size,
-        adam_eps=config.model.adam_eps,
-    )
+    model_spec = config.model_spec()
     task = FlTask(
         n_rounds_max=config.n_rounds_max,
         cohort_size=config.cohort_size,
         per_subregion_quota=config.per_subregion_quota,
         xi=config.xi,
         ssim_threshold=config.ssim_threshold,
-        epochs_per_round=config.cost.epochs_per_round,
         param_count=model_spec.param_count,
-        param_size_bits=config.cost.param_size_bits,
     )
     channel = config.channel
 
@@ -114,14 +102,14 @@ def build_scenario(config: ExperimentConfig) -> Scenario:
     battery_rng = np.random.default_rng(np.random.SeedSequence([seed, _TAG_BATTERY]))
 
     uavs: list[UavState] = []
-    test_pool = []
+    tests: list[Samples] = []
     rate_up: dict[int, float] = {}
     rate_down: dict[int, float] = {}
     for uid in range(1, config.n_uavs + 1):
         subregion = (uid - 1) % config.subregion_count + 1
         x, y = place_rng.uniform(0.0, geo.region_m, size=2)
         battery = float(battery_rng.uniform(config.battery.min_j, config.battery.max_j))
-        data = generate_uav_dataset(gen, subregion, uid, seed,
+        data = generate_uav_dataset(config.generator, subregion, uid, seed,
                                     shard_count=config.n_rounds_max)
         uav = UavState(
             id=uid, subregion_id=subregion,
@@ -132,10 +120,13 @@ def build_scenario(config: ExperimentConfig) -> Scenario:
         h = channel_gain(link_geometry(uav.position, bs_pos), channel)
         rate_up[uid] = capacity(h, config.cost.tx_power_w, channel)
         rate_down[uid] = capacity(h, channel.bs_tx_power_w, channel)
-        test_pool.extend(data.test)
+        tests.append(data.test)
         uavs.append(uav)
 
     validate_scenario(uavs, task, config.subregion_count)
+    test_pool = Samples(np.concatenate([t.images for t in tests]),
+                        np.concatenate([t.labels for t in tests]),
+                        np.concatenate([t.source_ids for t in tests]))
     test_x, test_y = samples_to_matrix(test_pool, model_spec)
     return Scenario(
         uavs=uavs, task=task, cost=config.cost,
@@ -240,7 +231,7 @@ def run_experiment(config: ExperimentConfig, scenario: Scenario | None = None,
             uid, shard = job
             train_seed = np.random.SeedSequence([seed, _TAG_TRAINING, k, uid])
             return uid, local_train(params, shard, scenario.model_spec,
-                                    task.epochs_per_round, train_seed), len(shard)
+                                    scenario.cost.epochs_per_round, train_seed), len(shard)
 
         if config.workers > 1 and len(jobs) > 1:
             with ThreadPoolExecutor(max_workers=config.workers) as pool:

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (EmptyShard, EmptyTestSet, EmptyUpdateSet, InvariantViolation,
-                     LengthMismatch, NonFiniteGradient)
-from .types import GrayImage, LabeledSample
+from .errors import (DimensionMismatch, EmptyShard, EmptyTestSet, EmptyUpdateSet,
+                     InvariantViolation, LengthMismatch, NonFiniteGradient)
+from .types import Samples
 
 _CLAMP = 1e-12  # keeps log() away from 0 and 1
 
@@ -72,28 +72,15 @@ def model_init(spec: ModelSpec, rng_seed) -> np.ndarray:
     return params
 
 
-def image_to_input(image: GrayImage, side: int) -> np.ndarray:
-    """Flattened [0, 1] input of size side*side; larger images are area-averaged down."""
-    x = image.data.astype(np.float64) / 255.0
-    hh, ww = x.shape
-    if (hh, ww) != (side, side):
-        if hh % side == 0 and ww % side == 0:
-            x = x.reshape(side, hh // side, side, ww // side).mean(axis=(1, 3))
-        else:
-            # fallback: nearest-index resampling for non-integer ratios
-            ri = (np.arange(side) * hh // side).clip(0, hh - 1)
-            ci = (np.arange(side) * ww // side).clip(0, ww - 1)
-            x = x[np.ix_(ri, ci)]
-    return x.ravel()
-
-
-def samples_to_matrix(samples: list[LabeledSample], spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
+def samples_to_matrix(samples: Samples, spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(n, side*side) float64 inputs scaled to [0, 1] and float64 labels."""
     side = int(round(np.sqrt(spec.input_dim)))
     if side * side != spec.input_dim:
         raise InvariantViolation("input_dim must be a perfect square (side*side)")
-    X = np.stack([image_to_input(s.image, side) for s in samples])
-    y = np.array([s.label for s in samples], dtype=np.float64)
-    return X, y
+    if samples.images.shape[1:] != (side, side):
+        raise DimensionMismatch(f"images are {samples.images.shape[1:]}, the model takes {side}x{side}")
+    X = samples.images.reshape(len(samples), spec.input_dim).astype(np.float64) / 255.0
+    return X, samples.labels.astype(np.float64)
 
 
 def _forward(params: np.ndarray, X: np.ndarray, spec: ModelSpec):
@@ -137,15 +124,15 @@ def loss_and_grad(params: np.ndarray, X: np.ndarray, y: np.ndarray,
     return loss, grad
 
 
-def sample_loss(params: np.ndarray, sample: LabeledSample, spec: ModelSpec) -> float:
-    """Binary cross-entropy of the model output on one sample."""
+def sample_loss(params: np.ndarray, image: np.ndarray, label: int, spec: ModelSpec) -> float:
+    """Binary cross-entropy of the model output on one labeled image."""
     params = check_params(params, spec)
-    X, y = samples_to_matrix([sample], spec)
+    X, y = samples_to_matrix(Samples(image[None], [label]), spec)
     p = predict_proba(params, X, spec)
     return _bce(p, y)
 
 
-def local_loss(params: np.ndarray, shard: list[LabeledSample], spec: ModelSpec) -> float:
+def local_loss(params: np.ndarray, shard: Samples, spec: ModelSpec) -> float:
     """Mean sample loss over a shard."""
     if not shard:
         raise EmptyShard("local_loss on empty shard")
@@ -155,7 +142,7 @@ def local_loss(params: np.ndarray, shard: list[LabeledSample], spec: ModelSpec) 
     return _bce(p, y)
 
 
-def local_train(params_in: np.ndarray, shard: list[LabeledSample], spec: ModelSpec,
+def local_train(params_in: np.ndarray, shard: Samples, spec: ModelSpec,
                 epochs: int, rng_seed) -> np.ndarray:
     """Mini-batch Adam on the shard for `epochs` epochs; input params untouched.
 
@@ -214,18 +201,9 @@ def aggregate(updates: list[tuple[int, np.ndarray, int]]) -> np.ndarray:
     return out
 
 
-def evaluate(params: np.ndarray, test_set: list[LabeledSample],
-             spec: ModelSpec) -> tuple[float, float]:
-    """(accuracy, mean loss) on a pooled test set; threshold at 0.5."""
-    if not test_set:
-        raise EmptyTestSet("evaluate on empty test set")
-    params = check_params(params, spec)
-    X, y = samples_to_matrix(test_set, spec)
-    return evaluate_matrix(params, X, y, spec)
-
-
 def evaluate_matrix(params: np.ndarray, X: np.ndarray, y: np.ndarray,
                     spec: ModelSpec) -> tuple[float, float]:
+    """(accuracy, mean loss) on a test matrix; threshold at 0.5."""
     if X.shape[0] == 0:
         raise EmptyTestSet("evaluate on empty test set")
     p = predict_proba(params, X, spec)

@@ -23,10 +23,10 @@ import numpy as np
 
 from .errors import (AlreadyDeduplicated, DimensionMismatch, InvariantViolation,
                      TooFewSamples)
-from .types import Dataset, GrayImage, LabeledSample
+from .types import Dataset, Samples
 
 
-DYNAMIC_RANGE = 255.0  # intensity range of the uint8 pixels of a GrayImage
+DYNAMIC_RANGE = 255.0  # intensity range of uint8 pixels
 DEDUP_BLOCK = 64  # dedup candidates per GEMM against the kept rows and per self-GEMM
 
 
@@ -59,12 +59,9 @@ class DiversityScore:
     pairs_evaluated: int
 
 
-def _stack_moments(images: list[GrayImage]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(n, N) centered float64 pixel rows, per-image means and population variances."""
-    shape = images[0].data.shape
-    if any(img.data.shape != shape for img in images):
-        raise DimensionMismatch(f"image shapes differ from the first, {shape}")
-    x = np.stack([img.data for img in images]).reshape(len(images), -1).astype(np.float64)
+def _stack_moments(images: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(n, N) centered float64 pixel rows, means and population variances of (n, h, w) images."""
+    x = images.reshape(len(images), -1).astype(np.float64)
     mu = x.mean(axis=1)
     x -= mu[:, None]
     return x, mu, np.einsum("ij,ij->i", x, x) / x.shape[1]
@@ -77,20 +74,22 @@ def _ssim_terms(mu_a, var_a, mu_b, var_b, cov, p: SsimParams):
     return num, den
 
 
-def ssim_pair(a: GrayImage, b: GrayImage, p: SsimParams = SsimParams()) -> float:
-    """Global-statistics SSIM of two equally sized images, in [-1, 1].
+def ssim_pair(a: np.ndarray, b: np.ndarray, p: SsimParams = SsimParams()) -> float:
+    """Global-statistics SSIM of two equally sized 2-D uint8 images, in [-1, 1].
 
     Exactly 1.0 when both images have identical means, variances and
     covariance (in particular when a and b are the same image).
     """
-    c, mu, var = _stack_moments([a, b])
+    if a.ndim != 2 or a.shape != b.shape:
+        raise DimensionMismatch(f"ssim_pair needs two equal 2-D images, got {a.shape} and {b.shape}")
+    c, mu, var = _stack_moments(np.stack([a, b]))
     # the same einsum kernel as the variances, so a self-pair gives cov == var
     cov = np.einsum("i,i->", c[0], c[1]) / c.shape[1]
     num, den = _ssim_terms(mu[0], var[0], mu[1], var[1], cov, p)
     return float(num / den)
 
 
-def dataset_diversity(shard: list[LabeledSample], p: SsimParams = SsimParams(),
+def dataset_diversity(shard: Samples, p: SsimParams = SsimParams(),
                       rng_seed=0) -> DiversityScore:
     """Mean SSIM over unordered sample pairs of one shard.
 
@@ -102,7 +101,7 @@ def dataset_diversity(shard: list[LabeledSample], p: SsimParams = SsimParams(),
     n = len(shard)
     if n < 2:
         raise TooFewSamples("diversity needs at least 2 samples")
-    c, mu, var = _stack_moments([s.image for s in shard])
+    c, mu, var = _stack_moments(shard.images)
     i, j = np.triu_indices(n, 1)
     if i.size > p.max_pairs:
         idx = np.sort(np.random.default_rng(rng_seed).choice(i.size, p.max_pairs, replace=False))
@@ -130,7 +129,7 @@ def deduplicate(d: Dataset, ssim_th: float, p: SsimParams = SsimParams()) -> int
         d.dedup_done = True
         return 0
 
-    c, mu, var = _stack_moments([s.image for s in d.samples])
+    c, mu, var = _stack_moments(d.samples.images)
 
     def trips(rows: slice, block: slice) -> np.ndarray:
         """[r, b]: SSIM of kept-side row r with candidate b exceeds ssim_th."""
@@ -150,6 +149,6 @@ def deduplicate(d: Dataset, ssim_th: float, p: SsimParams = SsimParams()) -> int
         fresh = slice(k, len(kept))
         c[fresh], mu[fresh], var[fresh] = c[kept[fresh]], mu[kept[fresh]], var[kept[fresh]]
 
-    d.samples = [d.samples[i] for i in kept]
+    d.samples = d.samples[kept]
     d.dedup_done = True
     return n - len(kept)

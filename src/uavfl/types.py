@@ -1,14 +1,14 @@
-"""Shared domain types: images, datasets, UAV state, task and round records.
+"""Shared domain types: sample sets, datasets, UAV state, task and round records.
 
 All types validate their invariants at construction time and raise
 InvariantViolation instead of clamping. Everything is an immutable value
-type except UavState (battery/alive) and Dataset (dedup), which are only
-mutated by the harness between rounds.
+type except UavState (battery/alive) and Dataset (dedup rebinds its
+samples), which are only mutated by the harness between rounds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,37 +16,39 @@ from .errors import EmptySubregion, InvariantViolation
 
 
 @dataclass(frozen=True, eq=False)
-class GrayImage:
-    """8-bit single-channel raster, stored row-major as a (height, width) array."""
+class Samples:
+    """n images of one shape with their labels and source ids, as read-only
+    columns validated once at construction. Slices, index arrays and boolean
+    masks give Samples too; a slice shares the parent's memory."""
 
-    data: np.ndarray
-
-    def __post_init__(self):
-        if not isinstance(self.data, np.ndarray) or self.data.ndim != 2:
-            raise InvariantViolation("GrayImage.data must be a 2-D array")
-        if self.data.dtype != np.uint8:
-            raise InvariantViolation("GrayImage.data must be uint8 (intensities in [0, 255])")
-        if self.data.size == 0:
-            raise InvariantViolation("GrayImage must be non-empty")
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.data.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class LabeledSample:
-    image: GrayImage
-    label: int  # 0 = non-fire surrogate, 1 = fire surrogate
-    source_id: str = ""
+    images: np.ndarray      # uint8 (n, height, width), intensities in [0, 255]
+    labels: np.ndarray      # int8 (n,): 0 = non-fire surrogate, 1 = fire surrogate
+    source_ids: np.ndarray | None = None  # str (n,); empty strings when None
 
     def __post_init__(self):
-        if self.label not in (0, 1):
-            raise InvariantViolation(f"label must be 0 or 1, got {self.label}")
+        images, labels = self.images, np.asarray(self.labels)
+        if not isinstance(images, np.ndarray) or images.ndim != 3 or images.dtype != np.uint8:
+            raise InvariantViolation("Samples.images must be a uint8 (n, height, width) array")
+        if images.shape[1] * images.shape[2] == 0:
+            raise InvariantViolation("Samples images must be non-empty")
+        ids = np.full(len(images), "") if self.source_ids is None else np.asarray(self.source_ids)
+        if labels.shape != (len(images),) or ids.shape != (len(images),):
+            raise InvariantViolation(
+                f"{len(images)} images with {labels.shape} labels and {ids.shape} source ids")
+        if not np.isin(labels, (0, 1)).all():
+            raise InvariantViolation(f"labels must be 0 or 1, got {sorted(set(labels.tolist()) - {0, 1})}")
+        for name, column in (("images", images), ("labels", labels.astype(np.int8, copy=False)),
+                             ("source_ids", ids)):
+            view = column.view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
+
+    def __len__(self) -> int:
+        return len(self.images)
+
+    def __getitem__(self, index) -> "Samples":
+        """The samples at a slice, an index array or a boolean mask, in order."""
+        return Samples(self.images[index], self.labels[index], self.source_ids[index])
 
 
 @dataclass
@@ -58,7 +60,7 @@ class Dataset:
     differ by at most one. Shards are 1-based (shard k is trained in round k).
     """
 
-    samples: list[LabeledSample]
+    samples: Samples
     shard_count: int
     dedup_done: bool = False
 
@@ -78,7 +80,7 @@ class Dataset:
         start = i * base + min(i, rem)
         return start, start + base + (1 if i < rem else 0)
 
-    def shard(self, k: int) -> list[LabeledSample]:
+    def shard(self, k: int) -> Samples:
         start, stop = self.shard_bounds(k)
         return self.samples[start:stop]
 
@@ -127,9 +129,7 @@ class FlTask:
     per_subregion_quota: int
     xi: float
     ssim_threshold: float
-    epochs_per_round: int
     param_count: int
-    param_size_bits: int
 
     def __post_init__(self):
         if self.n_rounds_max < 1 or self.cohort_size < 1 or self.per_subregion_quota < 1:
@@ -138,8 +138,8 @@ class FlTask:
             raise InvariantViolation("xi must lie in [0, 1]")
         if not 0.0 < self.ssim_threshold < 1.0:
             raise InvariantViolation("ssim_threshold must lie in (0, 1)")
-        if self.epochs_per_round < 1 or self.param_count < 0 or self.param_size_bits < 1:
-            raise InvariantViolation("bad training/model parameters")
+        if self.param_count < 0:
+            raise InvariantViolation("param_count must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from uavfl.harness import build_scenario, compare_strategies, run_experiment
 from uavfl.learning import ModelSpec, aggregate, loss_and_grad
 from uavfl.selection import deeps_score, deeps_select, oracle_select
 from uavfl.similarity import DiversityScore, SsimParams, ssim_pair
-from uavfl.types import Dataset, FlTask, GrayImage, LabeledSample, Position3D, UavState
+from uavfl.types import Dataset, FlTask, Position3D, Samples, UavState
 
 HERE = os.path.dirname(__file__)
 CALIBRATED_CONFIG = os.path.join(HERE, "..", "configs", "scenario1_calibrated.json")
@@ -40,19 +40,17 @@ def rel_err(a: float, b: float) -> float:
 
 
 def make_uav(**overrides) -> UavState:
-    img = GrayImage(np.zeros((4, 4), dtype=np.uint8))
+    samples = Samples(np.zeros((1, 4, 4), dtype=np.uint8), [0])
     defaults = dict(id=1, subregion_id=1, position=Position3D(0.0, 0.0, 100.0),
                     battery_j=5000.0, battery_max_j=10000.0,
-                    dataset=Dataset(samples=[LabeledSample(image=img, label=0)],
-                                    shard_count=1))
+                    dataset=Dataset(samples=samples, shard_count=1))
     defaults.update(overrides)
     return UavState(**defaults)
 
 
 def make_task(**overrides) -> FlTask:
     defaults = dict(n_rounds_max=1, cohort_size=1, per_subregion_quota=1, xi=0.5,
-                    ssim_threshold=0.5, epochs_per_round=1, param_count=1000,
-                    param_size_bits=32)
+                    ssim_threshold=0.5, param_count=1000)
     defaults.update(overrides)
     return FlTask(**defaults)
 
@@ -79,11 +77,11 @@ def test_criterion_1_formula_exactness(capsys):
 
     # latency
     params = CostParams(cpu_hz=1e7, cycles_per_sample=7e4, chip_coeff=1e-22,
-                        tx_power_w=0.28)
-    task5 = make_task(epochs_per_round=5)
-    checks.append(rel_err(local_training_time(params, task5, 100), 3.5))
-    checks.append(rel_err(tx_time(make_task(), 1e6), 0.032))
-    checks.append(rel_err(tx_time(make_task(), 2e6), 0.016))
+                        tx_power_w=0.28, epochs_per_round=1, param_size_bits=32)
+    params5 = CostParams(cpu_hz=1e7, cycles_per_sample=7e4, epochs_per_round=5)
+    checks.append(rel_err(local_training_time(params5, 100), 3.5))
+    checks.append(rel_err(tx_time(params, make_task(), 1e6), 0.032))
+    checks.append(rel_err(tx_time(params, make_task(), 2e6), 0.016))
 
     # energy
     checks.append(rel_err(training_energy(params, 1.0), 0.1))
@@ -109,19 +107,18 @@ def test_criterion_2_ssim_correctness(capsys):
 
     identity_ok = all(
         ssim_pair(img, img) == 1.0
-        for img in (GrayImage(rng.integers(0, 256, (32, 32)).astype(np.uint8))
-                    for _ in range(50)))
+        for img in (rng.integers(0, 256, (32, 32)).astype(np.uint8) for _ in range(50)))
 
     sym_ok, bound_ok = True, True
     for _ in range(1000):
-        a = GrayImage(rng.integers(0, 256, (16, 16)).astype(np.uint8))
-        b = GrayImage(rng.integers(0, 256, (16, 16)).astype(np.uint8))
+        a = rng.integers(0, 256, (16, 16)).astype(np.uint8)
+        b = rng.integers(0, 256, (16, 16)).astype(np.uint8)
         s = ssim_pair(a, b)
         sym_ok &= (s == ssim_pair(b, a))
         bound_ok &= (abs(s) <= 1.0 + 1e-12)
 
-    extreme = ssim_pair(GrayImage(np.zeros((8, 8), dtype=np.uint8)),
-                        GrayImage(np.full((8, 8), 255, dtype=np.uint8)))
+    extreme = ssim_pair(np.zeros((8, 8), dtype=np.uint8),
+                        np.full((8, 8), 255, dtype=np.uint8))
     extreme_err = abs(extreme - 9.9990e-5)
 
     elapsed = time.time() - t0
@@ -234,9 +231,9 @@ def test_criterion_7_qualitative_ordering(capsys):
     # sit near SSIM 0.85
     scenario = build_scenario(base)
     samples = scenario.uavs[0].dataset.samples
-    consec = [ssim_pair(samples[i].image, samples[i + 1].image)
+    consec = [ssim_pair(samples.images[i], samples.images[i + 1])
               for i in range(400)
-              if samples[i].label == samples[i + 1].label]
+              if samples.labels[i] == samples.labels[i + 1]]
     anchor = float(np.mean(consec))
 
     finals = {"d1": [], "d5": [], "r": []}

@@ -1,10 +1,12 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from test_harness import TINY
 from uavfl.cli import build_parser, main
+from uavfl.datagen import MANIFEST_HEADER, write_pgm
 
 
 @pytest.fixture
@@ -53,6 +55,17 @@ class TestRun:
         assert err.startswith("uavfl: error: ") and err.count("\n") == 1
         assert "Traceback" not in err
         assert not os.path.exists(os.path.join(out, "metadata.json"))
+
+    @pytest.mark.parametrize("values", [{"workers": "2"}, {"model": {"hidden_dim": "x"}}],
+                             ids=["workers", "model"])
+    def test_wrong_typed_config_value_is_one_line_error(self, tmp_path, capsys, values):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**TINY, **values}))
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("uavfl: error: ") and err.count("\n") == 1
+        assert not os.path.exists(tmp_path / "out")
 
     @pytest.mark.parametrize("content", [None, "{not json"], ids=["missing", "malformed"])
     def test_unreadable_config_is_one_line_error(self, tmp_path, capsys, content):
@@ -107,3 +120,16 @@ class TestGenDataAndDedupReport:
         wide = tmp_path / "wide.json"
         wide.write_text(json.dumps({"ssim": {"k1": 0.1, "k2": 0.1}}))
         assert report("--config", str(wide)) != default
+
+    @pytest.mark.parametrize("cells,shape", [("x,1,1", (4, 4)), ("1,1,1", (4, 5))],
+                             ids=["non-integer-label", "mixed-shapes"])
+    def test_bad_manifest_is_one_line_error(self, tmp_path, capsys, cells, shape):
+        write_pgm(str(tmp_path / "a.pgm"), np.zeros((4, 4), dtype=np.uint8))
+        write_pgm(str(tmp_path / "b.pgm"), np.zeros(shape, dtype=np.uint8))
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text(f"{','.join(MANIFEST_HEADER)}\na.pgm,0,1,1\nb.pgm,{cells}\n")
+        code = main(["dedup-report", "--manifest", str(manifest)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("uavfl: error: ") and captured.err.count("\n") == 1
+        assert captured.out == ""

@@ -75,6 +75,9 @@ class TestFromDict:
         ("ssim", {"k1": 0}),
         ("cost", {"cpu_hz": 0}),
         ("generator", {"redundancy": "x"}),  # wrong type, not out of range
+        ("workers", "2"),  # a top-level value of the wrong type
+        ("model", {"hidden_dim": "x"}),
+        ("model", {"batch_size": 0}),
     ])
     def test_bad_section_value_fails_at_load(self, section, values):
         with pytest.raises(ConfigError, match=f"^{section}: "):
@@ -108,6 +111,11 @@ class TestLoadAndHash:
         c = ExperimentConfig(master_seed=2)
         assert a.config_hash() == b.config_hash()
         assert a.config_hash() != c.config_hash()
+
+    def test_model_spec_derives_input_dim(self):
+        c = config_from_dict({"generator": {"image_side": 8}, "model": {"hidden_dim": 5}})
+        spec = c.model_spec()
+        assert (spec.input_dim, spec.hidden_dim, spec.batch_size) == (64, 5, 32)
 
     def test_hash_is_pinned(self):
         # digests of the serialised defaults and of the calibrated config; a

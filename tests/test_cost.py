@@ -20,48 +20,49 @@ def cost_of(train=0.0, up=0.0, down=0.0, e_train=0.0, e_tx=0.0) -> RoundCost:
 
 class TestTrainingTime:
     def test_hand_evaluated(self):
-        params = CostParams(cpu_hz=1e7, cycles_per_sample=7e4)
-        task = make_task(epochs_per_round=5)
-        assert rel_err(local_training_time(params, task, 100), 3.5) <= REL
+        params = CostParams(cpu_hz=1e7, cycles_per_sample=7e4, epochs_per_round=5)
+        assert rel_err(local_training_time(params, 100), 3.5) <= REL
 
     def test_empty_shard(self):
         params = CostParams(cpu_hz=1e7, cycles_per_sample=7e4)
-        assert local_training_time(params, make_task(), 0) == 0.0
+        assert local_training_time(params, 0) == 0.0
 
     def test_doubling_cpu_halves_time(self):
-        task = make_task(epochs_per_round=3)
-        t1 = local_training_time(CostParams(cpu_hz=1e7, cycles_per_sample=7e4), task, 50)
-        t2 = local_training_time(CostParams(cpu_hz=2e7, cycles_per_sample=7e4), task, 50)
+        t1 = local_training_time(CostParams(cpu_hz=1e7, cycles_per_sample=7e4,
+                                            epochs_per_round=3), 50)
+        t2 = local_training_time(CostParams(cpu_hz=2e7, cycles_per_sample=7e4,
+                                            epochs_per_round=3), 50)
         assert rel_err(t1, 2.0 * t2) <= REL
 
 
 class TestTransmissionTime:
     def test_uplink_hand_evaluated(self):
-        task = make_task(param_count=1000, param_size_bits=32)
-        assert rel_err(tx_time(task, 1e6), 0.032) <= REL
+        task = make_task(param_count=1000)
+        assert rel_err(tx_time(CostParams(param_size_bits=32), task, 1e6), 0.032) <= REL
 
     def test_downlink_hand_evaluated(self):
-        task = make_task(param_count=1000, param_size_bits=32)
-        assert rel_err(tx_time(task, 2e6), 0.016) <= REL
+        task = make_task(param_count=1000)
+        assert rel_err(tx_time(CostParams(param_size_bits=32), task, 2e6), 0.016) <= REL
 
     def test_nothing_to_send(self):
         task = make_task(param_count=0)
-        assert tx_time(task, 1e6) == 0.0
+        assert tx_time(CostParams(), task, 1e6) == 0.0
 
     def test_rate_limit(self):
-        task = make_task(param_count=1000, param_size_bits=32)
-        assert tx_time(task, 1e15) < 1e-7
+        task = make_task(param_count=1000)
+        assert tx_time(CostParams(param_size_bits=32), task, 1e15) < 1e-7
 
     def test_symmetry(self):
         # one parameter vector each way: equal rates give equal up/down times
-        task = make_task(param_count=1000, param_size_bits=32)
-        c = estimate_round_cost(CostParams(), task, 10, rate_up_bps=5e5, rate_down_bps=5e5)
+        task = make_task(param_count=1000)
+        c = estimate_round_cost(CostParams(param_size_bits=32), task, 10,
+                                rate_up_bps=5e5, rate_down_bps=5e5)
         assert c.uplink_time_s == c.downlink_time_s
 
     def test_zero_rate(self):
         task = make_task(param_count=1000)
         with pytest.raises(ZeroRate):
-            tx_time(task, 0.0)
+            tx_time(CostParams(), task, 0.0)
 
 
 class TestRoundDuration:
@@ -89,11 +90,12 @@ class TestEnergy:
 
     def test_doubling_cpu_quadruples_energy(self):
         # t scales as 1/cpu_hz, energy as cpu_hz^3 * t, so energy scales as cpu_hz^2
-        task = make_task(epochs_per_round=1)
-        p1 = CostParams(cpu_hz=1e7, cycles_per_sample=7e4, chip_coeff=1e-22)
-        p2 = CostParams(cpu_hz=2e7, cycles_per_sample=7e4, chip_coeff=1e-22)
-        e1 = training_energy(p1, local_training_time(p1, task, 100))
-        e2 = training_energy(p2, local_training_time(p2, task, 100))
+        p1 = CostParams(cpu_hz=1e7, cycles_per_sample=7e4, chip_coeff=1e-22,
+                        epochs_per_round=1)
+        p2 = CostParams(cpu_hz=2e7, cycles_per_sample=7e4, chip_coeff=1e-22,
+                        epochs_per_round=1)
+        e1 = training_energy(p1, local_training_time(p1, 100))
+        e2 = training_energy(p2, local_training_time(p2, 100))
         assert rel_err(e2, 4.0 * e1) <= REL
 
     def test_transmit_energy_hand_evaluated(self):
@@ -117,8 +119,8 @@ class TestRoundCost:
 
     def test_estimate_round_cost_composes(self):
         params = CostParams(cpu_hz=1e7, cycles_per_sample=7e4, chip_coeff=1e-22,
-                            tx_power_w=0.28)
-        task = make_task(epochs_per_round=5, param_count=1000, param_size_bits=32)
+                            tx_power_w=0.28, epochs_per_round=5, param_size_bits=32)
+        task = make_task(param_count=1000)
         c = estimate_round_cost(params, task, 100, rate_up_bps=1e6, rate_down_bps=1e6)
         assert rel_err(c.train_time_s, 3.5) <= REL
         assert rel_err(c.uplink_time_s, 0.032) <= REL

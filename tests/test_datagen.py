@@ -6,10 +6,9 @@ import pytest
 
 from uavfl.datagen import (GenSpec, MANIFEST_HEADER, generate_uav_dataset,
                            load_manifest, read_pgm, write_pgm)
-from uavfl.errors import (BadHeader, BadPgmMagic, InvariantViolation,
+from uavfl.errors import (BadHeader, BadPgmMagic, DimensionMismatch, InvariantViolation,
                           LabelOutOfRange, MissingFile)
 from uavfl.similarity import SsimParams, dataset_diversity
-from uavfl.types import GrayImage
 
 FAST = GenSpec(samples_min=120, samples_max=150, offset_span=30, test_fraction=0.2)
 
@@ -33,15 +32,14 @@ class TestGenerate:
         a = generate_uav_dataset(FAST, 1, 1, rng_seed=42)
         b = generate_uav_dataset(FAST, 1, 1, rng_seed=42)
         assert len(a.train) == len(b.train)
-        for sa, sb in zip(a.train.samples, b.train.samples):
-            assert sa.label == sb.label
-            assert np.array_equal(sa.image.data, sb.image.data)
+        assert np.array_equal(a.train.samples.labels, b.train.samples.labels)
+        assert np.array_equal(a.train.samples.images, b.train.samples.images)
 
     def test_different_seeds_differ(self):
         a = generate_uav_dataset(FAST, 1, 1, rng_seed=42)
         b = generate_uav_dataset(FAST, 1, 1, rng_seed=43)
-        assert any(not np.array_equal(sa.image.data, sb.image.data)
-                   for sa, sb in zip(a.train.samples, b.train.samples))
+        assert any(not np.array_equal(ia, ib)
+                   for ia, ib in zip(a.train.samples.images, b.train.samples.images))
 
     def test_split_and_count(self):
         data = generate_uav_dataset(FAST, 2, 3, rng_seed=0)
@@ -56,14 +54,11 @@ class TestGenerate:
     def test_full_redundancy_collapses_classes(self):
         spec = dataclasses.replace(FAST, redundancy=1.0)
         data = generate_uav_dataset(spec, 1, 1, rng_seed=7)
-        by_class = {0: [], 1: []}
-        for s in data.train.samples:
-            by_class[s.label].append(s)
-        for cls, samples in by_class.items():
+        train = data.train.samples
+        for cls in (0, 1):
+            samples = train[train.labels == cls]
             assert len(samples) >= 2
-            ref = samples[0].image.data
-            for s in samples[1:]:
-                assert np.array_equal(s.image.data, ref)
+            assert (samples.images == samples.images[0]).all()
             assert dataset_diversity(samples).mean_pairwise_ssim == 1.0
 
     def test_zero_redundancy_near_zero_mean_ssim(self):
@@ -94,8 +89,9 @@ class TestGenerate:
 
         def by_frame(data):
             frames = {}
-            for s in data.train.samples + data.test:
-                frames[s.source_id.rsplit("/f", 1)[1]] = s.image.data
+            for part in (data.train.samples, data.test):
+                for source_id, image in zip(part.source_ids, part.images):
+                    frames[source_id.rsplit("/f", 1)[1]] = image
             return frames
 
         fa, fb = by_frame(a), by_frame(b)
@@ -105,17 +101,23 @@ class TestGenerate:
 
 class TestPgmIo:
     def test_roundtrip(self, tmp_path, rng):
-        img = GrayImage(rng.integers(0, 256, size=(13, 9)).astype(np.uint8))
+        img = rng.integers(0, 256, size=(13, 9)).astype(np.uint8)
         path = str(tmp_path / "img.pgm")
         write_pgm(path, img)
         back = read_pgm(path)
-        assert np.array_equal(back.data, img.data)
+        assert back.dtype == np.uint8 and back.shape == (13, 9)
+        assert np.array_equal(back, img)
+
+    @pytest.mark.parametrize("image", [np.zeros((2, 2)), np.zeros((1, 2, 2), dtype=np.uint8)])
+    def test_write_rejects_non_2d_uint8(self, tmp_path, image):
+        with pytest.raises(InvariantViolation):
+            write_pgm(str(tmp_path / "x.pgm"), image)
 
     def test_header_comments_allowed(self, tmp_path):
         path = tmp_path / "c.pgm"
         path.write_bytes(b"P5\n# a comment\n2 2\n255\n\x00\x01\x02\x03")
         img = read_pgm(str(path))
-        assert img.data.tolist() == [[0, 1], [2, 3]]
+        assert img.tolist() == [[0, 1], [2, 3]]
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.pgm"
@@ -141,12 +143,13 @@ class TestPgmIo:
 
 
 class TestManifest:
-    def _write_images(self, tmp_path, n):
+    def _write_images(self, tmp_path, n, shapes=((4, 4),)):
+        """n images, image i filled with i and shaped shapes[i % len(shapes)]."""
         paths = []
         for i in range(n):
             rel = f"img{i}.pgm"
             write_pgm(str(tmp_path / rel),
-                      GrayImage(np.full((4, 4), i, dtype=np.uint8)))
+                      np.full(shapes[i % len(shapes)], i, dtype=np.uint8))
             paths.append(rel)
         return paths
 
@@ -165,13 +168,32 @@ class TestManifest:
         datasets = load_manifest(str(mpath), image_root=str(tmp_path))
         assert sorted(datasets) == [1, 2]
         assert all(len(ds) == 2 for ds in datasets.values())
-        assert datasets[1].samples[0].source_id == rels[0]
+        assert datasets[1].samples.source_ids.tolist() == rels[:2]
+        assert datasets[2].samples.labels.tolist() == [0, 1]
+        assert datasets[2].samples.images[:, 0, 0].tolist() == [2, 3]
 
     def test_label_out_of_range(self, tmp_path):
         rels = self._write_images(tmp_path, 1)
         mpath = tmp_path / "m.csv"
         mpath.write_text(",".join(MANIFEST_HEADER) + f"\n{rels[0]},2,1,1\n")
         with pytest.raises(LabelOutOfRange):
+            load_manifest(str(mpath), image_root=str(tmp_path))
+
+    @pytest.mark.parametrize("row,error", [("{rel},x,1,1", LabelOutOfRange),
+                                           ("{rel},1,1,u1", BadHeader)])
+    def test_non_integer_cell(self, tmp_path, row, error):
+        rels = self._write_images(tmp_path, 1)
+        mpath = tmp_path / "m.csv"
+        mpath.write_text(",".join(MANIFEST_HEADER) + "\n" + row.format(rel=rels[0]) + "\n")
+        with pytest.raises(error, match="m.csv, line 2: "):
+            load_manifest(str(mpath), image_root=str(tmp_path))
+
+    def test_mixed_shapes_for_one_uav_fail_at_load(self, tmp_path):
+        rels = self._write_images(tmp_path, 3, shapes=((4, 4), (4, 5)))
+        rows = [",".join(MANIFEST_HEADER)] + [f"{rel},0,1,1" for rel in rels]
+        mpath = tmp_path / "m.csv"
+        mpath.write_text("\n".join(rows) + "\n")
+        with pytest.raises(DimensionMismatch, match="UAV 1"):
             load_manifest(str(mpath), image_root=str(tmp_path))
 
     def test_wrong_header(self, tmp_path):

@@ -54,11 +54,16 @@ class TestScenarioBuild:
 
     def test_fresh_copy_isolates_mutation(self):
         sc = build_scenario(tiny_config())
+        sizes = [len(u.dataset) for u in sc.uavs]
         s1 = run_experiment(tiny_config(), scenario=sc)
         s2 = run_experiment(tiny_config(), scenario=sc)
         assert [r.global_accuracy for r in s1.records] == \
                [r.global_accuracy for r in s2.records]
         assert s1.final_battery_total_j == s2.final_battery_total_j
+        # the copies share the read-only samples; dedup rebinds only its copy's
+        assert s1.dedup_removed_total > 0
+        assert [len(u.dataset) for u in sc.uavs] == sizes
+        assert not any(u.dataset.dedup_done for u in sc.uavs)
 
 
 class TestRunExperiment:

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_image, make_sample
-from uavfl.errors import (EmptyShard, EmptyTestSet, EmptyUpdateSet, InvariantViolation,
-                          LengthMismatch)
-from uavfl.learning import (ModelSpec, aggregate, evaluate, local_loss, local_train,
+from conftest import make_image, make_samples, no_samples
+from uavfl.errors import (DimensionMismatch, EmptyShard, EmptyTestSet, EmptyUpdateSet,
+                          InvariantViolation, LengthMismatch)
+from uavfl.learning import (ModelSpec, aggregate, evaluate_matrix, local_loss, local_train,
                             loss_and_grad, model_init, predict_proba, sample_loss,
                             samples_to_matrix)
 
@@ -15,13 +15,27 @@ SMALL = ModelSpec(input_dim=16, hidden_dim=4)
 
 def cluster_shard(rng, n=40, side=8):
     """Linearly separable two-cluster shard: dark class 0, bright class 1."""
-    shard = []
+    images, labels = [], []
     for i in range(n):
         label = i % 2
         base = 40 if label == 0 else 215
-        pix = np.clip(base + rng.normal(0, 10, size=(side, side)), 0, 255)
-        shard.append(make_sample(make_image(pix), label))
-    return shard
+        images.append(make_image(np.clip(base + rng.normal(0, 10, size=(side, side)), 0, 255)))
+        labels.append(label)
+    return make_samples(images, labels)
+
+
+class TestSamplesToMatrix:
+    def test_scaled_rows_and_labels(self):
+        images = [make_image(np.arange(16).reshape(4, 4) * 17), make_image(np.zeros((4, 4)))]
+        X, y = samples_to_matrix(make_samples(images, [1, 0]), SMALL)
+        assert X.dtype == np.float64 and X.shape == (2, 16)
+        assert np.array_equal(X[0], np.arange(16) * 17 / 255.0)
+        assert y.tolist() == [1.0, 0.0]
+
+    @pytest.mark.parametrize("shape", [(8, 8), (4, 5), (2, 8)])
+    def test_rejects_images_that_are_not_side_by_side(self, shape):
+        with pytest.raises(DimensionMismatch):
+            samples_to_matrix(make_samples([make_image(np.zeros(shape))]), SMALL)
 
 
 class TestModelInit:
@@ -51,34 +65,34 @@ class TestModelInit:
 class TestLoss:
     def test_zero_params_gives_ln2(self):
         params = np.zeros(SMALL.param_count)
-        s = make_sample(make_image(np.full((4, 4), 100)), 1)
-        assert sample_loss(params, s, SMALL) == pytest.approx(math.log(2.0), rel=1e-12)
+        img = make_image(np.full((4, 4), 100))
+        assert sample_loss(params, img, 1, SMALL) == pytest.approx(math.log(2.0), rel=1e-12)
 
     def test_confident_correct_output_near_zero_loss(self):
         # big positive output bias drives the sigmoid to (clamped) 1
         params = np.zeros(SMALL.param_count)
         params[-1] = 50.0
-        s = make_sample(make_image(np.full((4, 4), 100)), 1)
-        assert sample_loss(params, s, SMALL) < 1e-11
+        assert sample_loss(params, make_image(np.full((4, 4), 100)), 1, SMALL) < 1e-11
 
     def test_local_loss_singleton_equals_sample_loss(self, rng):
         params = rng.normal(0, 0.1, SMALL.param_count)
-        s = make_sample(make_image(rng.integers(0, 256, (4, 4))), 1)
-        assert local_loss(params, [s], SMALL) == pytest.approx(
-            sample_loss(params, s, SMALL), rel=1e-15)
+        img = make_image(rng.integers(0, 256, (4, 4)))
+        assert local_loss(params, make_samples([img], 1), SMALL) == pytest.approx(
+            sample_loss(params, img, 1, SMALL), rel=1e-15)
 
     def test_local_loss_is_mean(self, rng):
         params = rng.normal(0, 0.1, SMALL.param_count)
-        a = make_sample(make_image(rng.integers(0, 256, (4, 4))), 0)
-        b = make_sample(make_image(rng.integers(0, 256, (4, 4))), 1)
-        la, lb = sample_loss(params, a, SMALL), sample_loss(params, b, SMALL)
-        assert local_loss(params, [a, b], SMALL) == pytest.approx((la + lb) / 2.0, rel=1e-12)
-        assert local_loss(params, [a, b, a, b], SMALL) == pytest.approx(
-            local_loss(params, [a, b], SMALL), rel=1e-12)
+        a = make_image(rng.integers(0, 256, (4, 4)))
+        b = make_image(rng.integers(0, 256, (4, 4)))
+        la, lb = sample_loss(params, a, 0, SMALL), sample_loss(params, b, 1, SMALL)
+        ab = make_samples([a, b], [0, 1])
+        assert local_loss(params, ab, SMALL) == pytest.approx((la + lb) / 2.0, rel=1e-12)
+        assert local_loss(params, make_samples([a, b, a, b], [0, 1, 0, 1]), SMALL) == \
+            pytest.approx(local_loss(params, ab, SMALL), rel=1e-12)
 
     def test_empty_shard(self):
         with pytest.raises(EmptyShard):
-            local_loss(np.zeros(SMALL.param_count), [], SMALL)
+            local_loss(np.zeros(SMALL.param_count), no_samples(4), SMALL)
 
 
 class TestGradientCheck:
@@ -134,7 +148,7 @@ class TestLocalTrain:
 
     def test_empty_shard(self):
         with pytest.raises(EmptyShard):
-            local_train(np.zeros(SMALL.param_count), [], SMALL, 1, 0)
+            local_train(np.zeros(SMALL.param_count), no_samples(4), SMALL, 1, 0)
 
 
 class TestAggregate:
@@ -174,22 +188,26 @@ class TestAggregate:
             aggregate([(1, np.zeros(3), 0)])
 
 
+def evaluate(params, test_set, spec):
+    return evaluate_matrix(params, *samples_to_matrix(test_set, spec), spec)
+
+
 class TestEvaluate:
     def test_constant_positive_prediction(self):
         params = np.zeros(SMALL.param_count)
         params[-1] = 0.1  # sigmoid(0.1) > 0.5 for every input
-        tests = [make_sample(make_image(np.full((4, 4), v)), 1) for v in (0, 100, 255)]
+        tests = make_samples([make_image(np.full((4, 4), v)) for v in (0, 100, 255)], 1)
         acc, _ = evaluate(params, tests, SMALL)
         assert acc == 1.0
 
     def test_random_guess_is_near_half(self, rng):
         params = model_init(SMALL, np.random.SeedSequence(3))
-        tests = [make_sample(make_image(rng.integers(0, 256, (4, 4))), int(i % 2))
-                 for i in range(400)]
+        tests = make_samples([make_image(rng.integers(0, 256, (4, 4))) for _ in range(400)],
+                             np.arange(400) % 2)
         acc, loss = evaluate(params, tests, SMALL)
         assert abs(acc - 0.5) <= 0.05
         assert loss > 0.0
 
     def test_empty_test_set(self):
         with pytest.raises(EmptyTestSet):
-            evaluate(np.zeros(SMALL.param_count), [], SMALL)
+            evaluate(np.zeros(SMALL.param_count), no_samples(4), SMALL)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import const_image, make_image, make_sample, random_image
+from conftest import const_image, make_image, make_samples, no_samples, random_image
 from uavfl.errors import (AlreadyDeduplicated, DimensionMismatch, InvariantViolation,
                           TooFewSamples)
 from uavfl.similarity import (DEDUP_BLOCK, SsimParams, dataset_diversity, deduplicate,
@@ -51,25 +51,25 @@ class TestSsimPair:
 
 class TestDatasetDiversity:
     def test_identical_images_mean_one(self):
-        shard = [make_sample(const_image(7)) for _ in range(5)]
+        shard = make_samples([const_image(7)] * 5)
         d = dataset_diversity(shard)
         assert d.mean_pairwise_ssim == 1.0
         assert d.pairs_evaluated == 10
 
     def test_extreme_pair(self):
-        shard = [make_sample(const_image(0)), make_sample(const_image(255))]
+        shard = make_samples([const_image(0), const_image(255)])
         d = dataset_diversity(shard)
         assert d.mean_pairwise_ssim == pytest.approx(EXTREME_PAIR_SSIM, abs=1e-9)
 
     def test_sampled_mode_degenerates_to_exhaustive(self, rng):
-        shard = [make_sample(random_image(rng)) for _ in range(8)]
+        shard = make_samples([random_image(rng) for _ in range(8)])
         exact = dataset_diversity(shard, SsimParams(max_pairs=1000))
         sampled = dataset_diversity(shard, SsimParams(max_pairs=28))  # exactly C(8, 2)
         assert exact.mean_pairwise_ssim == sampled.mean_pairwise_ssim
         assert exact.pairs_evaluated == sampled.pairs_evaluated == 28
 
     def test_sampling_is_seed_deterministic(self, rng):
-        shard = [make_sample(random_image(rng)) for _ in range(30)]
+        shard = make_samples([random_image(rng) for _ in range(30)])
         d1 = dataset_diversity(shard, SsimParams(max_pairs=50), rng_seed=3)
         d2 = dataset_diversity(shard, SsimParams(max_pairs=50), rng_seed=3)
         assert d1 == d2
@@ -77,7 +77,7 @@ class TestDatasetDiversity:
 
     def test_too_few_samples(self):
         with pytest.raises(TooFewSamples):
-            dataset_diversity([make_sample(const_image(0))])
+            dataset_diversity(make_samples([const_image(0)]))
 
     def test_bad_max_pairs(self):
         with pytest.raises(InvariantViolation):
@@ -85,71 +85,76 @@ class TestDatasetDiversity:
 
 
 def dedup_oracle(samples, th, p=SsimParams()):
-    """Reference greedy keep-first dedup built directly on ssim_pair."""
+    """Reference greedy keep-first dedup built directly on ssim_pair; returns
+    the kept indices."""
     kept = []
-    for s in samples:
-        if all(ssim_pair(k.image, s.image, p) <= th for k in kept):
-            kept.append(s)
+    for i, image in enumerate(samples.images):
+        if all(ssim_pair(samples.images[k], image, p) <= th for k in kept):
+            kept.append(i)
     return kept
+
+
+def kept_indices(ds):
+    """Indices into the input of the samples dedup kept (make_samples ids)."""
+    return [int(i) for i in ds.samples.source_ids]
 
 
 class TestDeduplicate:
     def test_identical_triplet(self):
-        ds = Dataset(samples=[make_sample(const_image(3)) for _ in range(3)],
-                     shard_count=1)
+        ds = Dataset(samples=make_samples([const_image(3)] * 3), shard_count=1)
         assert deduplicate(ds, 0.5) == 2
         assert len(ds) == 1
 
     def test_dissimilar_pair_kept(self):
-        ds = Dataset(samples=[make_sample(const_image(0)), make_sample(const_image(255))],
+        ds = Dataset(samples=make_samples([const_image(0), const_image(255)]),
                      shard_count=1)
         assert deduplicate(ds, 0.5) == 0
         assert len(ds) == 2
 
     def test_threshold_bounds(self):
-        ds = Dataset(samples=[make_sample(const_image(0))], shard_count=1)
+        ds = Dataset(samples=make_samples([const_image(0)]), shard_count=1)
         for th in (0.0, 1.0):
             with pytest.raises(InvariantViolation):
                 deduplicate(ds, th)
 
     def test_double_dedup_rejected(self):
-        ds = Dataset(samples=[make_sample(const_image(0))], shard_count=1)
+        ds = Dataset(samples=make_samples([const_image(0)]), shard_count=1)
         deduplicate(ds, 0.5)
         with pytest.raises(AlreadyDeduplicated):
             deduplicate(ds, 0.5)
 
     def test_empty_dataset(self):
-        ds = Dataset(samples=[], shard_count=1)
+        ds = Dataset(samples=no_samples(), shard_count=1)
         assert deduplicate(ds, 0.5) == 0
         assert ds.dedup_done
 
     def test_matches_pairwise_oracle(self, rng):
         # correlated images so both keeps and removals occur
         base = rng.integers(60, 196, size=(8, 8))
-        samples = []
+        images = []
         for _ in range(40):
             noisy = np.clip(base + rng.normal(0, rng.uniform(2, 60), size=(8, 8)), 0, 255)
-            samples.append(make_sample(make_image(noisy)))
+            images.append(make_image(noisy))
+        samples = make_samples(images)
         for th in (0.1, 0.5, 0.9):
-            ds = Dataset(samples=list(samples), shard_count=1)
+            ds = Dataset(samples=samples, shard_count=1)
             deduplicate(ds, th)
-            expected = dedup_oracle(samples, th)
-            assert [id(s) for s in ds.samples] == [id(s) for s in expected]
+            assert kept_indices(ds) == dedup_oracle(samples, th)
 
     def test_soundness_and_idempotence(self, rng):
         base = rng.integers(40, 216, size=(8, 8))
-        samples = []
+        images = []
         for _ in range(60):
             noisy = np.clip(base + rng.normal(0, rng.uniform(1, 40), size=(8, 8)), 0, 255)
-            samples.append(make_sample(make_image(noisy)))
-        ds = Dataset(samples=samples, shard_count=1)
+            images.append(make_image(noisy))
+        ds = Dataset(samples=make_samples(images), shard_count=1)
         th = 0.5
         deduplicate(ds, th)
-        kept = ds.samples
+        kept = ds.samples.images
         for i in range(len(kept)):
             for j in range(i + 1, len(kept)):
-                assert ssim_pair(kept[i].image, kept[j].image) <= th + 1e-9
-        rerun = Dataset(samples=list(kept), shard_count=1)
+                assert ssim_pair(kept[i], kept[j]) <= th + 1e-9
+        rerun = Dataset(samples=ds.samples, shard_count=1)
         assert deduplicate(rerun, th) == 0
 
 
@@ -158,7 +163,7 @@ class TestDeduplicate:
 # for bit on power-of-two image sizes (see the similarity module docstring).
 
 def moments_oracle(img):
-    x = img.data.astype(np.float64).ravel()
+    x = img.astype(np.float64).ravel()
     mu = float(np.mean(x))
     xc = x - mu
     return xc, mu, float(np.dot(xc, xc)) / x.size
@@ -182,15 +187,16 @@ def diversity_oracle(shard, p, rng_seed):
         pairs = [pairs[i] for i in np.sort(idx)]
     total = 0.0
     for i, j in pairs:
-        total += ssim_oracle(shard[i].image, shard[j].image, p)
+        total += ssim_oracle(shard.images[i], shard.images[j], p)
     return total / len(pairs), len(pairs)
 
 
 def gemv_dedup_oracle(samples, th, p):
-    """Sequential greedy dedup: one matrix-vector product per candidate."""
+    """Sequential greedy dedup: one matrix-vector product per candidate;
+    returns the kept indices."""
     if not samples:
         return []
-    moments = [moments_oracle(s.image) for s in samples]
+    moments = [moments_oracle(image) for image in samples.images]
     centered = np.array([m[0] for m in moments])
     mus = np.array([m[1] for m in moments])
     vars_ = np.array([m[2] for m in moments])
@@ -203,12 +209,12 @@ def gemv_dedup_oracle(samples, th, p):
             if np.any(num > th * den):
                 continue
         kept.append(i)
-    return [samples[i] for i in kept]
+    return kept
 
 
 def image_set(seed, n, side):
-    """n correlated uint8 images: noisy copies of a few bases, with exact
-    duplicates and flat images mixed in, so dedup both keeps and removes."""
+    """Samples of n correlated uint8 images: noisy copies of a few bases, with
+    exact duplicates and flat images mixed in, so dedup both keeps and removes."""
     rng = np.random.default_rng(seed)
     bases = rng.integers(0, 256, size=(3, side, side))
     out = []
@@ -222,8 +228,8 @@ def image_set(seed, n, side):
         else:
             noise = rng.normal(0, rng.uniform(1, 90), size=(side, side))
             data = np.clip(bases[rng.integers(0, 3)] + noise, 0, 255)
-        out.append(make_sample(make_image(data)))
-    return out
+        out.append(make_image(data))
+    return make_samples(out) if out else no_samples(side)
 
 
 sides = st.sampled_from([8, 32])
@@ -266,10 +272,10 @@ class TestStackedKernelsMatchOracle:
            sides, thresholds, params)
     def test_deduplicate_and_idempotence(self, seed, n, side, th, p):
         samples = image_set(seed, n, side)
-        ds = Dataset(samples=list(samples), shard_count=1)
+        ds = Dataset(samples=samples, shard_count=1)
         removed = deduplicate(ds, th, p)
         expected = gemv_dedup_oracle(samples, th, p)
-        assert [id(s) for s in ds.samples] == [id(s) for s in expected]
+        assert kept_indices(ds) == expected
         assert removed == n - len(expected)
-        rerun = Dataset(samples=list(ds.samples), shard_count=1)
+        rerun = Dataset(samples=ds.samples, shard_count=1)
         assert deduplicate(rerun, th, p) == 0

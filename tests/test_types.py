@@ -1,43 +1,66 @@
 import numpy as np
 import pytest
 
-from conftest import const_image, make_sample, make_task, make_uav
+from conftest import const_image, make_samples, make_task, make_uav, no_samples
 from uavfl.errors import EmptySubregion, InvariantViolation
-from uavfl.types import Dataset, GrayImage, LabeledSample, Position3D, RoundRecord, validate_scenario
+from uavfl.types import Dataset, Position3D, RoundRecord, Samples, validate_scenario
 
 
-class TestGrayImage:
+class TestSamples:
     def test_rejects_non_uint8(self):
         with pytest.raises(InvariantViolation):
-            GrayImage(np.zeros((4, 4), dtype=np.float64))
+            Samples(np.zeros((1, 4, 4), dtype=np.float64), [0])
 
     def test_rejects_wrong_ndim(self):
         with pytest.raises(InvariantViolation):
-            GrayImage(np.zeros(16, dtype=np.uint8))
+            Samples(np.zeros((4, 4), dtype=np.uint8), [0] * 4)
 
     def test_rejects_empty(self):
         with pytest.raises(InvariantViolation):
-            GrayImage(np.zeros((0, 4), dtype=np.uint8))
+            Samples(np.zeros((1, 0, 4), dtype=np.uint8), [0])
 
-    def test_dimensions(self):
-        img = GrayImage(np.zeros((3, 5), dtype=np.uint8))
-        assert (img.height, img.width) == (3, 5)
-
-
-class TestLabeledSample:
     def test_rejects_bad_label(self):
         with pytest.raises(InvariantViolation):
-            LabeledSample(image=const_image(0), label=2)
+            Samples(np.zeros((2, 4, 4), dtype=np.uint8), [0, 2])
+
+    @pytest.mark.parametrize("labels,ids", [([0], ["a", "b"]), ([0, 1, 0], ["a", "b"]),
+                                            ([0, 1], ["a"])])
+    def test_rejects_mismatched_columns(self, labels, ids):
+        with pytest.raises(InvariantViolation):
+            Samples(np.zeros((2, 4, 4), dtype=np.uint8), labels, ids)
+
+    def test_dimensions(self):
+        s = Samples(np.zeros((2, 3, 5), dtype=np.uint8), [0, 1], ["a", "b"])
+        assert len(s) == 2 and s.images.shape == (2, 3, 5)
+        assert s.source_ids.tolist() == ["a", "b"]
+        assert len(no_samples()) == 0 and no_samples().source_ids.shape == (0,)
 
     def test_accepts_binary_labels(self):
-        for label in (0, 1):
-            assert make_sample(const_image(0), label).label == label
+        s = Samples(np.zeros((3, 4, 4), dtype=np.uint8), np.array([0, 1, 1]))
+        assert s.labels.dtype == np.int8 and s.labels.tolist() == [0, 1, 1]
+
+    def test_read_only(self):
+        s = make_samples([const_image(0), const_image(1)], [0, 1])
+        for column in (s.images, s.labels, s.source_ids):
+            with pytest.raises(ValueError):
+                column[0] = column[1]
+
+    def test_slice_shares_memory_and_index_array_selects(self):
+        s = make_samples([const_image(v) for v in range(5)], [0, 1, 0, 1, 0])
+        part = s[1:4]
+        assert isinstance(part, Samples) and len(part) == 3
+        assert np.shares_memory(part.images, s.images)
+        assert np.shares_memory(part.labels, s.labels)
+        picked = s[[4, 0]]
+        assert picked.source_ids.tolist() == ["4", "0"]
+        assert picked.images[:, 0, 0].tolist() == [4, 0]
+        assert s[s.labels == 1].source_ids.tolist() == ["1", "3"]
 
 
 class TestDatasetSharding:
     def test_shard_sizes_differ_by_at_most_one_and_cover_all(self):
         for n, k in [(10, 3), (7, 7), (200, 200), (13, 5), (3, 8)]:
-            ds = Dataset(samples=[make_sample(const_image(0)) for _ in range(n)],
+            ds = Dataset(samples=make_samples([const_image(0)] * n),
                          shard_count=k)
             sizes = [ds.shard_size(i) for i in range(1, k + 1)]
             assert sum(sizes) == n
@@ -50,7 +73,7 @@ class TestDatasetSharding:
             assert seen == list(range(n))
 
     def test_shard_index_out_of_range(self):
-        ds = Dataset(samples=[make_sample(const_image(0))], shard_count=2)
+        ds = Dataset(samples=make_samples([const_image(0)]), shard_count=2)
         with pytest.raises(InvariantViolation):
             ds.shard(0)
         with pytest.raises(InvariantViolation):
@@ -58,7 +81,7 @@ class TestDatasetSharding:
 
     def test_rejects_nonpositive_shard_count(self):
         with pytest.raises(InvariantViolation):
-            Dataset(samples=[], shard_count=0)
+            Dataset(samples=no_samples(), shard_count=0)
 
 
 class TestPosition:
