@@ -12,7 +12,7 @@ from .datagen import (MANIFEST_HEADER, generate_uav_dataset, load_manifest,
 from .errors import UavFlError
 from .harness import (compare_strategies, emit_csv, emit_metadata, emit_summary_csv,
                       run_experiment)
-from .similarity import SsimParams, deduplicate
+from .similarity import deduplicate
 
 # CLI flag (argparse dest) -> the top-level config key it overrides
 _OVERRIDES = {"strategy": "strategy", "ssim_th": "ssim_threshold", "seed": "master_seed",
@@ -76,13 +76,14 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_dedup_report(args) -> int:
-    params = load_config(args.config).ssim if args.config else SsimParams()
-    datasets = load_manifest(args.manifest, image_root=os.path.dirname(args.manifest))
+    config = load_config(args.config) if args.config else ExperimentConfig()
+    datasets = load_manifest(args.manifest, config.n_rounds_max,
+                             image_root=os.path.dirname(args.manifest))
     total_before = total_after = 0
     print(f"{'uav':>6}{'samples':>10}{'removed':>10}{'kept':>10}")
     for uid, ds in datasets.items():
         before = len(ds)
-        removed = deduplicate(ds, args.ssim_th, params)
+        removed = deduplicate(ds, args.ssim_th, config.ssim)
         total_before += before
         total_after += len(ds)
         print(f"{uid:>6}{before:>10}{removed:>10}{len(ds):>10}")
@@ -119,7 +120,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     ded = sub.add_parser("dedup-report", help="near-duplicate removal stats for a manifest")
     ded.add_argument("--manifest", required=True)
-    ded.add_argument("--config", help="JSON config file; its ssim section sets k1 and k2")
+    ded.add_argument("--config", help="JSON config file; its ssim section sets k1 and k2, "
+                     "its n_rounds_max the shard count")
     ded.add_argument("--ssim-th", type=float, dest="ssim_th", default=0.5)
     ded.set_defaults(func=cmd_dedup_report)
     return parser

@@ -2,7 +2,9 @@
 
 The `channel`, `cost`, `generator` and `ssim` sections are the domain types
 of the modules that consume them, so each section is validated once, when
-the config is built, and a bad value fails as a ConfigError naming it.
+the config is built, and a bad value fails as a ConfigError naming it. The
+top-level fields are checked the same way, against each other too: a fleet
+that cannot fill its per-sub-region quota fails here, before any data exists.
 """
 
 from __future__ import annotations
@@ -47,8 +49,19 @@ class BatteryConfig:
     max_j: float = 1e4
 
 
-# top-level field annotation -> the JSON value types it accepts (bool only for bool)
+# field annotation -> the JSON value types it accepts (bool only for bool)
 _SCALAR_TYPES = {"int": int, "float": (int, float), "str": str, "bool": bool}
+
+
+def _check_types(cls, values: dict, where: str = "") -> None:
+    """Raise a ConfigError for a value that is not of its `cls` field's
+    annotated scalar type; an int passes for a float, a bool only for a bool."""
+    for f in dataclasses.fields(cls):
+        kinds = _SCALAR_TYPES.get(f.type)
+        if kinds and f.name in values:
+            value = values[f.name]
+            if not isinstance(value, kinds) or isinstance(value, bool) != (f.type == "bool"):
+                raise ConfigError(f"{where}{f.name}: expected {f.type}, got {type(value).__name__}")
 
 
 @dataclass
@@ -77,10 +90,7 @@ class ExperimentConfig:
     battery: BatteryConfig = field(default_factory=BatteryConfig)
 
     def __post_init__(self):
-        for f in dataclasses.fields(self):
-            value, kinds = getattr(self, f.name), _SCALAR_TYPES.get(f.type)
-            if kinds and (not isinstance(value, kinds) or isinstance(value, bool) != (f.type == "bool")):
-                raise ConfigError(f"{f.name}: expected {f.type}, got {type(value).__name__}")
+        _check_types(type(self), vars(self))
         if self.scenario not in ("scenario1", "scenario2", "custom"):
             raise ConfigError(f"unknown scenario {self.scenario!r}")
         if self.strategy not in ("deeps", "random"):
@@ -90,10 +100,21 @@ class ExperimentConfig:
             self.n_uavs, self.cohort_size = n, nr
             self.subregion_count, self.per_subregion_quota = m, q
             self.n_rounds_max = rmax
+        for name in ("n_rounds_max", "per_subregion_quota", "subregion_count",
+                     "convergence_window", "workers"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
         if self.cohort_size != self.per_subregion_quota * self.subregion_count:
             raise ConfigError("cohort_size must equal quota x subregion_count")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
+        # UAV i flies sub-region (i - 1) mod subregion_count + 1, so every
+        # sub-region holds its quota exactly when the fleet holds a cohort
+        if self.n_uavs < self.cohort_size:
+            raise ConfigError(f"n_uavs {self.n_uavs} < cohort_size {self.cohort_size}: "
+                              f"some sub-region holds fewer UAVs than its quota")
+        if not 0.0 <= self.xi <= 1.0:
+            raise ConfigError(f"xi must lie in [0, 1], got {self.xi}")
+        if not 0.0 < self.ssim_threshold < 1.0:
+            raise ConfigError(f"ssim_threshold must lie in (0, 1), got {self.ssim_threshold}")
         try:
             self.model_spec()
         except (InvariantViolation, TypeError, ValueError) as exc:
@@ -134,6 +155,7 @@ def _build(cls, data: dict, where: str):
     unknown = set(data) - known
     if unknown:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+    _check_types(cls, data, f"{where}: ")
     try:
         return cls(**data)
     except (InvariantViolation, TypeError, ValueError) as exc:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import EmptyCohort, InsufficientBattery, InvariantViolation, ZeroRate
-from .types import FlTask, UavState
+from .types import UavState
 
 
 @dataclass(frozen=True)
@@ -61,13 +61,13 @@ def local_training_time(params: CostParams, shard_size: int) -> float:
     return params.epochs_per_round * params.cycles_per_sample * shard_size / params.cpu_hz
 
 
-def tx_time(params: CostParams, task: FlTask, rate_bps: float) -> float:
-    """Seconds to send the full parameter vector at the given rate, either way."""
-    if task.param_count == 0:
+def tx_time(params: CostParams, param_count: int, rate_bps: float) -> float:
+    """Seconds to send `param_count` model parameters at the given rate, either way."""
+    if param_count == 0:
         return 0.0
     if rate_bps <= 0:
         raise ZeroRate("link rate must be > 0")
-    return task.param_count * params.param_size_bits / rate_bps
+    return param_count * params.param_size_bits / rate_bps
 
 
 def round_duration(costs: list[RoundCost]) -> float:
@@ -87,15 +87,16 @@ def transmit_energy(params: CostParams, uplink_time_s: float) -> float:
     return params.tx_power_w * uplink_time_s
 
 
-def estimate_round_cost(params: CostParams, task: FlTask, shard_size: int,
+def estimate_round_cost(params: CostParams, param_count: int, shard_size: int,
                         rate_up_bps: float, rate_down_bps: float) -> RoundCost:
-    """Full per-round cost for one UAV given its shard size and link rates."""
+    """Full per-round cost for one UAV given the model size, its shard size and
+    link rates."""
     t_train = local_training_time(params, shard_size)
-    t_up = tx_time(params, task, rate_up_bps)
+    t_up = tx_time(params, param_count, rate_up_bps)
     return RoundCost(
         train_time_s=t_train,
         uplink_time_s=t_up,
-        downlink_time_s=tx_time(params, task, rate_down_bps),
+        downlink_time_s=tx_time(params, param_count, rate_down_bps),
         train_energy_j=training_energy(params, t_train),
         tx_energy_j=transmit_energy(params, t_up),
     )

@@ -144,7 +144,7 @@ def _walk_frames(seed, subregion_id: int, length: int, spec: GenSpec) -> np.ndar
 
 
 def generate_uav_dataset(spec: GenSpec, subregion_id: int, uav_id: int,
-                         rng_seed: int, shard_count: int = 200) -> UavData:
+                         rng_seed: int, shard_count: int) -> UavData:
     """Deterministic synthetic dataset for one UAV.
 
     pixel field = rho*scene(class) + (1-rho)*(w*walk_frame + (1-w)*noise),
@@ -240,9 +240,10 @@ def write_pgm(path: str, image: np.ndarray) -> None:
 MANIFEST_HEADER = ["path", "label", "subregion", "uav"]
 
 
-def load_manifest(manifest_path: str, image_root: str = "",
-                  shard_count: int = 200) -> dict[int, Dataset]:
-    """Group manifest rows into per-UAV Datasets of stacked PGM images."""
+def load_manifest(manifest_path: str, shard_count: int,
+                  image_root: str = "") -> dict[int, Dataset]:
+    """Group manifest rows into per-UAV Datasets of stacked PGM images, each
+    cut into `shard_count` shards."""
     try:
         fh = open(manifest_path, newline="", encoding="utf-8")
     except OSError as exc:

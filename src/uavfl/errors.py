@@ -9,10 +9,6 @@ class InvariantViolation(UavFlError):
     """A domain type was constructed with an out-of-range field."""
 
 
-class EmptySubregion(UavFlError):
-    """A sub-region cannot satisfy its participation quota."""
-
-
 class CoincidentPositions(UavFlError):
     pass
 

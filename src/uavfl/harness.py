@@ -14,21 +14,21 @@ import dataclasses
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
 from .channel import capacity, channel_gain, link_geometry
 from .config import ExperimentConfig
-from .cost import CostParams, RoundCost, charge_round, estimate_round_cost, round_duration
+from .cost import RoundCost, charge_round, estimate_round_cost, round_duration
 from .datagen import generate_uav_dataset
 from .errors import CohortInfeasible, UavFlError
 from .learning import (ModelSpec, aggregate, evaluate_matrix, local_train,
                        model_init, samples_to_matrix)
-from .selection import Selection, deeps_select, is_feasible, random_select
+from .selection import deeps_select, is_feasible, random_select
 from .similarity import DiversityScore, SsimParams, dataset_diversity, deduplicate
-from .types import FlTask, Position3D, RoundRecord, Samples, UavState, validate_scenario
+from .types import Position3D, RoundRecord, Samples, UavState
 
 _TAG_PLACEMENT = 1
 _TAG_BATTERY = 2
@@ -40,15 +40,13 @@ _TAG_MODEL_INIT = 6
 
 @dataclass
 class Scenario:
-    """Everything a run consumes; clone per run since batteries/datasets mutate."""
+    """What `build_scenario` generates from a config: the fleet, its link rates
+    and the test pool. Clone per run since batteries/datasets mutate."""
 
     uavs: list[UavState]
-    task: FlTask
-    cost: CostParams
     rate_up: dict[int, float]
     rate_down: dict[int, float]
     model_spec: ModelSpec
-    ssim_params: SsimParams
     test_x: np.ndarray
     test_y: np.ndarray
 
@@ -86,14 +84,6 @@ def build_scenario(config: ExperimentConfig) -> Scenario:
     """Generate datasets, place UAVs, derive link rates and the test pool."""
     seed = config.master_seed
     model_spec = config.model_spec()
-    task = FlTask(
-        n_rounds_max=config.n_rounds_max,
-        cohort_size=config.cohort_size,
-        per_subregion_quota=config.per_subregion_quota,
-        xi=config.xi,
-        ssim_threshold=config.ssim_threshold,
-        param_count=model_spec.param_count,
-    )
     channel = config.channel
 
     geo = config.geometry
@@ -123,27 +113,22 @@ def build_scenario(config: ExperimentConfig) -> Scenario:
         tests.append(data.test)
         uavs.append(uav)
 
-    validate_scenario(uavs, task, config.subregion_count)
     test_pool = Samples(np.concatenate([t.images for t in tests]),
                         np.concatenate([t.labels for t in tests]),
                         np.concatenate([t.source_ids for t in tests]))
     test_x, test_y = samples_to_matrix(test_pool, model_spec)
-    return Scenario(
-        uavs=uavs, task=task, cost=config.cost,
-        rate_up=rate_up, rate_down=rate_down,
-        model_spec=model_spec, ssim_params=config.ssim,
-        test_x=test_x, test_y=test_y,
-    )
+    return Scenario(uavs=uavs, rate_up=rate_up, rate_down=rate_down,
+                    model_spec=model_spec, test_x=test_x, test_y=test_y)
 
 
-def _shard_diversity(uav: UavState, round_k: int, scenario: Scenario,
+def _shard_diversity(uav: UavState, round_k: int, params: SsimParams,
                      master_seed: int) -> DiversityScore:
     shard = uav.dataset.shard(round_k)
     if len(shard) < 2:
         # a 0/1-sample shard carries no evidence of redundancy
         return DiversityScore(mean_pairwise_ssim=0.0, pairs_evaluated=0)
     seed = np.random.SeedSequence([master_seed, _TAG_DIVERSITY, round_k, uav.id])
-    return dataset_diversity(shard, scenario.ssim_params, rng_seed=seed)
+    return dataset_diversity(shard, params, rng_seed=seed)
 
 
 def _find_convergence(accuracies: list[float], window: int, tol: float) -> int | None:
@@ -158,18 +143,24 @@ def _find_convergence(accuracies: list[float], window: int, tol: float) -> int |
 def run_experiment(config: ExperimentConfig, scenario: Scenario | None = None,
                    strategy: str | None = None,
                    ssim_threshold: float | None = None) -> RunSummary:
-    """Run one full FL simulation; fully deterministic for a fixed master seed."""
-    if scenario is None:
-        scenario = build_scenario(config)
-    else:
-        scenario = scenario.fresh_copy()
-    strategy = strategy or config.strategy
-    ssim_th = config.ssim_threshold if ssim_threshold is None else ssim_threshold
-    task = scenario.task if ssim_th == scenario.task.ssim_threshold else \
-        dataclasses.replace(scenario.task, ssim_threshold=ssim_th)
+    """Run one full FL simulation; fully deterministic for a fixed master seed.
+
+    `strategy` and `ssim_threshold`, when given, replace the config's and are
+    validated like a loaded config. `scenario`, when given, must have been
+    built from the same config; each run works on a fresh copy of it.
+    """
+    overrides = {"strategy": strategy, "ssim_threshold": ssim_threshold}
+    config = dataclasses.replace(
+        config, **{key: value for key, value in overrides.items() if value is not None})
+    scenario = build_scenario(config) if scenario is None else scenario.fresh_copy()
     uavs = scenario.uavs
     by_id = {u.id: u for u in uavs}
     seed = config.master_seed
+
+    def round_cost(u: UavState, k: int) -> RoundCost:
+        return estimate_round_cost(config.cost, scenario.model_spec.param_count,
+                                   u.dataset.shard_size(k),
+                                   scenario.rate_up[u.id], scenario.rate_down[u.id])
 
     initial_battery = sum(u.battery_j for u in uavs)
     params = model_init(scenario.model_spec,
@@ -181,31 +172,26 @@ def run_experiment(config: ExperimentConfig, scenario: Scenario | None = None,
     degraded_rounds = 0
     aborted = False
 
-    for k in range(1, task.n_rounds_max + 1):
-        alive = [u for u in uavs if u.alive]
-        costs: dict[int, RoundCost] = {
-            u.id: estimate_round_cost(scenario.cost, task, u.dataset.shard_size(k),
-                                      scenario.rate_up[u.id], scenario.rate_down[u.id])
-            for u in alive
-        }
+    # each alive UAV's cost of the coming round: estimated here for round 1 and
+    # at the end of each round for the next; dedup re-estimates the UAV it shrank
+    costs = {u.id: round_cost(u, 1) for u in uavs if u.alive}
+    for k in range(1, config.n_rounds_max + 1):
         dropouts = 0
 
-        if strategy == "deeps":
-            diversity = {u.id: _shard_diversity(u, k, scenario, seed) for u in alive}
-            sel = deeps_select(uavs, task, k, diversity, costs)
+        if config.strategy == "deeps":
+            diversity = {u.id: _shard_diversity(u, k, config.ssim, seed)
+                         for u in uavs if u.alive}
+            sel = deeps_select(uavs, config.per_subregion_quota, config.xi, diversity, costs)
             if sel.degraded_subregions:
                 degraded_rounds += 1
             for uid in sorted(sel.ids):
                 u = by_id[uid]
                 if not u.dataset.dedup_done:
-                    dedup_removed += deduplicate(u.dataset, task.ssim_threshold,
-                                                 scenario.ssim_params)
-                    costs[uid] = estimate_round_cost(
-                        scenario.cost, task, u.dataset.shard_size(k),
-                        scenario.rate_up[uid], scenario.rate_down[uid])
+                    dedup_removed += deduplicate(u.dataset, config.ssim_threshold, config.ssim)
+                    costs[uid] = round_cost(u, k)
         else:
             try:
-                sel = random_select(uavs, task, k,
+                sel = random_select(uavs, config.cohort_size,
                                     np.random.SeedSequence([seed, _TAG_SELECTION, k]))
             except CohortInfeasible:
                 aborted = True
@@ -214,7 +200,6 @@ def run_experiment(config: ExperimentConfig, scenario: Scenario | None = None,
         # participants that can fund the round train on shard k; under the
         # random baseline an unaffordable pick simply drops out mid-round
         jobs = []
-        participant_costs: dict[int, RoundCost] = {}
         for uid in sorted(sel.ids):
             u = by_id[uid]
             if not is_feasible(u, costs[uid]):
@@ -225,13 +210,12 @@ def run_experiment(config: ExperimentConfig, scenario: Scenario | None = None,
             if not shard:
                 continue  # nothing to train this round; no time or energy spent
             jobs.append((uid, shard))
-            participant_costs[uid] = costs[uid]
 
         def _train(job):
             uid, shard = job
             train_seed = np.random.SeedSequence([seed, _TAG_TRAINING, k, uid])
             return uid, local_train(params, shard, scenario.model_spec,
-                                    scenario.cost.epochs_per_round, train_seed), len(shard)
+                                    config.cost.epochs_per_round, train_seed), len(shard)
 
         if config.workers > 1 and len(jobs) > 1:
             with ThreadPoolExecutor(max_workers=config.workers) as pool:
@@ -241,12 +225,12 @@ def run_experiment(config: ExperimentConfig, scenario: Scenario | None = None,
 
         cohort_energy = 0.0
         for uid, _, _ in results:
-            charge_round(by_id[uid], participant_costs[uid])
-            cohort_energy += participant_costs[uid].total_energy_j
+            charge_round(by_id[uid], costs[uid])
+            cohort_energy += costs[uid].total_energy_j
 
         if results:
             params = aggregate([(uid, vec, size) for uid, vec, size in results])
-            duration = round_duration([participant_costs[uid] for uid, _, _ in results])
+            duration = round_duration([costs[uid] for uid, _, _ in results])
         else:
             duration = 0.0
 
@@ -255,14 +239,11 @@ def run_experiment(config: ExperimentConfig, scenario: Scenario | None = None,
         accuracies.append(acc)
 
         # next-round feasibility defines aliveness (positions are static, so
-        # the estimate is exact)
-        if k < task.n_rounds_max:
+        # the estimate is exact); the estimates are the next round's costs
+        if k < config.n_rounds_max:
+            costs = {u.id: round_cost(u, k + 1) for u in uavs if u.alive}
             for u in uavs:
-                if not u.alive:
-                    continue
-                nxt = estimate_round_cost(scenario.cost, task, u.dataset.shard_size(k + 1),
-                                          scenario.rate_up[u.id], scenario.rate_down[u.id])
-                if not is_feasible(u, nxt):
+                if u.alive and not is_feasible(u, costs[u.id]):
                     u.alive = False
                     dropouts += 1
 
@@ -284,8 +265,8 @@ def run_experiment(config: ExperimentConfig, scenario: Scenario | None = None,
     chi_r = conv if conv is not None else len(records)
     durations = [r.round_duration_s for r in records]
     return RunSummary(
-        strategy=strategy,
-        ssim_threshold=ssim_th if strategy == "deeps" else None,
+        strategy=config.strategy,
+        ssim_threshold=config.ssim_threshold if config.strategy == "deeps" else None,
         avg_round_time_s=float(np.mean(durations)) if durations else 0.0,
         rounds_to_convergence=chi_r,
         time_to_convergence_min=sum(durations[:chi_r]) / 60.0,

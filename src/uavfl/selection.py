@@ -16,14 +16,12 @@ import numpy as np
 from .cost import RoundCost
 from .errors import CohortInfeasible, InstanceTooLarge
 from .similarity import DiversityScore
-from .types import FlTask, UavState
+from .types import UavState
 
 
 @dataclass(frozen=True)
 class Selection:
-    round_k: int
     chosen: tuple[tuple[int, int, float], ...]  # (uav_id, subregion_id, score)
-    strategy: str  # deeps | random | oracle
     degraded_subregions: tuple[int, ...] = field(default=())
 
     @property
@@ -32,11 +30,11 @@ class Selection:
 
 
 def deeps_score(uav: UavState, shard_diversity: DiversityScore,
-                est_cost: RoundCost, task: FlTask) -> float:
+                est_cost: RoundCost, xi: float) -> float:
     """xi * (1 - mean SSIM) + (1 - xi) * (B - E_train - E_tx) / B_max."""
     diversity = 1.0 - shard_diversity.mean_pairwise_ssim
     residual = (uav.battery_j - est_cost.train_energy_j - est_cost.tx_energy_j) / uav.battery_max_j
-    return task.xi * diversity + (1.0 - task.xi) * residual
+    return xi * diversity + (1.0 - xi) * residual
 
 
 def is_feasible(uav: UavState, est_cost: RoundCost) -> bool:
@@ -44,10 +42,10 @@ def is_feasible(uav: UavState, est_cost: RoundCost) -> bool:
     return est_cost.total_energy_j <= uav.battery_j
 
 
-def deeps_select(uavs: list[UavState], task: FlTask, round_k: int,
+def deeps_select(uavs: list[UavState], quota: int, xi: float,
                  diversity_cache: dict[int, DiversityScore],
                  cost_estimates: dict[int, RoundCost]) -> Selection:
-    """Per sub-region, take the quota of highest-scoring alive+feasible UAVs.
+    """Per sub-region, take the `quota` highest-scoring alive+feasible UAVs.
 
     Ties break toward the lower UAV id. Sub-regions without any feasible
     candidate are reported in `degraded_subregions` and the cohort shrinks.
@@ -59,38 +57,35 @@ def deeps_select(uavs: list[UavState], task: FlTask, round_k: int,
         cost = cost_estimates[u.id]
         if not is_feasible(u, cost):
             continue
-        score = deeps_score(u, diversity_cache[u.id], cost, task)
+        score = deeps_score(u, diversity_cache[u.id], cost, xi)
         by_subregion.setdefault(u.subregion_id, []).append((score, u.id))
 
     chosen: list[tuple[int, int, float]] = []
     degraded: list[int] = []
     for sr in sorted({u.subregion_id for u in uavs}):
         ranked = sorted(by_subregion.get(sr, []), key=lambda t: (-t[0], t[1]))
-        if len(ranked) < task.per_subregion_quota:
+        if len(ranked) < quota:
             degraded.append(sr)
-        for score, uid in ranked[:task.per_subregion_quota]:
+        for score, uid in ranked[:quota]:
             chosen.append((uid, sr, score))
 
-    return Selection(round_k=round_k, chosen=tuple(chosen), strategy="deeps",
-                     degraded_subregions=tuple(degraded))
+    return Selection(chosen=tuple(chosen), degraded_subregions=tuple(degraded))
 
 
-def random_select(uavs: list[UavState], task: FlTask, round_k: int, rng_seed) -> Selection:
-    """Uniform cohort of N_r alive UAVs, no sub-region or feasibility filter."""
+def random_select(uavs: list[UavState], cohort_size: int, rng_seed) -> Selection:
+    """Uniform cohort of `cohort_size` alive UAVs, no sub-region or feasibility filter."""
     alive = sorted((u for u in uavs if u.alive), key=lambda u: u.id)
-    if len(alive) < task.cohort_size:
-        raise CohortInfeasible(
-            f"{len(alive)} alive UAVs < cohort size {task.cohort_size}"
-        )
+    if len(alive) < cohort_size:
+        raise CohortInfeasible(f"{len(alive)} alive UAVs < cohort size {cohort_size}")
     rng = np.random.default_rng(rng_seed)
-    picks = rng.choice(len(alive), size=task.cohort_size, replace=False)
+    picks = rng.choice(len(alive), size=cohort_size, replace=False)
     chosen = sorted(
         (alive[i].id, alive[i].subregion_id, 0.0) for i in picks
     )
-    return Selection(round_k=round_k, chosen=tuple(chosen), strategy="random")
+    return Selection(chosen=tuple(chosen))
 
 
-def oracle_select(uavs: list[UavState], task: FlTask, round_k: int,
+def oracle_select(uavs: list[UavState], cohort_size: int, quota: int, xi: float,
                   diversity_cache: dict[int, DiversityScore],
                   cost_estimates: dict[int, RoundCost],
                   max_uavs: int = 20) -> Selection:
@@ -110,16 +105,16 @@ def oracle_select(uavs: list[UavState], task: FlTask, round_k: int,
         cost = cost_estimates[u.id]
         if not is_feasible(u, cost):
             continue
-        score = deeps_score(u, diversity_cache[u.id], cost, task)
+        score = deeps_score(u, diversity_cache[u.id], cost, xi)
         candidates.append((u.id, u.subregion_id, score))
 
     subregions = sorted({u.subregion_id for u in uavs})
     best: tuple[float, tuple[int, ...], tuple] | None = None
-    for combo in itertools.combinations(candidates, task.cohort_size):
+    for combo in itertools.combinations(candidates, cohort_size):
         counts = {sr: 0 for sr in subregions}
         for _, sr, _ in combo:
             counts[sr] += 1
-        if any(c < task.per_subregion_quota for c in counts.values()):
+        if any(c < quota for c in counts.values()):
             continue
         total = sum(c[2] for c in combo)
         ids = tuple(sorted(c[0] for c in combo))
@@ -127,4 +122,4 @@ def oracle_select(uavs: list[UavState], task: FlTask, round_k: int,
             best = (total, ids, combo)
     if best is None:
         raise CohortInfeasible("no feasible cohort satisfies the quota constraints")
-    return Selection(round_k=round_k, chosen=tuple(sorted(best[2])), strategy="oracle")
+    return Selection(chosen=tuple(sorted(best[2])))

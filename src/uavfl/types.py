@@ -1,4 +1,4 @@
-"""Shared domain types: sample sets, datasets, UAV state, task and round records.
+"""Shared domain types: sample sets, datasets, UAV state and round records.
 
 All types validate their invariants at construction time and raise
 InvariantViolation instead of clamping. Everything is an immutable value
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySubregion, InvariantViolation
+from .errors import InvariantViolation
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,28 +121,6 @@ class UavState:
 
 
 @dataclass(frozen=True)
-class FlTask:
-    """Static description of one federated learning task."""
-
-    n_rounds_max: int
-    cohort_size: int
-    per_subregion_quota: int
-    xi: float
-    ssim_threshold: float
-    param_count: int
-
-    def __post_init__(self):
-        if self.n_rounds_max < 1 or self.cohort_size < 1 or self.per_subregion_quota < 1:
-            raise InvariantViolation("round/cohort counts must be positive")
-        if not 0.0 <= self.xi <= 1.0:
-            raise InvariantViolation("xi must lie in [0, 1]")
-        if not 0.0 < self.ssim_threshold < 1.0:
-            raise InvariantViolation("ssim_threshold must lie in (0, 1)")
-        if self.param_count < 0:
-            raise InvariantViolation("param_count must be >= 0")
-
-
-@dataclass(frozen=True)
 class RoundRecord:
     """Per-round metrics appended by the harness."""
 
@@ -161,33 +139,3 @@ class RoundRecord:
         if self.global_loss < 0 or self.cohort_energy_j < 0 or self.round_duration_s < 0:
             raise InvariantViolation("loss/energy/duration must be non-negative")
 
-
-def validate_scenario(uavs: list[UavState], task: FlTask, subregion_count: int) -> None:
-    """Check that the scenario can satisfy the per-sub-region selection quota.
-
-    Raises EmptySubregion if any sub-region holds fewer UAVs than the quota,
-    InvariantViolation for structural problems (duplicate ids, bad sub-region
-    ids, quota/cohort mismatch).
-    """
-    if not uavs:
-        raise EmptySubregion("no UAVs in scenario")
-    if subregion_count < 1:
-        raise InvariantViolation("subregion_count must be positive")
-    if task.cohort_size != task.per_subregion_quota * subregion_count:
-        raise InvariantViolation(
-            f"cohort_size {task.cohort_size} != quota {task.per_subregion_quota} "
-            f"x {subregion_count} sub-regions"
-        )
-    ids = [u.id for u in uavs]
-    if len(set(ids)) != len(ids):
-        raise InvariantViolation("duplicate UAV ids")
-    counts: dict[int, int] = {}
-    for u in uavs:
-        if not 1 <= u.subregion_id <= subregion_count:
-            raise InvariantViolation(f"UAV {u.id} has sub-region {u.subregion_id} outside [1, {subregion_count}]")
-        counts[u.subregion_id] = counts.get(u.subregion_id, 0) + 1
-    for sr in range(1, subregion_count + 1):
-        if counts.get(sr, 0) < task.per_subregion_quota:
-            raise EmptySubregion(
-                f"sub-region {sr} holds {counts.get(sr, 0)} UAVs, quota is {task.per_subregion_quota}"
-            )

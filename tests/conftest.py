@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from uavfl.types import Dataset, FlTask, Position3D, Samples, UavState
+from uavfl.types import Dataset, Position3D, Samples, UavState
 
 
 def make_image(data) -> np.ndarray:
@@ -39,13 +39,6 @@ def make_uav(uid: int = 1, subregion: int = 1, battery: float = 100.0,
     return UavState(id=uid, subregion_id=subregion,
                     position=Position3D(0.0, 0.0, 10.0),
                     battery_j=battery, battery_max_j=battery_max, dataset=ds)
-
-
-def make_task(**overrides) -> FlTask:
-    defaults = dict(n_rounds_max=1, cohort_size=1, per_subregion_quota=1,
-                    xi=0.5, ssim_threshold=0.5, param_count=10)
-    defaults.update(overrides)
-    return FlTask(**defaults)
 
 
 @pytest.fixture

@@ -23,7 +23,7 @@ from uavfl.harness import build_scenario, compare_strategies, run_experiment
 from uavfl.learning import ModelSpec, aggregate, loss_and_grad
 from uavfl.selection import deeps_score, deeps_select, oracle_select
 from uavfl.similarity import DiversityScore, SsimParams, ssim_pair
-from uavfl.types import Dataset, FlTask, Position3D, Samples, UavState
+from uavfl.types import Dataset, Position3D, Samples, UavState
 
 HERE = os.path.dirname(__file__)
 CALIBRATED_CONFIG = os.path.join(HERE, "..", "configs", "scenario1_calibrated.json")
@@ -46,13 +46,6 @@ def make_uav(**overrides) -> UavState:
                     dataset=Dataset(samples=samples, shard_count=1))
     defaults.update(overrides)
     return UavState(**defaults)
-
-
-def make_task(**overrides) -> FlTask:
-    defaults = dict(n_rounds_max=1, cohort_size=1, per_subregion_quota=1, xi=0.5,
-                    ssim_threshold=0.5, param_count=1000)
-    defaults.update(overrides)
-    return FlTask(**defaults)
 
 
 def test_criterion_1_formula_exactness(capsys):
@@ -80,8 +73,8 @@ def test_criterion_1_formula_exactness(capsys):
                         tx_power_w=0.28, epochs_per_round=1, param_size_bits=32)
     params5 = CostParams(cpu_hz=1e7, cycles_per_sample=7e4, epochs_per_round=5)
     checks.append(rel_err(local_training_time(params5, 100), 3.5))
-    checks.append(rel_err(tx_time(params, make_task(), 1e6), 0.032))
-    checks.append(rel_err(tx_time(params, make_task(), 2e6), 0.016))
+    checks.append(rel_err(tx_time(params, 1000, 1e6), 0.032))
+    checks.append(rel_err(tx_time(params, 1000, 2e6), 0.016))
 
     # energy
     checks.append(rel_err(training_energy(params, 1.0), 0.1))
@@ -90,7 +83,7 @@ def test_criterion_1_formula_exactness(capsys):
     # selection score
     cost = RoundCost(train_time_s=3.5, uplink_time_s=0.032, downlink_time_s=0.032,
                      train_energy_j=0.35, tx_energy_j=0.009)
-    score = deeps_score(make_uav(), DiversityScore(0.2, 1), cost, make_task())
+    score = deeps_score(make_uav(), DiversityScore(0.2, 1), cost, 0.5)
     checks.append(rel_err(score, 0.5 * 0.8 + 0.5 * (5000.0 - 0.359) / 10000.0))
 
     elapsed = time.time() - t0
@@ -162,7 +155,6 @@ def test_criterion_4_selection_oracle_equivalence(capsys):
     for _ in range(50):
         n_sub = int(rng.integers(2, 6))
         n = int(rng.integers(n_sub * 2, 21))
-        task = make_task(cohort_size=n_sub, per_subregion_quota=1)
         uavs, diversity, costs = [], {}, {}
         for uid in range(1, n + 1):
             uavs.append(make_uav(id=uid, subregion_id=(uid - 1) % n_sub + 1,
@@ -172,8 +164,8 @@ def test_criterion_4_selection_oracle_equivalence(capsys):
             costs[uid] = RoundCost(0.0, 0.0, 0.0,
                                    float(rng.uniform(0, 2)),
                                    float(rng.uniform(0, 0.1)))
-        greedy = deeps_select(uavs, task, 1, diversity, costs)
-        exact = oracle_select(uavs, task, 1, diversity, costs)
+        greedy = deeps_select(uavs, 1, 0.5, diversity, costs)
+        exact = oracle_select(uavs, n_sub, 1, 0.5, diversity, costs)
         mismatches += sorted(greedy.ids) != sorted(exact.ids)
     elapsed = time.time() - t0
     ok = mismatches == 0 and elapsed < 60.0

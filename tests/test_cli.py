@@ -56,9 +56,24 @@ class TestRun:
         assert "Traceback" not in err
         assert not os.path.exists(os.path.join(out, "metadata.json"))
 
-    @pytest.mark.parametrize("values", [{"workers": "2"}, {"model": {"hidden_dim": "x"}}],
-                             ids=["workers", "model"])
+    @pytest.mark.parametrize("values", [{"workers": "2"}, {"model": {"hidden_dim": "x"}},
+                                        {"generator": {"image_side": 8.5}}],
+                             ids=["workers", "model", "float-for-int"])
     def test_wrong_typed_config_value_is_one_line_error(self, tmp_path, capsys, values):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**TINY, **values}))
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("uavfl: error: ") and err.count("\n") == 1
+        assert not os.path.exists(tmp_path / "out")
+
+    @pytest.mark.parametrize("values", [
+        {"n_uavs": 3, "cohort_size": 4, "subregion_count": 4},
+        {"xi": 1.5}, {"ssim_threshold": 1.5}, {"n_rounds_max": 0},
+        {"convergence_window": 0}, {"convergence_window": -2},
+    ], ids=["fleet", "xi", "ssim_threshold", "n_rounds_max", "window-0", "window-neg"])
+    def test_unusable_experiment_is_one_line_error(self, tmp_path, capsys, values):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({**TINY, **values}))
         code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])

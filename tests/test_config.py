@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from uavfl import harness
 from uavfl.config import ExperimentConfig, config_from_dict, load_config
 from uavfl.errors import ConfigError
 
@@ -78,10 +79,65 @@ class TestFromDict:
         ("workers", "2"),  # a top-level value of the wrong type
         ("model", {"hidden_dim": "x"}),
         ("model", {"batch_size": 0}),
+        ("model", {"hidden_dim": 2.5}),  # a float for an int field
+        ("model", {"batch_size": 2.5}),
+        ("generator", {"image_side": 8.5}),
+        ("cost", {"epochs_per_round": 1.5}),
+        ("ssim", {"max_pairs": 2.5}),
     ])
     def test_bad_section_value_fails_at_load(self, section, values):
         with pytest.raises(ConfigError, match=f"^{section}: "):
             config_from_dict({section: values})
+
+
+# the smallest valid custom fleet: 2 sub-regions of quota 1
+CUSTOM = {"scenario": "custom", "n_uavs": 2, "cohort_size": 2, "subregion_count": 2,
+          "per_subregion_quota": 1, "n_rounds_max": 3}
+
+
+class TestFleetAtLoad:
+    """The experiment's own values are checked when the config loads, before
+    any data is generated."""
+
+    @pytest.mark.parametrize("key,value", [
+        ("n_rounds_max", 0), ("per_subregion_quota", 0), ("subregion_count", 0),
+        ("convergence_window", 0), ("convergence_window", -2),
+        ("xi", -0.1), ("xi", 1.5),
+        ("ssim_threshold", 0.0), ("ssim_threshold", 1.0), ("ssim_threshold", 1.5),
+    ])
+    def test_out_of_range_value_fails_at_load(self, key, value):
+        with pytest.raises(ConfigError, match=f"^{key} must"):
+            config_from_dict({**CUSTOM, key: value})
+
+    def test_empty_scenario(self):
+        with pytest.raises(ConfigError, match="n_uavs 0 < cohort_size 2"):
+            config_from_dict({**CUSTOM, "n_uavs": 0})
+
+    def test_quota_unsatisfiable(self):
+        # 3 UAVs over 4 sub-regions leave sub-region 4 empty
+        with pytest.raises(ConfigError, match="fewer UAVs than its quota"):
+            config_from_dict({**CUSTOM, "n_uavs": 3, "cohort_size": 4, "subregion_count": 4})
+        with pytest.raises(ConfigError, match="fewer UAVs than its quota"):
+            config_from_dict({**CUSTOM, "n_uavs": 3, "cohort_size": 4, "per_subregion_quota": 2})
+
+    def test_cohort_quota_mismatch(self):
+        with pytest.raises(ConfigError, match="cohort_size must equal"):
+            config_from_dict({**CUSTOM, "n_uavs": 3, "cohort_size": 3})
+
+    def test_valid_scenario_passes(self):
+        for n_uavs in (2, 3, 7):
+            assert config_from_dict({**CUSTOM, "n_uavs": n_uavs}).n_uavs == n_uavs
+        edges = config_from_dict({**CUSTOM, "xi": 0.0, "ssim_threshold": 1e-9,
+                                  "convergence_window": 1})
+        assert edges.xi == 0.0 and config_from_dict({**CUSTOM, "xi": 1}).xi == 1
+
+    def test_calibrated_fleet_too_small_fails_before_data(self, monkeypatch):
+        def no_data(*args, **kwargs):
+            raise AssertionError("data generated for an invalid config")
+
+        monkeypatch.setattr(harness, "generate_uav_dataset", no_data)
+        with pytest.raises(ConfigError, match="n_uavs 5 < cohort_size 10"):
+            harness.run_experiment(load_config(CALIBRATED, n_uavs=5))
 
 
 class TestLoadAndHash:

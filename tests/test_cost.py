@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import make_task, make_uav
+from conftest import make_uav
 from uavfl.cost import (CostParams, RoundCost, charge_round, estimate_round_cost,
                         local_training_time, round_duration, training_energy,
                         transmit_energy, tx_time)
@@ -37,32 +37,26 @@ class TestTrainingTime:
 
 class TestTransmissionTime:
     def test_uplink_hand_evaluated(self):
-        task = make_task(param_count=1000)
-        assert rel_err(tx_time(CostParams(param_size_bits=32), task, 1e6), 0.032) <= REL
+        assert rel_err(tx_time(CostParams(param_size_bits=32), 1000, 1e6), 0.032) <= REL
 
     def test_downlink_hand_evaluated(self):
-        task = make_task(param_count=1000)
-        assert rel_err(tx_time(CostParams(param_size_bits=32), task, 2e6), 0.016) <= REL
+        assert rel_err(tx_time(CostParams(param_size_bits=32), 1000, 2e6), 0.016) <= REL
 
     def test_nothing_to_send(self):
-        task = make_task(param_count=0)
-        assert tx_time(CostParams(), task, 1e6) == 0.0
+        assert tx_time(CostParams(), 0, 1e6) == 0.0
 
     def test_rate_limit(self):
-        task = make_task(param_count=1000)
-        assert tx_time(CostParams(param_size_bits=32), task, 1e15) < 1e-7
+        assert tx_time(CostParams(param_size_bits=32), 1000, 1e15) < 1e-7
 
     def test_symmetry(self):
         # one parameter vector each way: equal rates give equal up/down times
-        task = make_task(param_count=1000)
-        c = estimate_round_cost(CostParams(param_size_bits=32), task, 10,
+        c = estimate_round_cost(CostParams(param_size_bits=32), 1000, 10,
                                 rate_up_bps=5e5, rate_down_bps=5e5)
         assert c.uplink_time_s == c.downlink_time_s
 
     def test_zero_rate(self):
-        task = make_task(param_count=1000)
         with pytest.raises(ZeroRate):
-            tx_time(CostParams(), task, 0.0)
+            tx_time(CostParams(), 1000, 0.0)
 
 
 class TestRoundDuration:
@@ -120,8 +114,7 @@ class TestRoundCost:
     def test_estimate_round_cost_composes(self):
         params = CostParams(cpu_hz=1e7, cycles_per_sample=7e4, chip_coeff=1e-22,
                             tx_power_w=0.28, epochs_per_round=5, param_size_bits=32)
-        task = make_task(param_count=1000)
-        c = estimate_round_cost(params, task, 100, rate_up_bps=1e6, rate_down_bps=1e6)
+        c = estimate_round_cost(params, 1000, 100, rate_up_bps=1e6, rate_down_bps=1e6)
         assert rel_err(c.train_time_s, 3.5) <= REL
         assert rel_err(c.uplink_time_s, 0.032) <= REL
         assert rel_err(c.train_energy_j, 1e-22 * 3.5 * 1e21) <= REL

@@ -6,7 +6,7 @@ import pytest
 
 from uavfl.config import config_from_dict
 from uavfl.datagen import GenSpec
-from uavfl.errors import UavFlError
+from uavfl.errors import ConfigError, UavFlError
 from uavfl.harness import (CSV_HEADER, RunSummary, _find_convergence, build_scenario,
                            compare_strategies, emit_csv, emit_metadata,
                            emit_summary_csv, run_experiment)
@@ -122,6 +122,16 @@ class TestRunExperiment:
     def test_threshold_override_changes_label(self):
         s = run_experiment(tiny_config(), ssim_threshold=0.1)
         assert s.label == "deeps_th0.1"
+
+    @pytest.mark.parametrize("overrides,message", [
+        ({"strategy": "greedy"}, "unknown strategy 'greedy'"),
+        ({"ssim_threshold": 1.5}, "ssim_threshold must lie in"),
+    ], ids=["strategy", "ssim_threshold"])
+    def test_bad_override_fails_like_a_loaded_config(self, overrides, message):
+        sc = build_scenario(tiny_config())
+        for scenario in (None, sc):
+            with pytest.raises(ConfigError, match=message):
+                run_experiment(tiny_config(), scenario=scenario, **overrides)
 
 
 class TestConvergence:

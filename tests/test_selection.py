@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_task, make_uav
+from conftest import make_uav
 from uavfl.cost import RoundCost
 from uavfl.errors import CohortInfeasible, InstanceTooLarge
 from uavfl.selection import (deeps_score, deeps_select, is_feasible, oracle_select,
@@ -23,20 +23,19 @@ def diversity_of(ssim: float) -> DiversityScore:
 class TestDeepsScore:
     def test_hand_evaluated(self):
         uav = make_uav(battery=5000.0, battery_max=10000.0)
-        task = make_task(xi=0.5)
-        score = deeps_score(uav, diversity_of(0.2), cost_of(0.35, 0.009), task)
+        score = deeps_score(uav, diversity_of(0.2), cost_of(0.35, 0.009), 0.5)
         expected = 0.5 * 0.8 + 0.5 * (5000.0 - 0.359) / 10000.0
         assert abs(score - expected) / expected <= REL
         assert score == pytest.approx(0.64998, abs=1e-5)
 
     def test_pure_diversity(self):
         uav = make_uav(battery=5000.0, battery_max=10000.0)
-        score = deeps_score(uav, diversity_of(0.2), cost_of(1.0, 1.0), make_task(xi=1.0))
+        score = deeps_score(uav, diversity_of(0.2), cost_of(1.0, 1.0), 1.0)
         assert score == pytest.approx(0.8, rel=1e-15)
 
     def test_pure_energy(self):
         uav = make_uav(battery=5000.0, battery_max=10000.0)
-        score = deeps_score(uav, diversity_of(0.2), cost_of(), make_task(xi=0.0))
+        score = deeps_score(uav, diversity_of(0.2), cost_of(), 0.0)
         assert score == pytest.approx(0.5, rel=1e-15)
 
 
@@ -52,46 +51,41 @@ class TestFeasibility:
 
 class TestDeepsSelect:
     def test_argmax_per_subregion(self):
-        task = make_task(cohort_size=1, per_subregion_quota=1, xi=1.0)
         uavs = [make_uav(uid=1), make_uav(uid=2)]
         diversity = {1: diversity_of(0.3), 2: diversity_of(0.4)}  # scores 0.7 / 0.6
-        sel = deeps_select(uavs, task, 1, diversity, {1: cost_of(), 2: cost_of()})
+        sel = deeps_select(uavs, 1, 1.0, diversity, {1: cost_of(), 2: cost_of()})
         assert sel.ids == (1,)
         assert sel.chosen[0][2] == pytest.approx(0.7, rel=1e-15)
 
     def test_tie_breaks_to_lower_id(self):
-        task = make_task(cohort_size=1, per_subregion_quota=1, xi=1.0)
         uavs = [make_uav(uid=7), make_uav(uid=3)]
         diversity = {3: diversity_of(0.5), 7: diversity_of(0.5)}
-        sel = deeps_select(uavs, task, 1, diversity, {3: cost_of(), 7: cost_of()})
+        sel = deeps_select(uavs, 1, 1.0, diversity, {3: cost_of(), 7: cost_of()})
         assert sel.ids == (3,)
 
     def test_infeasible_candidates_are_skipped(self):
-        task = make_task(cohort_size=1, per_subregion_quota=1, xi=1.0)
         rich = make_uav(uid=1, battery=100.0)
         poor = make_uav(uid=2, battery=0.5)
         diversity = {1: diversity_of(0.9), 2: diversity_of(0.0)}  # poor scores higher
         costs = {1: cost_of(1.0), 2: cost_of(1.0)}
-        sel = deeps_select([rich, poor], task, 1, diversity, costs)
+        sel = deeps_select([rich, poor], 1, 1.0, diversity, costs)
         assert sel.ids == (1,)
 
     def test_degraded_subregion_reported(self):
-        task = make_task(cohort_size=2, per_subregion_quota=1, xi=1.0)
         ok = make_uav(uid=1, subregion=1, battery=100.0)
         dead = make_uav(uid=2, subregion=2, battery=0.0)
         diversity = {1: diversity_of(0.1), 2: diversity_of(0.1)}
         costs = {1: cost_of(1.0), 2: cost_of(1.0)}
-        sel = deeps_select([ok, dead], task, 1, diversity, costs)
+        sel = deeps_select([ok, dead], 1, 1.0, diversity, costs)
         assert sel.ids == (1,)
         assert sel.degraded_subregions == (2,)
 
     def test_dead_uavs_ignored(self):
-        task = make_task(cohort_size=1, per_subregion_quota=1, xi=1.0)
         downed = make_uav(uid=1)
         downed.alive = False
         alive = make_uav(uid=2)
         diversity = {1: diversity_of(0.0), 2: diversity_of(0.9)}
-        sel = deeps_select([downed, alive], task, 1, diversity,
+        sel = deeps_select([downed, alive], 1, 1.0, diversity,
                            {1: cost_of(), 2: cost_of()})
         assert sel.ids == (2,)
 
@@ -102,56 +96,49 @@ class TestRandomSelect:
                 for i in range(1, n + 1)]
 
     def test_forced_full_cohort(self):
-        task = make_task(cohort_size=4, per_subregion_quota=1)
         uavs = self._fleet(n=4, subregions=4)
-        sel = random_select(uavs, task, 1, np.random.SeedSequence([0, 4, 1]))
+        sel = random_select(uavs, 4, np.random.SeedSequence([0, 4, 1]))
         assert sel.ids == (1, 2, 3, 4)
 
     def test_same_seed_same_cohort(self):
-        task = make_task(cohort_size=10, per_subregion_quota=1)
         uavs = self._fleet()
-        s1 = random_select(uavs, task, 1, np.random.SeedSequence([9, 4, 1]))
-        s2 = random_select(uavs, task, 1, np.random.SeedSequence([9, 4, 1]))
+        s1 = random_select(uavs, 10, np.random.SeedSequence([9, 4, 1]))
+        s2 = random_select(uavs, 10, np.random.SeedSequence([9, 4, 1]))
         assert s1.ids == s2.ids
 
     def test_golden_cohort(self):
         # frozen output of the seeded sampler; guards the selection stream
         # against accidental reordering or generator changes
-        task = make_task(cohort_size=10, per_subregion_quota=1)
         uavs = self._fleet()
-        sel = random_select(uavs, task, 1, np.random.SeedSequence([123, 4, 1]))
+        sel = random_select(uavs, 10, np.random.SeedSequence([123, 4, 1]))
         assert sel.ids == (2, 3, 6, 7, 10, 15, 25, 30, 31, 37)
 
     def test_too_few_alive(self):
-        task = make_task(cohort_size=10, per_subregion_quota=1)
         uavs = self._fleet(n=9, subregions=9)
         with pytest.raises(CohortInfeasible):
-            random_select(uavs, task, 1, np.random.SeedSequence(0))
+            random_select(uavs, 10, np.random.SeedSequence(0))
 
 
 class TestOracleSelect:
     def test_instance_guard(self):
-        task = make_task(cohort_size=1, per_subregion_quota=1)
         uavs = [make_uav(uid=i) for i in range(1, 22)]
         with pytest.raises(InstanceTooLarge):
-            oracle_select(uavs, task, 1, {}, {})
+            oracle_select(uavs, 1, 1, 0.5, {}, {})
 
     def test_single_feasible_cohort(self):
-        task = make_task(cohort_size=2, per_subregion_quota=1)
         uavs = [make_uav(uid=1, subregion=1), make_uav(uid=2, subregion=2)]
         diversity = {1: diversity_of(0.5), 2: diversity_of(0.5)}
         costs = {1: cost_of(), 2: cost_of()}
-        sel = oracle_select(uavs, task, 1, diversity, costs)
+        sel = oracle_select(uavs, 2, 1, 0.5, diversity, costs)
         assert sel.ids == (1, 2)
 
     def test_no_feasible_cohort(self):
-        task = make_task(cohort_size=2, per_subregion_quota=1)
         uavs = [make_uav(uid=1, subregion=1, battery=0.0),
                 make_uav(uid=2, subregion=2)]
         diversity = {1: diversity_of(0.5), 2: diversity_of(0.5)}
         costs = {1: cost_of(1.0), 2: cost_of()}
         with pytest.raises(CohortInfeasible):
-            oracle_select(uavs, task, 1, diversity, costs)
+            oracle_select(uavs, 2, 1, 0.5, diversity, costs)
 
     def test_matches_greedy_on_random_instances(self, rng):
         # the per-sub-region quota makes the objective separable, so the
@@ -159,7 +146,6 @@ class TestOracleSelect:
         for case in range(50):
             n_sub = int(rng.integers(2, 6))
             n = int(rng.integers(n_sub * 2, 21))
-            task = make_task(cohort_size=n_sub, per_subregion_quota=1, xi=0.5)
             uavs, diversity, costs = [], {}, {}
             for uid in range(1, n + 1):
                 sr = (uid - 1) % n_sub + 1
@@ -170,7 +156,7 @@ class TestOracleSelect:
                 diversity[uid] = diversity_of(float(rng.uniform(0.0, 1.0)))
                 costs[uid] = cost_of(float(rng.uniform(0.0, 2.0)),
                                      float(rng.uniform(0.0, 0.1)))
-            greedy = deeps_select(uavs, task, 1, diversity, costs)
-            exact = oracle_select(uavs, task, 1, diversity, costs)
+            greedy = deeps_select(uavs, 1, 0.5, diversity, costs)
+            exact = oracle_select(uavs, n_sub, 1, 0.5, diversity, costs)
             assert sorted(greedy.ids) == sorted(exact.ids), \
                 f"case {case}: {greedy.ids} != {exact.ids}"

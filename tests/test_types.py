@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import const_image, make_samples, make_task, make_uav, no_samples
-from uavfl.errors import EmptySubregion, InvariantViolation
-from uavfl.types import Dataset, Position3D, RoundRecord, Samples, validate_scenario
+from conftest import const_image, make_samples, make_uav, no_samples
+from uavfl.errors import InvariantViolation
+from uavfl.types import Dataset, Position3D, RoundRecord, Samples
 
 
 class TestSamples:
@@ -109,31 +109,3 @@ class TestRoundRecord:
                         global_loss=0.0, round_duration_s=0.0,
                         cohort_energy_j=-1.0, dropouts=0, alive_uavs=1)
 
-
-class TestValidateScenario:
-    def test_empty_scenario(self):
-        with pytest.raises(EmptySubregion):
-            validate_scenario([], make_task(), 1)
-
-    def test_quota_unsatisfiable(self):
-        task = make_task(cohort_size=2, per_subregion_quota=1)
-        uavs = [make_uav(uid=1, subregion=1), make_uav(uid=2, subregion=1)]
-        with pytest.raises(EmptySubregion):
-            validate_scenario(uavs, task, 2)
-
-    def test_duplicate_ids(self):
-        uavs = [make_uav(uid=1), make_uav(uid=1)]
-        with pytest.raises(InvariantViolation):
-            validate_scenario(uavs, make_task(), 1)
-
-    def test_cohort_quota_mismatch(self):
-        task = make_task(cohort_size=3, per_subregion_quota=1)
-        uavs = [make_uav(uid=1, subregion=1), make_uav(uid=2, subregion=2)]
-        with pytest.raises(InvariantViolation):
-            validate_scenario(uavs, task, 2)
-
-    def test_valid_scenario_passes(self):
-        task = make_task(cohort_size=2, per_subregion_quota=1)
-        uavs = [make_uav(uid=1, subregion=1), make_uav(uid=2, subregion=2),
-                make_uav(uid=3, subregion=1)]
-        validate_scenario(uavs, task, 2)
