@@ -11,7 +11,7 @@ from .datagen import (MANIFEST_HEADER, generate_uav_dataset, load_manifest,
                       write_pgm)
 from .errors import UavFlError
 from .harness import (compare_strategies, emit_csv, emit_metadata, emit_summary_csv,
-                      run_experiment)
+                      make_out_dir, run_experiment, write_text)
 from .similarity import deduplicate
 
 # CLI flag (argparse dest) -> the top-level config key it overrides
@@ -31,9 +31,9 @@ def _load(args) -> ExperimentConfig:
 
 def cmd_run(args) -> int:
     config = _load(args)
-    summary = run_experiment(config)
     out = config.output_dir
-    os.makedirs(out, exist_ok=True)
+    make_out_dir(out)
+    summary = run_experiment(config)
     emit_csv(summary.records, os.path.join(out, f"rounds_{summary.label}.csv"))
     emit_summary_csv([summary], os.path.join(out, "summary.csv"))
     emit_metadata(config, os.path.join(out, "metadata.json"))
@@ -55,22 +55,20 @@ def cmd_gen_data(args) -> int:
     """Materialize the configured synthetic datasets as PGM files + manifest."""
     config = _load(args)
     out = config.output_dir
-    os.makedirs(out, exist_ok=True)
+    make_out_dir(out)
     rows = [",".join(MANIFEST_HEADER)]
     for uid in range(1, config.n_uavs + 1):
         subregion = (uid - 1) % config.subregion_count + 1
         data = generate_uav_dataset(config.generator, subregion, uid, config.master_seed,
                                     shard_count=config.n_rounds_max)
-        img_dir = os.path.join(out, f"uav{uid:03d}")
-        os.makedirs(img_dir, exist_ok=True)
+        make_out_dir(os.path.join(out, f"uav{uid:03d}"))
         train = data.train.samples
         for i, (image, label) in enumerate(zip(train.images, train.labels)):
             rel = os.path.join(f"uav{uid:03d}", f"{i:05d}.pgm")
             write_pgm(os.path.join(out, rel), image)
             rows.append(f"{rel},{label},{subregion},{uid}")
     manifest = os.path.join(out, "manifest.csv")
-    with open(manifest, "w", newline="\n", encoding="utf-8") as fh:
-        fh.write("\n".join(rows) + "\n")
+    write_text(manifest, "\n".join(rows) + "\n")
     print(f"wrote {len(rows) - 1} images and {manifest}")
     return 0
 

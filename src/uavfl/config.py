@@ -1,10 +1,11 @@
 """Experiment configuration: presets, JSON loading, strict key checking.
 
-The `channel`, `cost`, `generator` and `ssim` sections are the domain types
-of the modules that consume them, so each section is validated once, when
-the config is built, and a bad value fails as a ConfigError naming it. The
-top-level fields are checked the same way, against each other too: a fleet
-that cannot fill its per-sub-region quota fails here, before any data exists.
+The `channel`, `cost`, `generator`, `model` and `ssim` sections are the
+domain types of the modules that consume them, and `geometry` and `battery`
+are defined here; each section is validated once, when the config is built,
+and a bad value fails as a ConfigError naming it. The top-level fields are
+checked the same way, against each other too: a fleet that cannot fill its
+per-sub-region quota fails here, before any data exists.
 """
 
 from __future__ import annotations
@@ -21,19 +22,12 @@ from .errors import ConfigError, InvariantViolation
 from .learning import ModelSpec
 from .similarity import SsimParams
 
-SCENARIO_PRESETS = {
-    # (n_uavs, cohort_size, subregion_count, per_subregion_quota, n_rounds_max)
+_FLEET_FIELDS = ("n_uavs", "cohort_size", "subregion_count", "per_subregion_quota",
+                 "n_rounds_max")
+SCENARIO_PRESETS = {  # values of _FLEET_FIELDS
     "scenario1": (40, 10, 10, 1, 200),
     "scenario2": (100, 20, 10, 2, 200),
 }
-
-
-@dataclass
-class ModelConfig:
-    hidden_dim: int = 64
-    learning_rate: float = 1e-2
-    batch_size: int = 32
-    adam_eps: float = 1e-8
 
 
 @dataclass
@@ -42,11 +36,22 @@ class GeometryConfig:
     uav_altitude_m: float = 100.0
     bs_altitude_m: float = 30.0
 
+    def __post_init__(self):
+        if not self.region_m > 0:
+            raise InvariantViolation(f"region_m must be > 0, got {self.region_m}")
+        if self.uav_altitude_m < 0 or self.bs_altitude_m < 0:
+            raise InvariantViolation("altitudes must be >= 0")
+
 
 @dataclass
 class BatteryConfig:
-    min_j: float = 1e3
+    min_j: float = 1e3             # each UAV's initial charge is uniform on [min_j, max_j]
     max_j: float = 1e4
+
+    def __post_init__(self):
+        if not 0 <= self.min_j <= self.max_j or not self.max_j > 0:
+            raise InvariantViolation(
+                f"need 0 <= min_j <= max_j and max_j > 0, got [{self.min_j}, {self.max_j}]")
 
 
 # field annotation -> the JSON value types it accepts (bool only for bool)
@@ -55,23 +60,27 @@ _SCALAR_TYPES = {"int": int, "float": (int, float), "str": str, "bool": bool}
 
 def _check_types(cls, values: dict, where: str = "") -> None:
     """Raise a ConfigError for a value that is not of its `cls` field's
-    annotated scalar type; an int passes for a float, a bool only for a bool."""
+    annotated scalar type; an int passes for a float, a bool only for a bool.
+    An optional field is checked as its type: its None is filled in first."""
     for f in dataclasses.fields(cls):
-        kinds = _SCALAR_TYPES.get(f.type)
+        kind = f.type.removesuffix(" | None")
+        kinds = _SCALAR_TYPES.get(kind)
         if kinds and f.name in values:
             value = values[f.name]
-            if not isinstance(value, kinds) or isinstance(value, bool) != (f.type == "bool"):
-                raise ConfigError(f"{where}{f.name}: expected {f.type}, got {type(value).__name__}")
+            if not isinstance(value, kinds) or isinstance(value, bool) != (kind == "bool"):
+                raise ConfigError(f"{where}{f.name}: expected {kind}, got {type(value).__name__}")
 
 
 @dataclass
 class ExperimentConfig:
     scenario: str = "scenario1"    # scenario1 | scenario2 | custom
-    n_uavs: int = 40
-    cohort_size: int = 10
-    subregion_count: int = 10
-    per_subregion_quota: int = 1
-    n_rounds_max: int = 200
+    # the fleet fields of SCENARIO_PRESETS: None takes the preset's value
+    # (scenario1's under custom), and a preset rejects any other value
+    n_uavs: int | None = None
+    cohort_size: int | None = None
+    subregion_count: int | None = None
+    per_subregion_quota: int | None = None
+    n_rounds_max: int | None = None
     strategy: str = "deeps"        # deeps | random
     ssim_threshold: float = 0.5
     xi: float = 0.5
@@ -83,23 +92,26 @@ class ExperimentConfig:
     workers: int = 1
     channel: ChannelParams = field(default_factory=ChannelParams)
     cost: CostParams = field(default_factory=CostParams)
-    model: ModelConfig = field(default_factory=ModelConfig)
+    model: ModelSpec = field(default_factory=ModelSpec)
     generator: GenSpec = field(default_factory=GenSpec)
     ssim: SsimParams = field(default_factory=SsimParams)
     geometry: GeometryConfig = field(default_factory=GeometryConfig)
     battery: BatteryConfig = field(default_factory=BatteryConfig)
 
     def __post_init__(self):
-        _check_types(type(self), vars(self))
         if self.scenario not in ("scenario1", "scenario2", "custom"):
             raise ConfigError(f"unknown scenario {self.scenario!r}")
+        preset = SCENARIO_PRESETS.get(self.scenario, SCENARIO_PRESETS["scenario1"])
+        for name, value in zip(_FLEET_FIELDS, preset):
+            explicit = getattr(self, name)
+            if explicit is None:
+                setattr(self, name, value)
+            elif self.scenario != "custom" and explicit != value:
+                raise ConfigError(f"{name} {explicit} conflicts with {self.scenario}'s "
+                                  f"{value}; set scenario to custom to change it")
+        _check_types(type(self), vars(self))
         if self.strategy not in ("deeps", "random"):
             raise ConfigError(f"unknown strategy {self.strategy!r}")
-        if self.scenario in SCENARIO_PRESETS:
-            n, nr, m, q, rmax = SCENARIO_PRESETS[self.scenario]
-            self.n_uavs, self.cohort_size = n, nr
-            self.subregion_count, self.per_subregion_quota = m, q
-            self.n_rounds_max = rmax
         for name in ("n_rounds_max", "per_subregion_quota", "subregion_count",
                      "convergence_window", "workers"):
             if getattr(self, name) < 1:
@@ -115,18 +127,8 @@ class ExperimentConfig:
             raise ConfigError(f"xi must lie in [0, 1], got {self.xi}")
         if not 0.0 < self.ssim_threshold < 1.0:
             raise ConfigError(f"ssim_threshold must lie in (0, 1), got {self.ssim_threshold}")
-        try:
-            self.model_spec()
-        except (InvariantViolation, TypeError, ValueError) as exc:
-            raise ConfigError(f"model: {exc}") from exc
-
-    def model_spec(self) -> ModelSpec:
-        """The model a run trains: the `model` section on flattened
-        generator.image_side x image_side inputs."""
-        m = self.model
-        return ModelSpec(input_dim=self.generator.image_side ** 2, hidden_dim=m.hidden_dim,
-                         learning_rate=m.learning_rate, batch_size=m.batch_size,
-                         adam_eps=m.adam_eps)
+        if not self.convergence_tol > 0.0:
+            raise ConfigError(f"convergence_tol must be > 0, got {self.convergence_tol}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -140,7 +142,7 @@ class ExperimentConfig:
 _NESTED = {
     "channel": ChannelParams,
     "cost": CostParams,
-    "model": ModelConfig,
+    "model": ModelSpec,
     "generator": GenSpec,
     "ssim": SsimParams,
     "geometry": GeometryConfig,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (BadHeader, BadPgmMagic, DimensionMismatch, InvariantViolation,
-                     LabelOutOfRange, MissingFile)
+                     LabelOutOfRange, MissingFile, UavFlError)
 from .types import Dataset, Samples
 
 
@@ -232,9 +232,12 @@ def read_pgm(path: str) -> np.ndarray:
 def write_pgm(path: str, image: np.ndarray) -> None:
     if image.ndim != 2 or image.dtype != np.uint8:
         raise InvariantViolation("write_pgm takes a 2-D uint8 array")
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{image.shape[1]} {image.shape[0]}\n255\n".encode())
-        fh.write(image.tobytes())
+    try:
+        with open(path, "wb") as fh:
+            fh.write(f"P5\n{image.shape[1]} {image.shape[0]}\n255\n".encode())
+            fh.write(image.tobytes())
+    except OSError as exc:
+        raise UavFlError(f"cannot write {path}: {exc}") from exc
 
 
 MANIFEST_HEADER = ["path", "label", "subregion", "uav"]

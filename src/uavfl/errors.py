@@ -41,10 +41,6 @@ class CohortInfeasible(UavFlError):
     pass
 
 
-class InstanceTooLarge(UavFlError):
-    pass
-
-
 class EmptyShard(UavFlError):
     pass
 

@@ -24,8 +24,7 @@ from .config import ExperimentConfig
 from .cost import RoundCost, charge_round, estimate_round_cost, round_duration
 from .datagen import generate_uav_dataset
 from .errors import CohortInfeasible, UavFlError
-from .learning import (ModelSpec, aggregate, evaluate_matrix, local_train,
-                       model_init, samples_to_matrix)
+from .learning import aggregate, evaluate_matrix, local_train, model_init, samples_to_matrix
 from .selection import deeps_select, is_feasible, random_select
 from .similarity import DiversityScore, SsimParams, dataset_diversity, deduplicate
 from .types import Position3D, RoundRecord, Samples, UavState
@@ -46,7 +45,6 @@ class Scenario:
     uavs: list[UavState]
     rate_up: dict[int, float]
     rate_down: dict[int, float]
-    model_spec: ModelSpec
     test_x: np.ndarray
     test_y: np.ndarray
 
@@ -83,7 +81,6 @@ class RunSummary:
 def build_scenario(config: ExperimentConfig) -> Scenario:
     """Generate datasets, place UAVs, derive link rates and the test pool."""
     seed = config.master_seed
-    model_spec = config.model_spec()
     channel = config.channel
 
     geo = config.geometry
@@ -116,9 +113,9 @@ def build_scenario(config: ExperimentConfig) -> Scenario:
     test_pool = Samples(np.concatenate([t.images for t in tests]),
                         np.concatenate([t.labels for t in tests]),
                         np.concatenate([t.source_ids for t in tests]))
-    test_x, test_y = samples_to_matrix(test_pool, model_spec)
+    test_x, test_y = samples_to_matrix(test_pool)
     return Scenario(uavs=uavs, rate_up=rate_up, rate_down=rate_down,
-                    model_spec=model_spec, test_x=test_x, test_y=test_y)
+                    test_x=test_x, test_y=test_y)
 
 
 def _shard_diversity(uav: UavState, round_k: int, params: SsimParams,
@@ -156,15 +153,17 @@ def run_experiment(config: ExperimentConfig, scenario: Scenario | None = None,
     uavs = scenario.uavs
     by_id = {u.id: u for u in uavs}
     seed = config.master_seed
+    # the model reads each image flattened; local_train and evaluate_matrix
+    # reject images that do not fit these parameters
+    params = model_init(config.model, config.generator.image_side ** 2,
+                        np.random.SeedSequence([seed, _TAG_MODEL_INIT]))
+    param_count = len(params)
 
     def round_cost(u: UavState, k: int) -> RoundCost:
-        return estimate_round_cost(config.cost, scenario.model_spec.param_count,
-                                   u.dataset.shard_size(k),
+        return estimate_round_cost(config.cost, param_count, u.dataset.shard_size(k),
                                    scenario.rate_up[u.id], scenario.rate_down[u.id])
 
     initial_battery = sum(u.battery_j for u in uavs)
-    params = model_init(scenario.model_spec,
-                        np.random.SeedSequence([seed, _TAG_MODEL_INIT]))
 
     records: list[RoundRecord] = []
     accuracies: list[float] = []
@@ -214,7 +213,7 @@ def run_experiment(config: ExperimentConfig, scenario: Scenario | None = None,
         def _train(job):
             uid, shard = job
             train_seed = np.random.SeedSequence([seed, _TAG_TRAINING, k, uid])
-            return uid, local_train(params, shard, scenario.model_spec,
+            return uid, local_train(params, shard, config.model,
                                     config.cost.epochs_per_round, train_seed), len(shard)
 
         if config.workers > 1 and len(jobs) > 1:
@@ -234,8 +233,7 @@ def run_experiment(config: ExperimentConfig, scenario: Scenario | None = None,
         else:
             duration = 0.0
 
-        acc, loss = evaluate_matrix(params, scenario.test_x, scenario.test_y,
-                                    scenario.model_spec)
+        acc, loss = evaluate_matrix(params, scenario.test_x, scenario.test_y, config.model)
         accuracies.append(acc)
 
         # next-round feasibility defines aliveness (positions are static, so
@@ -290,7 +288,16 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-def _write(path: str, text: str) -> None:
+def make_out_dir(path: str) -> None:
+    """Create an output directory (and its parents) if it is missing; an
+    OSError becomes a UavFlError."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise UavFlError(f"cannot create output directory {path}: {exc.strerror or exc}") from exc
+
+
+def write_text(path: str, text: str) -> None:
     """Write an artifact with LF line endings; an OSError becomes a UavFlError."""
     try:
         with open(path, "w", newline="\n", encoding="utf-8") as fh:
@@ -311,7 +318,7 @@ def emit_csv(records: list[RoundRecord], path: str) -> None:
             str(r.alive_uavs), str(r.dropouts),
             ";".join(str(i) for i in r.selected_ids),
         ]))
-    _write(path, "\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 SUMMARY_HEADER = "strategy,ssim_th,avg_round_time_s,rounds_to_convergence,time_to_convergence_min,final_accuracy,converged"
@@ -327,7 +334,7 @@ def emit_summary_csv(summaries: list[RunSummary], path: str) -> None:
             _fmt(s.time_to_convergence_min), _fmt(s.final_accuracy),
             str(s.converged).lower(),
         ]))
-    _write(path, "\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def emit_metadata(config: ExperimentConfig, path: str) -> None:
@@ -337,7 +344,7 @@ def emit_metadata(config: ExperimentConfig, path: str) -> None:
         "package_version": __version__,
         "config": config.to_dict(),
     }
-    _write(path, json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    write_text(path, json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
 def compare_strategies(config: ExperimentConfig,
@@ -346,13 +353,14 @@ def compare_strategies(config: ExperimentConfig,
     """Run every strategy on identical datasets/seeds; emit CSVs and a table."""
     if len(strategies) < 2:
         raise UavFlError("compare needs at least 2 strategies")
+    if out_dir is not None:
+        make_out_dir(out_dir)
     scenario = build_scenario(config)
     summaries = []
     for name, th in strategies:
         summaries.append(run_experiment(config, scenario=scenario,
                                         strategy=name, ssim_threshold=th))
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
         for s in summaries:
             emit_csv(s.records, os.path.join(out_dir, f"rounds_{s.label}.csv"))
         emit_summary_csv(summaries, os.path.join(out_dir, "summary.csv"))

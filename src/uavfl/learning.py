@@ -13,36 +13,38 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DimensionMismatch, EmptyShard, EmptyTestSet, EmptyUpdateSet,
-                     InvariantViolation, LengthMismatch, NonFiniteGradient)
+from .errors import (EmptyShard, EmptyTestSet, EmptyUpdateSet, InvariantViolation,
+                     LengthMismatch, NonFiniteGradient)
 from .types import Samples
 
 _CLAMP = 1e-12  # keeps log() away from 0 and 1
+ADAM_BETA1 = 0.9    # Adam's moment decay rates
+ADAM_BETA2 = 0.999
 
 
 @dataclass(frozen=True)
 class ModelSpec:
-    input_dim: int
+    """The `model` config section. The input width is not part of it: it is
+    the data's (an image's pixel count), so a parameter vector's length is
+    fixed by this spec and the images it reads together."""
+
     hidden_dim: int = 64
     learning_rate: float = 1e-2
     batch_size: int = 32
-    beta1: float = 0.9
-    beta2: float = 0.999
     adam_eps: float = 1e-8
 
     def __post_init__(self):
-        if self.input_dim < 1 or self.hidden_dim < 1 or self.batch_size < 1:
-            raise InvariantViolation("dims and batch size must be positive")
+        if self.hidden_dim < 1 or self.batch_size < 1:
+            raise InvariantViolation("hidden_dim and batch_size must be positive")
         if self.learning_rate < 0:
             raise InvariantViolation("learning_rate must be >= 0")
 
-    @property
-    def param_count(self) -> int:
-        return self.input_dim * self.hidden_dim + 2 * self.hidden_dim + 1
+    def param_count(self, input_dim: int) -> int:
+        return input_dim * self.hidden_dim + 2 * self.hidden_dim + 1
 
 
-def _unpack(params: np.ndarray, spec: ModelSpec):
-    d, h = spec.input_dim, spec.hidden_dim
+def _unpack(params: np.ndarray, input_dim: int, spec: ModelSpec):
+    d, h = input_dim, spec.hidden_dim
     i = 0
     w1 = params[i:i + d * h].reshape(h, d); i += d * h
     b1 = params[i:i + h]; i += h
@@ -51,20 +53,22 @@ def _unpack(params: np.ndarray, spec: ModelSpec):
     return w1, b1, w2, b2
 
 
-def check_params(params: np.ndarray, spec: ModelSpec) -> np.ndarray:
+def check_params(params: np.ndarray, input_dim: int, spec: ModelSpec) -> np.ndarray:
+    """params as float64, checked to be a finite vector laid out for `input_dim` inputs."""
     params = np.asarray(params, dtype=np.float64)
-    if params.shape != (spec.param_count,):
-        raise LengthMismatch(f"expected {spec.param_count} parameters, got {params.shape}")
+    if params.shape != (spec.param_count(input_dim),):
+        raise LengthMismatch(f"{input_dim} inputs take {spec.param_count(input_dim)} "
+                             f"parameters, got {params.shape}")
     if not np.all(np.isfinite(params)):
         raise InvariantViolation("parameter vector contains NaN/Inf")
     return params
 
 
-def model_init(spec: ModelSpec, rng_seed) -> np.ndarray:
+def model_init(spec: ModelSpec, input_dim: int, rng_seed) -> np.ndarray:
     """Scaled-uniform (Glorot) weights with bound sqrt(6/(fan_in+fan_out)), zero biases."""
     rng = np.random.default_rng(rng_seed)
-    d, h = spec.input_dim, spec.hidden_dim
-    params = np.zeros(spec.param_count)
+    d, h = input_dim, spec.hidden_dim
+    params = np.zeros(spec.param_count(d))
     bound1 = np.sqrt(6.0 / (d + h))
     bound2 = np.sqrt(6.0 / (h + 1))
     params[:d * h] = rng.uniform(-bound1, bound1, size=d * h)
@@ -72,29 +76,20 @@ def model_init(spec: ModelSpec, rng_seed) -> np.ndarray:
     return params
 
 
-def samples_to_matrix(samples: Samples, spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
-    """(n, side*side) float64 inputs scaled to [0, 1] and float64 labels."""
-    side = int(round(np.sqrt(spec.input_dim)))
-    if side * side != spec.input_dim:
-        raise InvariantViolation("input_dim must be a perfect square (side*side)")
-    if samples.images.shape[1:] != (side, side):
-        raise DimensionMismatch(f"images are {samples.images.shape[1:]}, the model takes {side}x{side}")
-    X = samples.images.reshape(len(samples), spec.input_dim).astype(np.float64) / 255.0
+def samples_to_matrix(samples: Samples) -> tuple[np.ndarray, np.ndarray]:
+    """(n, height*width) float64 inputs scaled to [0, 1] and float64 labels."""
+    n, height, width = samples.images.shape
+    X = samples.images.reshape(n, height * width).astype(np.float64) / 255.0
     return X, samples.labels.astype(np.float64)
 
 
 def _forward(params: np.ndarray, X: np.ndarray, spec: ModelSpec):
-    w1, b1, w2, b2 = _unpack(params, spec)
+    w1, b1, w2, b2 = _unpack(params, X.shape[1], spec)
     z1 = X @ w1.T + b1
     a1 = np.maximum(z1, 0.0)
     z2 = a1 @ w2 + b2
     p = 1.0 / (1.0 + np.exp(-z2))
     return p, (z1, a1)
-
-
-def predict_proba(params: np.ndarray, X: np.ndarray, spec: ModelSpec) -> np.ndarray:
-    p, _ = _forward(params, X, spec)
-    return p
 
 
 def _bce(p: np.ndarray, y: np.ndarray) -> float:
@@ -105,7 +100,7 @@ def _bce(p: np.ndarray, y: np.ndarray) -> float:
 def loss_and_grad(params: np.ndarray, X: np.ndarray, y: np.ndarray,
                   spec: ModelSpec) -> tuple[float, np.ndarray]:
     """Mean BCE over the batch and its gradient w.r.t. the flat parameter vector."""
-    w1, b1, w2, b2 = _unpack(params, spec)
+    w1, b1, w2, b2 = _unpack(params, X.shape[1], spec)
     p, (z1, a1) = _forward(params, X, spec)
     loss = _bce(p, y)
 
@@ -124,24 +119,6 @@ def loss_and_grad(params: np.ndarray, X: np.ndarray, y: np.ndarray,
     return loss, grad
 
 
-def sample_loss(params: np.ndarray, image: np.ndarray, label: int, spec: ModelSpec) -> float:
-    """Binary cross-entropy of the model output on one labeled image."""
-    params = check_params(params, spec)
-    X, y = samples_to_matrix(Samples(image[None], [label]), spec)
-    p = predict_proba(params, X, spec)
-    return _bce(p, y)
-
-
-def local_loss(params: np.ndarray, shard: Samples, spec: ModelSpec) -> float:
-    """Mean sample loss over a shard."""
-    if not shard:
-        raise EmptyShard("local_loss on empty shard")
-    params = check_params(params, spec)
-    X, y = samples_to_matrix(shard, spec)
-    p = predict_proba(params, X, spec)
-    return _bce(p, y)
-
-
 def local_train(params_in: np.ndarray, shard: Samples, spec: ModelSpec,
                 epochs: int, rng_seed) -> np.ndarray:
     """Mini-batch Adam on the shard for `epochs` epochs; input params untouched.
@@ -152,8 +129,8 @@ def local_train(params_in: np.ndarray, shard: Samples, spec: ModelSpec,
     """
     if not shard:
         raise EmptyShard("local_train on empty shard")
-    params = check_params(params_in, spec).copy()
-    X, y = samples_to_matrix(shard, spec)
+    X, y = samples_to_matrix(shard)
+    params = check_params(params_in, X.shape[1], spec).copy()
     rng = np.random.default_rng(rng_seed)
 
     m = np.zeros_like(params)
@@ -166,10 +143,10 @@ def local_train(params_in: np.ndarray, shard: Samples, spec: ModelSpec,
             sel = order[start:start + spec.batch_size]
             _, grad = loss_and_grad(params, X[sel], y[sel], spec)
             t += 1
-            m = spec.beta1 * m + (1.0 - spec.beta1) * grad
-            v = spec.beta2 * v + (1.0 - spec.beta2) * grad * grad
-            mhat = m / (1.0 - spec.beta1 ** t)
-            vhat = v / (1.0 - spec.beta2 ** t)
+            m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
+            v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
+            mhat = m / (1.0 - ADAM_BETA1 ** t)
+            vhat = v / (1.0 - ADAM_BETA2 ** t)
             params -= spec.learning_rate * mhat / (np.sqrt(vhat) + spec.adam_eps)
     return params
 
@@ -206,6 +183,6 @@ def evaluate_matrix(params: np.ndarray, X: np.ndarray, y: np.ndarray,
     """(accuracy, mean loss) on a test matrix; threshold at 0.5."""
     if X.shape[0] == 0:
         raise EmptyTestSet("evaluate on empty test set")
-    p = predict_proba(params, X, spec)
+    p, _ = _forward(check_params(params, X.shape[1], spec), X, spec)
     acc = float(np.mean((p >= 0.5) == (y == 1.0)))
     return acc, _bce(p, y)

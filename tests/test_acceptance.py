@@ -14,6 +14,7 @@ import time
 import numpy as np
 import pytest
 
+from oracles import oracle_select
 from uavfl.channel import (ChannelParams, LinkGeometry, capacity, channel_gain,
                            link_geometry, path_loss_exponent)
 from uavfl.config import config_from_dict, load_config
@@ -21,7 +22,7 @@ from uavfl.cost import (CostParams, RoundCost, local_training_time, training_ene
                         transmit_energy, tx_time)
 from uavfl.harness import build_scenario, compare_strategies, run_experiment
 from uavfl.learning import ModelSpec, aggregate, loss_and_grad
-from uavfl.selection import deeps_score, deeps_select, oracle_select
+from uavfl.selection import deeps_score, deeps_select
 from uavfl.similarity import DiversityScore, SsimParams, ssim_pair
 from uavfl.types import Dataset, Position3D, Samples, UavState
 
@@ -124,16 +125,16 @@ def test_criterion_2_ssim_correctness(capsys):
 def test_criterion_3_gradient_check(capsys):
     t0 = time.time()
     rng = np.random.default_rng(3)
-    spec = ModelSpec(input_dim=9, hidden_dim=3)
+    spec, d = ModelSpec(hidden_dim=3), 9
     h = 1e-6
     worst = 0.0
     for _ in range(100):
-        params = rng.normal(0, 0.5, spec.param_count)
-        X = rng.uniform(0, 1, size=(3, spec.input_dim))
+        params = rng.normal(0, 0.5, spec.param_count(d))
+        X = rng.uniform(0, 1, size=(3, d))
         y = rng.integers(0, 2, size=3).astype(np.float64)
         _, grad = loss_and_grad(params, X, y, spec)
         num = np.empty_like(grad)
-        for i in range(spec.param_count):
+        for i in range(spec.param_count(d)):
             hi, lo = params.copy(), params.copy()
             hi[i] += h
             lo[i] -= h

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from test_harness import TINY
+from uavfl import cli, harness
 from uavfl.cli import build_parser, main
 from uavfl.datagen import MANIFEST_HEADER, write_pgm
 
@@ -72,7 +73,10 @@ class TestRun:
         {"n_uavs": 3, "cohort_size": 4, "subregion_count": 4},
         {"xi": 1.5}, {"ssim_threshold": 1.5}, {"n_rounds_max": 0},
         {"convergence_window": 0}, {"convergence_window": -2},
-    ], ids=["fleet", "xi", "ssim_threshold", "n_rounds_max", "window-0", "window-neg"])
+        {"battery": {"min_j": 20.0, "max_j": 10.0}}, {"convergence_tol": 0.0},
+        {"scenario": "scenario1"},
+    ], ids=["fleet", "xi", "ssim_threshold", "n_rounds_max", "window-0", "window-neg",
+            "battery", "convergence_tol", "preset-conflict"])
     def test_unusable_experiment_is_one_line_error(self, tmp_path, capsys, values):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({**TINY, **values}))
@@ -92,6 +96,25 @@ class TestRun:
         assert code == 1
         assert err.startswith("uavfl: error: ") and err.count("\n") == 1
         assert str(path) in err
+
+
+def no_work(*args, **kwargs):
+    raise AssertionError("work started before the output directory was checked")
+
+
+@pytest.mark.parametrize("command", ["run", "compare", "gen-data"])
+@pytest.mark.parametrize("out", ["file", "file/sub"], ids=["existing-file", "under-a-file"])
+def test_unusable_out_fails_before_any_work(tiny_config_file, tmp_path, capsys,
+                                            monkeypatch, command, out):
+    (tmp_path / "file").write_text("")
+    for module, name in ((cli, "run_experiment"), (harness, "build_scenario"),
+                         (harness, "run_experiment"), (cli, "generate_uav_dataset")):
+        monkeypatch.setattr(module, name, no_work)
+    code = main([command, "--config", tiny_config_file, "--out", str(tmp_path / out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("uavfl: error: cannot create output directory ")
+    assert err.count("\n") == 1
 
 
 class TestCompare:

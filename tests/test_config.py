@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -6,6 +7,7 @@ import pytest
 from uavfl import harness
 from uavfl.config import ExperimentConfig, config_from_dict, load_config
 from uavfl.errors import ConfigError
+from uavfl.learning import ModelSpec
 
 CALIBRATED = os.path.join(os.path.dirname(__file__), "..", "configs",
                           "scenario1_calibrated.json")
@@ -22,9 +24,37 @@ class TestPresets:
         assert (c.n_uavs, c.cohort_size, c.subregion_count,
                 c.per_subregion_quota) == (100, 20, 10, 2)
 
-    def test_preset_overrides_explicit_fields(self):
-        c = ExperimentConfig(scenario="scenario1", n_uavs=7)
-        assert c.n_uavs == 40
+    @pytest.mark.parametrize("scenario,key,value", [
+        ("scenario1", "n_uavs", 7), ("scenario1", "cohort_size", 20),
+        ("scenario1", "subregion_count", 5), ("scenario1", "per_subregion_quota", 2),
+        ("scenario1", "n_rounds_max", 60),
+        ("scenario2", "n_uavs", 40),  # the old dataclass default
+    ])
+    def test_preset_rejects_a_conflicting_explicit_field(self, scenario, key, value):
+        match = f"^{key} {value} conflicts with {scenario}'s"
+        with pytest.raises(ConfigError, match=match):
+            ExperimentConfig(scenario=scenario, **{key: value})
+        with pytest.raises(ConfigError, match=match):
+            config_from_dict({"scenario": scenario, key: value})
+        with pytest.raises(ConfigError, match=match):
+            dataclasses.replace(ExperimentConfig(scenario=scenario), **{key: value})
+
+    def test_preset_accepts_an_equal_explicit_field(self):
+        c = config_from_dict({"scenario": "scenario2", "n_uavs": 100, "cohort_size": 20,
+                              "subregion_count": 10, "per_subregion_quota": 2,
+                              "n_rounds_max": 200})
+        assert c == ExperimentConfig(scenario="scenario2")
+        # run_experiment re-validates through replace with every field set
+        assert dataclasses.replace(c, strategy="random").n_uavs == 100
+
+    def test_custom_fills_missing_fleet_fields_from_scenario1(self):
+        c = ExperimentConfig(scenario="custom", n_rounds_max=3)
+        assert (c.n_uavs, c.cohort_size, c.subregion_count, c.per_subregion_quota,
+                c.n_rounds_max) == (40, 10, 10, 1, 3)
+        with pytest.raises(ConfigError, match="^n_uavs: expected int, got float"):
+            ExperimentConfig(scenario="custom", n_uavs=40.0)
+        with pytest.raises(ConfigError, match="^n_rounds_max: expected int, got float"):
+            ExperimentConfig(n_rounds_max=200.0)  # equal to the preset, still not an int
 
     def test_custom_keeps_fields(self):
         c = ExperimentConfig(scenario="custom", n_uavs=4, cohort_size=2,
@@ -84,6 +114,12 @@ class TestFromDict:
         ("generator", {"image_side": 8.5}),
         ("cost", {"epochs_per_round": 1.5}),
         ("ssim", {"max_pairs": 2.5}),
+        ("geometry", {"region_m": 0.0}),
+        ("geometry", {"uav_altitude_m": -1.0}),
+        ("geometry", {"bs_altitude_m": -0.5}),
+        ("battery", {"min_j": 20.0, "max_j": 10.0}),
+        ("battery", {"min_j": -1.0}),
+        ("battery", {"min_j": 0.0, "max_j": 0.0}),
     ])
     def test_bad_section_value_fails_at_load(self, section, values):
         with pytest.raises(ConfigError, match=f"^{section}: "):
@@ -104,6 +140,7 @@ class TestFleetAtLoad:
         ("convergence_window", 0), ("convergence_window", -2),
         ("xi", -0.1), ("xi", 1.5),
         ("ssim_threshold", 0.0), ("ssim_threshold", 1.0), ("ssim_threshold", 1.5),
+        ("convergence_tol", 0.0), ("convergence_tol", -1.0),
     ])
     def test_out_of_range_value_fails_at_load(self, key, value):
         with pytest.raises(ConfigError, match=f"^{key} must"):
@@ -168,10 +205,10 @@ class TestLoadAndHash:
         assert a.config_hash() == b.config_hash()
         assert a.config_hash() != c.config_hash()
 
-    def test_model_spec_derives_input_dim(self):
-        c = config_from_dict({"generator": {"image_side": 8}, "model": {"hidden_dim": 5}})
-        spec = c.model_spec()
-        assert (spec.input_dim, spec.hidden_dim, spec.batch_size) == (64, 5, 32)
+    def test_model_section_is_the_modelspec(self):
+        c = config_from_dict({"model": {"hidden_dim": 5}})
+        assert c.model == ModelSpec(hidden_dim=5)
+        assert (c.model.batch_size, c.model.param_count(64)) == (32, 64 * 5 + 2 * 5 + 1)
 
     def test_hash_is_pinned(self):
         # digests of the serialised defaults and of the calibrated config; a

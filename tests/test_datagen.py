@@ -7,7 +7,7 @@ import pytest
 from uavfl.datagen import (GenSpec, MANIFEST_HEADER, generate_uav_dataset,
                            load_manifest, read_pgm, write_pgm)
 from uavfl.errors import (BadHeader, BadPgmMagic, DimensionMismatch, InvariantViolation,
-                          LabelOutOfRange, MissingFile)
+                          LabelOutOfRange, MissingFile, UavFlError)
 from uavfl.similarity import SsimParams, dataset_diversity
 
 FAST = GenSpec(samples_min=120, samples_max=150, offset_span=30, test_fraction=0.2)
@@ -112,6 +112,10 @@ class TestPgmIo:
     def test_write_rejects_non_2d_uint8(self, tmp_path, image):
         with pytest.raises(InvariantViolation):
             write_pgm(str(tmp_path / "x.pgm"), image)
+
+    def test_write_into_missing_dir_is_uavflerror(self, tmp_path):
+        with pytest.raises(UavFlError, match="cannot write"):
+            write_pgm(str(tmp_path / "missing" / "x.pgm"), np.zeros((2, 2), dtype=np.uint8))
 
     def test_header_comments_allowed(self, tmp_path):
         path = tmp_path / "c.pgm"

@@ -47,7 +47,7 @@ class TestScenarioBuild:
     def test_build(self):
         sc = build_scenario(tiny_config())
         assert len(sc.uavs) == 4
-        assert sc.model_spec.input_dim == 64
+        assert sc.test_x.shape[1] == 64  # image_side 8, flattened
         assert sc.test_x.shape[0] == len(sc.test_y) > 0
         assert set(sc.rate_up) == {1, 2, 3, 4}
         assert all(r > 0 for r in sc.rate_up.values())

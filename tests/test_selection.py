@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from conftest import make_uav
+from oracles import InstanceTooLarge, oracle_select
 from uavfl.cost import RoundCost
-from uavfl.errors import CohortInfeasible, InstanceTooLarge
-from uavfl.selection import (deeps_score, deeps_select, is_feasible, oracle_select,
-                             random_select)
+from uavfl.errors import CohortInfeasible
+from uavfl.selection import deeps_score, deeps_select, is_feasible, random_select
 from uavfl.similarity import DiversityScore
 
 REL = 1e-12
