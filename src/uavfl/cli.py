@@ -74,18 +74,18 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_dedup_report(args) -> int:
-    config = load_config(args.config) if args.config else ExperimentConfig()
+    config = _load(args)  # checks --ssim-th before the manifest is read
     datasets = load_manifest(args.manifest, config.n_rounds_max,
                              image_root=os.path.dirname(args.manifest))
     total_before = total_after = 0
     print(f"{'uav':>6}{'samples':>10}{'removed':>10}{'kept':>10}")
     for uid, ds in datasets.items():
         before = len(ds)
-        removed = deduplicate(ds, args.ssim_th, config.ssim)
+        removed = deduplicate(ds, config.ssim_threshold, config.ssim)
         total_before += before
         total_after += len(ds)
         print(f"{uid:>6}{before:>10}{removed:>10}{len(ds):>10}")
-    print(f"total: {total_before} -> {total_after} at threshold {args.ssim_th:g}")
+    print(f"total: {total_before} -> {total_after} at threshold {config.ssim_threshold:g}")
     return 0
 
 

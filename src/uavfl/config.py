@@ -123,6 +123,8 @@ class ExperimentConfig:
         if self.n_uavs < self.cohort_size:
             raise ConfigError(f"n_uavs {self.n_uavs} < cohort_size {self.cohort_size}: "
                               f"some sub-region holds fewer UAVs than its quota")
+        if self.master_seed < 0:
+            raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")
         if not 0.0 <= self.xi <= 1.0:
             raise ConfigError(f"xi must lie in [0, 1], got {self.xi}")
         if not 0.0 < self.ssim_threshold < 1.0:

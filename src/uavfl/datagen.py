@@ -61,6 +61,8 @@ class GenSpec:
             raise InvariantViolation("weights must lie in [0, 1]")
         if not 0 < self.block_min <= self.block_max:
             raise InvariantViolation("bad label block range")
+        if self.offset_span < 0:
+            raise InvariantViolation(f"offset_span must be >= 0, got {self.offset_span}")
         if not 0.0 < self.test_fraction < 1.0:
             raise InvariantViolation("test_fraction must lie in (0, 1)")
 

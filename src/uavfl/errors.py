@@ -33,10 +33,6 @@ class TooFewSamples(UavFlError):
     pass
 
 
-class AlreadyDeduplicated(UavFlError):
-    pass
-
-
 class CohortInfeasible(UavFlError):
     pass
 

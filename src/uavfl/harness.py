@@ -50,7 +50,7 @@ class Scenario:
 
     def fresh_copy(self) -> "Scenario":
         # samples are read-only, so the copies share them; dedup rebinds its own
-        uavs = [dataclasses.replace(u, dataset=dataclasses.replace(u.dataset, dedup_done=False))
+        uavs = [dataclasses.replace(u, dataset=dataclasses.replace(u.dataset))
                 for u in self.uavs]
         return dataclasses.replace(self, uavs=uavs)
 
@@ -165,50 +165,56 @@ def run_experiment(config: ExperimentConfig, scenario: Scenario | None = None,
 
     initial_battery = sum(u.battery_j for u in uavs)
 
+    # each alive UAV's cost of the coming round; dedup re-estimates the UAV it shrank
+    costs: dict[int, RoundCost] = {}
+
+    def retire(k: int) -> int:
+        """Estimate each alive UAV's round-k cost and retire the UAVs it does not
+        fit (positions are static, so the estimate is exact); returns how many."""
+        costs.clear()
+        costs.update((u.id, round_cost(u, k)) for u in uavs if u.alive)
+        unfunded = [u for u in uavs if u.alive and not is_feasible(u, costs[u.id])]
+        for u in unfunded:
+            u.alive = False
+        return len(unfunded)
+
+    def converged_at() -> int | None:
+        return _find_convergence([r.global_accuracy for r in records],
+                                 config.convergence_window, config.convergence_tol)
+
     records: list[RoundRecord] = []
-    accuracies: list[float] = []
+    deduped: set[int] = set()  # UAVs whose dataset this run has deduplicated
     dedup_removed = 0
     degraded_rounds = 0
     aborted = False
 
-    # each alive UAV's cost of the coming round: estimated here for round 1 and
-    # at the end of each round for the next; dedup re-estimates the UAV it shrank
-    costs = {u.id: round_cost(u, 1) for u in uavs if u.alive}
+    dropouts = retire(1)  # round 1's record counts the UAVs that never fly
     for k in range(1, config.n_rounds_max + 1):
-        dropouts = 0
-
         if config.strategy == "deeps":
             diversity = {u.id: _shard_diversity(u, k, config.ssim, seed)
                          for u in uavs if u.alive}
             sel = deeps_select(uavs, config.per_subregion_quota, config.xi, diversity, costs)
             if sel.degraded_subregions:
                 degraded_rounds += 1
-            for uid in sorted(sel.ids):
-                u = by_id[uid]
-                if not u.dataset.dedup_done:
-                    dedup_removed += deduplicate(u.dataset, config.ssim_threshold, config.ssim)
-                    costs[uid] = round_cost(u, k)
+            for uid in sorted(set(sel.ids) - deduped):
+                dedup_removed += deduplicate(by_id[uid].dataset, config.ssim_threshold,
+                                             config.ssim)
+                costs[uid] = round_cost(by_id[uid], k)
+            deduped.update(sel.ids)
         else:
             try:
                 sel = random_select(uavs, config.cohort_size,
                                     np.random.SeedSequence([seed, _TAG_SELECTION, k]))
             except CohortInfeasible:
+                if not records:  # retiring left no round-1 cohort: nothing can run
+                    raise
                 aborted = True
                 break
 
-        # participants that can fund the round train on shard k; under the
-        # random baseline an unaffordable pick simply drops out mid-round
-        jobs = []
-        for uid in sorted(sel.ids):
-            u = by_id[uid]
-            if not is_feasible(u, costs[uid]):
-                u.alive = False
-                dropouts += 1
-                continue
-            shard = u.dataset.shard(k)
-            if not shard:
-                continue  # nothing to train this round; no time or energy spent
-            jobs.append((uid, shard))
+        # every alive UAV can fund round k; a participant with an empty shard
+        # has nothing to train and spends no time or energy
+        jobs = [(uid, shard) for uid in sorted(sel.ids)
+                if len(shard := by_id[uid].dataset.shard(k))]
 
         def _train(job):
             uid, shard = job
@@ -234,41 +240,29 @@ def run_experiment(config: ExperimentConfig, scenario: Scenario | None = None,
             duration = 0.0
 
         acc, loss = evaluate_matrix(params, scenario.test_x, scenario.test_y, config.model)
-        accuracies.append(acc)
-
-        # next-round feasibility defines aliveness (positions are static, so
-        # the estimate is exact); the estimates are the next round's costs
         if k < config.n_rounds_max:
-            costs = {u.id: round_cost(u, k + 1) for u in uavs if u.alive}
-            for u in uavs:
-                if u.alive and not is_feasible(u, costs[u.id]):
-                    u.alive = False
-                    dropouts += 1
-
+            dropouts += retire(k + 1)
         records.append(RoundRecord(
             round_k=k, selected_ids=tuple(sorted(sel.ids)),
             global_accuracy=acc, global_loss=loss,
             round_duration_s=duration, cohort_energy_j=cohort_energy,
             dropouts=dropouts, alive_uavs=sum(u.alive for u in uavs),
         ))
+        dropouts = 0
 
-        if config.stop_on_convergence:
-            conv = _find_convergence(accuracies, config.convergence_window,
-                                     config.convergence_tol)
-            if conv is not None:
-                break
+        if config.stop_on_convergence and converged_at() is not None:
+            break
 
-    conv = _find_convergence(accuracies, config.convergence_window,
-                             config.convergence_tol)
+    conv = converged_at()
     chi_r = conv if conv is not None else len(records)
     durations = [r.round_duration_s for r in records]
     return RunSummary(
         strategy=config.strategy,
         ssim_threshold=config.ssim_threshold if config.strategy == "deeps" else None,
-        avg_round_time_s=float(np.mean(durations)) if durations else 0.0,
+        avg_round_time_s=float(np.mean(durations)),
         rounds_to_convergence=chi_r,
         time_to_convergence_min=sum(durations[:chi_r]) / 60.0,
-        final_accuracy=records[-1].global_accuracy if records else 0.0,
+        final_accuracy=records[-1].global_accuracy,
         converged=conv is not None,
         records=records,
         initial_battery_total_j=initial_battery,

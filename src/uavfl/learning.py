@@ -38,6 +38,8 @@ class ModelSpec:
             raise InvariantViolation("hidden_dim and batch_size must be positive")
         if self.learning_rate < 0:
             raise InvariantViolation("learning_rate must be >= 0")
+        if not self.adam_eps > 0:
+            raise InvariantViolation(f"adam_eps must be > 0, got {self.adam_eps}")
 
     def param_count(self, input_dim: int) -> int:
         return input_dim * self.hidden_dim + 2 * self.hidden_dim + 1

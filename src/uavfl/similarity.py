@@ -21,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (AlreadyDeduplicated, DimensionMismatch, InvariantViolation,
-                     TooFewSamples)
+from .errors import DimensionMismatch, InvariantViolation, TooFewSamples
 from .types import Dataset, Samples
 
 
@@ -120,13 +119,10 @@ def deduplicate(d: Dataset, ssim_th: float, p: SsimParams = SsimParams()) -> int
     already-kept sample is <= ssim_th. Keep-first makes the result
     deterministic and order-stable; rerunning on the output removes nothing.
     """
-    if d.dedup_done:
-        raise AlreadyDeduplicated("dataset already deduplicated")
     if not 0.0 < ssim_th < 1.0:
         raise InvariantViolation("ssim_th must lie in (0, 1)")
     n = len(d.samples)
     if n == 0:
-        d.dedup_done = True
         return 0
 
     c, mu, var = _stack_moments(d.samples.images)
@@ -150,5 +146,4 @@ def deduplicate(d: Dataset, ssim_th: float, p: SsimParams = SsimParams()) -> int
         c[fresh], mu[fresh], var[fresh] = c[kept[fresh]], mu[kept[fresh]], var[kept[fresh]]
 
     d.samples = d.samples[kept]
-    d.dedup_done = True
     return n - len(kept)

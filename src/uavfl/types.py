@@ -62,7 +62,6 @@ class Dataset:
 
     samples: Samples
     shard_count: int
-    dedup_done: bool = False
 
     def __post_init__(self):
         if self.shard_count < 1:

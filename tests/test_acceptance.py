@@ -20,6 +20,7 @@ from uavfl.channel import (ChannelParams, LinkGeometry, capacity, channel_gain,
 from uavfl.config import config_from_dict, load_config
 from uavfl.cost import (CostParams, RoundCost, local_training_time, training_energy,
                         transmit_energy, tx_time)
+from uavfl.datagen import generate_uav_dataset
 from uavfl.harness import build_scenario, compare_strategies, run_experiment
 from uavfl.learning import ModelSpec, aggregate, loss_and_grad
 from uavfl.selection import deeps_score, deeps_select
@@ -221,9 +222,10 @@ def test_criterion_7_qualitative_ordering(capsys):
     assert base.n_rounds_max <= 200
 
     # generator calibration anchor: consecutive same-class samples of one UAV
-    # sit near SSIM 0.85
-    scenario = build_scenario(base)
-    samples = scenario.uavs[0].dataset.samples
+    # sit near SSIM 0.85; these are the training samples build_scenario gives
+    # UAV 1 (sub-region 1)
+    samples = generate_uav_dataset(base.generator, 1, 1, base.master_seed,
+                                   base.n_rounds_max).train.samples
     consec = [ssim_pair(samples.images[i], samples.images[i + 1])
               for i in range(400)
               if samples.labels[i] == samples.labels[i + 1]]

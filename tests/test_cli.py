@@ -46,7 +46,7 @@ class TestRun:
         assert meta["master_seed"] == 9
 
     @pytest.mark.parametrize("flag,value", [("--workers", "0"), ("--workers", "-3"),
-                                            ("--ssim-th", "1.5")])
+                                            ("--ssim-th", "1.5"), ("--seed", "-1")])
     def test_bad_override_is_one_line_error(self, tiny_config_file, tmp_path, capsys,
                                             flag, value):
         out = str(tmp_path / "out")
@@ -55,6 +55,18 @@ class TestRun:
         assert code == 1
         assert err.startswith("uavfl: error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+        assert not os.path.exists(os.path.join(out, "metadata.json"))
+
+    def test_random_without_a_round_one_cohort_is_one_line_error(self, tmp_path, capsys):
+        # three of TINY's four UAVs start below their round-1 cost: one cannot
+        # make a cohort of two
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**TINY, "battery": {"min_j": 0.0, "max_j": 0.03}}))
+        out = str(tmp_path / "out")
+        code = main(["run", "--config", str(path), "--strategy", "random", "--out", out])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "uavfl: error: 1 alive UAVs < cohort size 2\n"
         assert not os.path.exists(os.path.join(out, "metadata.json"))
 
     @pytest.mark.parametrize("values", [{"workers": "2"}, {"model": {"hidden_dim": "x"}},
@@ -74,9 +86,11 @@ class TestRun:
         {"xi": 1.5}, {"ssim_threshold": 1.5}, {"n_rounds_max": 0},
         {"convergence_window": 0}, {"convergence_window": -2},
         {"battery": {"min_j": 20.0, "max_j": 10.0}}, {"convergence_tol": 0.0},
-        {"scenario": "scenario1"},
+        {"scenario": "scenario1"}, {"master_seed": -1}, {"model": {"adam_eps": 0.0}},
+        {"generator": {**TINY["generator"], "offset_span": -1}},
     ], ids=["fleet", "xi", "ssim_threshold", "n_rounds_max", "window-0", "window-neg",
-            "battery", "convergence_tol", "preset-conflict"])
+            "battery", "convergence_tol", "preset-conflict", "master_seed", "adam_eps",
+            "offset_span"])
     def test_unusable_experiment_is_one_line_error(self, tmp_path, capsys, values):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({**TINY, **values}))
@@ -99,7 +113,7 @@ class TestRun:
 
 
 def no_work(*args, **kwargs):
-    raise AssertionError("work started before the output directory was checked")
+    raise AssertionError("work started before the command's inputs were checked")
 
 
 @pytest.mark.parametrize("command", ["run", "compare", "gen-data"])
@@ -158,6 +172,18 @@ class TestGenDataAndDedupReport:
         wide = tmp_path / "wide.json"
         wide.write_text(json.dumps({"ssim": {"k1": 0.1, "k2": 0.1}}))
         assert report("--config", str(wide)) != default
+
+    @pytest.mark.parametrize("th", ["1.5", "0"])
+    def test_bad_threshold_fails_before_the_manifest_is_read(self, tmp_path, capsys,
+                                                            monkeypatch, th):
+        monkeypatch.setattr(cli, "load_manifest", no_work)
+        code = main(["dedup-report", "--manifest", str(tmp_path / "manifest.csv"),
+                     "--ssim-th", th])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("uavfl: error: ssim_threshold must lie in (0, 1)")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
 
     @pytest.mark.parametrize("cells,shape", [("x,1,1", (4, 4)), ("1,1,1", (4, 5))],
                              ids=["non-integer-label", "mixed-shapes"])

@@ -120,6 +120,9 @@ class TestFromDict:
         ("battery", {"min_j": 20.0, "max_j": 10.0}),
         ("battery", {"min_j": -1.0}),
         ("battery", {"min_j": 0.0, "max_j": 0.0}),
+        ("model", {"adam_eps": 0.0}),
+        ("model", {"adam_eps": -1e-8}),
+        ("generator", {"offset_span": -1}),
     ])
     def test_bad_section_value_fails_at_load(self, section, values):
         with pytest.raises(ConfigError, match=f"^{section}: "):
@@ -141,6 +144,7 @@ class TestFleetAtLoad:
         ("xi", -0.1), ("xi", 1.5),
         ("ssim_threshold", 0.0), ("ssim_threshold", 1.0), ("ssim_threshold", 1.5),
         ("convergence_tol", 0.0), ("convergence_tol", -1.0),
+        ("master_seed", -1),
     ])
     def test_out_of_range_value_fails_at_load(self, key, value):
         with pytest.raises(ConfigError, match=f"^{key} must"):

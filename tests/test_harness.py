@@ -6,6 +6,7 @@ import pytest
 
 from uavfl.config import config_from_dict
 from uavfl.datagen import GenSpec
+from uavfl.cost import estimate_round_cost
 from uavfl.errors import ConfigError, UavFlError
 from uavfl.harness import (CSV_HEADER, RunSummary, _find_convergence, build_scenario,
                            compare_strategies, emit_csv, emit_metadata,
@@ -63,7 +64,6 @@ class TestScenarioBuild:
         # the copies share the read-only samples; dedup rebinds only its copy's
         assert s1.dedup_removed_total > 0
         assert [len(u.dataset) for u in sc.uavs] == sizes
-        assert not any(u.dataset.dedup_done for u in sc.uavs)
 
 
 class TestRunExperiment:
@@ -132,6 +132,35 @@ class TestRunExperiment:
         for scenario in (None, sc):
             with pytest.raises(ConfigError, match=message):
                 run_experiment(tiny_config(), scenario=scenario, **overrides)
+
+
+class TestRetire:
+    """A UAV whose battery cannot fund its round-1 cost never flies."""
+
+    @pytest.mark.parametrize("strategy", ["deeps", "random"])
+    def test_round_one_retires_unfunded_uavs(self, strategy):
+        # TINY's round-1 costs are 0.011-0.023 J; this range leaves UAVs 1 and 2
+        # below theirs, and random's round-1 draw over all four picks UAV 2
+        config = tiny_config(strategy=strategy, battery={"min_j": 0.0, "max_j": 0.04})
+        sc = build_scenario(config)
+        param_count = config.model.param_count(config.generator.image_side ** 2)
+        unfunded = {u.id for u in sc.uavs
+                    if estimate_round_cost(config.cost, param_count, u.dataset.shard_size(1),
+                                           sc.rate_up[u.id], sc.rate_down[u.id]
+                                           ).total_energy_j > u.battery_j}
+        assert 0 < len(unfunded) <= len(sc.uavs) - config.cohort_size
+
+        s = run_experiment(config, scenario=sc)
+        assert not unfunded & {uid for r in s.records for uid in r.selected_ids}
+        assert s.records[0].dropouts >= len(unfunded)
+        retired = 0
+        for r in s.records:
+            retired += r.dropouts
+            assert r.alive_uavs == len(sc.uavs) - retired
+        drawdown = s.initial_battery_total_j - s.final_battery_total_j
+        spent = sum(r.cohort_energy_j for r in s.records)
+        assert spent > 0.0
+        assert abs(drawdown - spent) <= 1e-9 * spent
 
 
 class TestConvergence:

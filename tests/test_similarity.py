@@ -4,8 +4,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import const_image, make_image, make_samples, no_samples, random_image
-from uavfl.errors import (AlreadyDeduplicated, DimensionMismatch, InvariantViolation,
-                          TooFewSamples)
+from uavfl.errors import DimensionMismatch, InvariantViolation, TooFewSamples
 from uavfl.similarity import (DEDUP_BLOCK, SsimParams, dataset_diversity, deduplicate,
                               ssim_pair)
 from uavfl.types import Dataset
@@ -117,16 +116,10 @@ class TestDeduplicate:
             with pytest.raises(InvariantViolation):
                 deduplicate(ds, th)
 
-    def test_double_dedup_rejected(self):
-        ds = Dataset(samples=make_samples([const_image(0)]), shard_count=1)
-        deduplicate(ds, 0.5)
-        with pytest.raises(AlreadyDeduplicated):
-            deduplicate(ds, 0.5)
-
     def test_empty_dataset(self):
         ds = Dataset(samples=no_samples(), shard_count=1)
         assert deduplicate(ds, 0.5) == 0
-        assert ds.dedup_done
+        assert len(ds) == 0
 
     def test_matches_pairwise_oracle(self, rng):
         # correlated images so both keeps and removals occur
@@ -154,8 +147,8 @@ class TestDeduplicate:
         for i in range(len(kept)):
             for j in range(i + 1, len(kept)):
                 assert ssim_pair(kept[i], kept[j]) <= th + 1e-9
-        rerun = Dataset(samples=ds.samples, shard_count=1)
-        assert deduplicate(rerun, th) == 0
+        assert deduplicate(ds, th) == 0
+        assert np.array_equal(ds.samples.images, kept)
 
 
 # Reference kernels: the per-pair and per-candidate loops the module used
@@ -277,5 +270,5 @@ class TestStackedKernelsMatchOracle:
         expected = gemv_dedup_oracle(samples, th, p)
         assert kept_indices(ds) == expected
         assert removed == n - len(expected)
-        rerun = Dataset(samples=ds.samples, shard_count=1)
-        assert deduplicate(rerun, th, p) == 0
+        assert deduplicate(ds, th, p) == 0
+        assert kept_indices(ds) == expected
