@@ -13,6 +13,7 @@ from .errors import UavFlError
 from .harness import (compare_strategies, emit_csv, emit_metadata, emit_summary_csv,
                       make_out_dir, run_experiment, write_text)
 from .similarity import deduplicate
+from .types import Dataset
 
 # CLI flag (argparse dest) -> the top-level config key it overrides
 _OVERRIDES = {"strategy": "strategy", "ssim_th": "ssim_threshold", "seed": "master_seed",
@@ -59,10 +60,8 @@ def cmd_gen_data(args) -> int:
     rows = [",".join(MANIFEST_HEADER)]
     for uid in range(1, config.n_uavs + 1):
         subregion = (uid - 1) % config.subregion_count + 1
-        data = generate_uav_dataset(config.generator, subregion, uid, config.master_seed,
-                                    shard_count=config.n_rounds_max)
+        train = generate_uav_dataset(config.generator, subregion, uid, config.master_seed).train
         make_out_dir(os.path.join(out, f"uav{uid:03d}"))
-        train = data.train.samples
         for i, (image, label) in enumerate(zip(train.images, train.labels)):
             rel = os.path.join(f"uav{uid:03d}", f"{i:05d}.pgm")
             write_pgm(os.path.join(out, rel), image)
@@ -75,16 +74,15 @@ def cmd_gen_data(args) -> int:
 
 def cmd_dedup_report(args) -> int:
     config = _load(args)  # checks --ssim-th before the manifest is read
-    datasets = load_manifest(args.manifest, config.n_rounds_max,
-                             image_root=os.path.dirname(args.manifest))
+    uav_samples = load_manifest(args.manifest, image_root=os.path.dirname(args.manifest))
     total_before = total_after = 0
     print(f"{'uav':>6}{'samples':>10}{'removed':>10}{'kept':>10}")
-    for uid, ds in datasets.items():
-        before = len(ds)
+    for uid, samples in uav_samples.items():
+        ds = Dataset(samples)  # dedup rebinds its samples to the kept ones
         removed = deduplicate(ds, config.ssim_threshold, config.ssim)
-        total_before += before
+        total_before += len(samples)
         total_after += len(ds)
-        print(f"{uid:>6}{before:>10}{removed:>10}{len(ds):>10}")
+        print(f"{uid:>6}{len(samples):>10}{removed:>10}{len(ds):>10}")
     print(f"total: {total_before} -> {total_after} at threshold {config.ssim_threshold:g}")
     return 0
 
@@ -119,8 +117,8 @@ def build_parser() -> argparse.ArgumentParser:
     ded = sub.add_parser("dedup-report", help="near-duplicate removal stats for a manifest")
     ded.add_argument("--manifest", required=True)
     ded.add_argument("--config", help="JSON config file; its ssim section sets k1 and k2, "
-                     "its n_rounds_max the shard count")
-    ded.add_argument("--ssim-th", type=float, dest="ssim_th", default=0.5)
+                     "its ssim_threshold the threshold unless --ssim-th is given")
+    ded.add_argument("--ssim-th", type=float, dest="ssim_th")
     ded.set_defaults(func=cmd_dedup_report)
     return parser
 

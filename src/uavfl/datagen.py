@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import (BadHeader, BadPgmMagic, DimensionMismatch, InvariantViolation,
                      LabelOutOfRange, MissingFile, UavFlError)
-from .types import Dataset, Samples
+from .types import Samples
 
 
 BASE_LEVEL = 128.0  # grey level that a zero pixel field maps to
@@ -71,7 +71,7 @@ class GenSpec:
 class UavData:
     """80/20 split of one UAV's generated samples."""
 
-    train: Dataset
+    train: Samples
     test: Samples
 
 
@@ -146,7 +146,7 @@ def _walk_frames(seed, subregion_id: int, length: int, spec: GenSpec) -> np.ndar
 
 
 def generate_uav_dataset(spec: GenSpec, subregion_id: int, uav_id: int,
-                         rng_seed: int, shard_count: int) -> UavData:
+                         rng_seed: int) -> UavData:
     """Deterministic synthetic dataset for one UAV.
 
     pixel field = rho*scene(class) + (1-rho)*(w*walk_frame + (1-w)*noise),
@@ -176,13 +176,11 @@ def generate_uav_dataset(spec: GenSpec, subregion_id: int, uav_id: int,
         varying = (wv * frames[t] + (1.0 - wv) * noise) / eta_norm
         field = rho * patterns[int(labels[t])] + (1.0 - rho) * varying
         images[i] = np.clip(np.rint(BASE_LEVEL + spec.contrast * field), 0, 255)
-    samples = Samples(images, labels[offset:offset + n],
-                      [f"gen/s{subregion_id}/u{uav_id}/f{t}" for t in range(offset, offset + n)])
+    samples = Samples(images, labels[offset:offset + n])
 
     test = np.zeros(n, dtype=bool)
     test[rng_u.permutation(n)[:int(round(spec.test_fraction * n))]] = True
-    return UavData(train=Dataset(samples=samples[~test], shard_count=shard_count),
-                   test=samples[test])
+    return UavData(train=samples[~test], test=samples[test])
 
 
 # --- PGM + manifest ingestion -------------------------------------------------
@@ -245,10 +243,8 @@ def write_pgm(path: str, image: np.ndarray) -> None:
 MANIFEST_HEADER = ["path", "label", "subregion", "uav"]
 
 
-def load_manifest(manifest_path: str, shard_count: int,
-                  image_root: str = "") -> dict[int, Dataset]:
-    """Group manifest rows into per-UAV Datasets of stacked PGM images, each
-    cut into `shard_count` shards."""
+def load_manifest(manifest_path: str, image_root: str = "") -> dict[int, Samples]:
+    """Group manifest rows into per-UAV Samples of stacked PGM images."""
     try:
         fh = open(manifest_path, newline="", encoding="utf-8")
     except OSError as exc:
@@ -262,7 +258,7 @@ def load_manifest(manifest_path: str, shard_count: int,
         if header != MANIFEST_HEADER:
             raise BadHeader(f"{manifest_path}: header must be exactly {','.join(MANIFEST_HEADER)}")
 
-        grouped: dict[int, list[tuple[np.ndarray, int, str]]] = {}
+        grouped: dict[int, list[tuple[np.ndarray, int]]] = {}
         for row in reader:
             if not row:
                 continue
@@ -277,14 +273,13 @@ def load_manifest(manifest_path: str, shard_count: int,
             except ValueError:
                 raise BadHeader(f"{where}: uav {uav_s!r} is not an integer") from None
             image = read_pgm(os.path.join(image_root, rel_path) if image_root else rel_path)
-            grouped.setdefault(uav, []).append((image, int(label_s), rel_path))
+            grouped.setdefault(uav, []).append((image, int(label_s)))
 
-    datasets = {}
+    samples = {}
     for uav, rows in sorted(grouped.items()):
-        images, labels, ids = zip(*rows)
+        images, labels = zip(*rows)
         shapes = sorted({image.shape for image in images})
         if len(shapes) > 1:
             raise DimensionMismatch(f"{manifest_path}: UAV {uav} mixes image shapes {shapes}")
-        datasets[uav] = Dataset(samples=Samples(np.stack(images), labels, ids),
-                                shard_count=shard_count)
-    return datasets
+        samples[uav] = Samples(np.stack(images), labels)
+    return samples

@@ -23,11 +23,11 @@ from .channel import capacity, channel_gain, link_geometry
 from .config import ExperimentConfig
 from .cost import RoundCost, charge_round, estimate_round_cost, round_duration
 from .datagen import generate_uav_dataset
-from .errors import CohortInfeasible, UavFlError
+from .errors import CohortInfeasible, ConfigError, UavFlError
 from .learning import aggregate, evaluate_matrix, local_train, model_init, samples_to_matrix
 from .selection import deeps_select, is_feasible, random_select
 from .similarity import DiversityScore, SsimParams, dataset_diversity, deduplicate
-from .types import Position3D, RoundRecord, Samples, UavState
+from .types import Dataset, Position3D, RoundRecord, Samples, UavState
 
 _TAG_PLACEMENT = 1
 _TAG_BATTERY = 2
@@ -39,12 +39,10 @@ _TAG_MODEL_INIT = 6
 
 @dataclass
 class Scenario:
-    """What `build_scenario` generates from a config: the fleet, its link rates
-    and the test pool. Clone per run since batteries/datasets mutate."""
+    """What `build_scenario` generates from a config: the fleet and the test
+    pool. Clone per run since batteries/datasets mutate."""
 
     uavs: list[UavState]
-    rate_up: dict[int, float]
-    rate_down: dict[int, float]
     test_x: np.ndarray
     test_y: np.ndarray
 
@@ -90,37 +88,34 @@ def build_scenario(config: ExperimentConfig) -> Scenario:
 
     uavs: list[UavState] = []
     tests: list[Samples] = []
-    rate_up: dict[int, float] = {}
-    rate_down: dict[int, float] = {}
     for uid in range(1, config.n_uavs + 1):
         subregion = (uid - 1) % config.subregion_count + 1
         x, y = place_rng.uniform(0.0, geo.region_m, size=2)
         battery = float(battery_rng.uniform(config.battery.min_j, config.battery.max_j))
-        data = generate_uav_dataset(config.generator, subregion, uid, seed,
-                                    shard_count=config.n_rounds_max)
-        uav = UavState(
+        data = generate_uav_dataset(config.generator, subregion, uid, seed)
+        position = Position3D(float(x), float(y), geo.uav_altitude_m)
+        h = channel_gain(link_geometry(position, bs_pos), channel)
+        uavs.append(UavState(
             id=uid, subregion_id=subregion,
-            position=Position3D(float(x), float(y), geo.uav_altitude_m),
+            rate_up_bps=capacity(h, config.cost.tx_power_w, channel),
+            rate_down_bps=capacity(h, channel.bs_tx_power_w, channel),
             battery_j=battery, battery_max_j=config.battery.max_j,
-            dataset=data.train,
-        )
-        h = channel_gain(link_geometry(uav.position, bs_pos), channel)
-        rate_up[uid] = capacity(h, config.cost.tx_power_w, channel)
-        rate_down[uid] = capacity(h, channel.bs_tx_power_w, channel)
+            dataset=Dataset(data.train),
+        ))
         tests.append(data.test)
-        uavs.append(uav)
 
     test_pool = Samples(np.concatenate([t.images for t in tests]),
-                        np.concatenate([t.labels for t in tests]),
-                        np.concatenate([t.source_ids for t in tests]))
+                        np.concatenate([t.labels for t in tests]))
+    if not len(test_pool):
+        raise ConfigError(f"generator.test_fraction {config.generator.test_fraction} "
+                          "leaves every UAV without a test sample")
     test_x, test_y = samples_to_matrix(test_pool)
-    return Scenario(uavs=uavs, rate_up=rate_up, rate_down=rate_down,
-                    test_x=test_x, test_y=test_y)
+    return Scenario(uavs=uavs, test_x=test_x, test_y=test_y)
 
 
-def _shard_diversity(uav: UavState, round_k: int, params: SsimParams,
+def _shard_diversity(uav: UavState, round_k: int, n_shards: int, params: SsimParams,
                      master_seed: int) -> DiversityScore:
-    shard = uav.dataset.shard(round_k)
+    shard = uav.dataset.shard(round_k, n_shards)
     if len(shard) < 2:
         # a 0/1-sample shard carries no evidence of redundancy
         return DiversityScore(mean_pairwise_ssim=0.0, pairs_evaluated=0)
@@ -160,8 +155,9 @@ def run_experiment(config: ExperimentConfig, scenario: Scenario | None = None,
     param_count = len(params)
 
     def round_cost(u: UavState, k: int) -> RoundCost:
-        return estimate_round_cost(config.cost, param_count, u.dataset.shard_size(k),
-                                   scenario.rate_up[u.id], scenario.rate_down[u.id])
+        return estimate_round_cost(config.cost, param_count,
+                                   u.dataset.shard_size(k, config.n_rounds_max),
+                                   u.rate_up_bps, u.rate_down_bps)
 
     initial_battery = sum(u.battery_j for u in uavs)
 
@@ -170,7 +166,7 @@ def run_experiment(config: ExperimentConfig, scenario: Scenario | None = None,
 
     def retire(k: int) -> int:
         """Estimate each alive UAV's round-k cost and retire the UAVs it does not
-        fit (positions are static, so the estimate is exact); returns how many."""
+        fit (link rates are static, so the estimate is exact); returns how many."""
         costs.clear()
         costs.update((u.id, round_cost(u, k)) for u in uavs if u.alive)
         unfunded = [u for u in uavs if u.alive and not is_feasible(u, costs[u.id])]
@@ -191,7 +187,7 @@ def run_experiment(config: ExperimentConfig, scenario: Scenario | None = None,
     dropouts = retire(1)  # round 1's record counts the UAVs that never fly
     for k in range(1, config.n_rounds_max + 1):
         if config.strategy == "deeps":
-            diversity = {u.id: _shard_diversity(u, k, config.ssim, seed)
+            diversity = {u.id: _shard_diversity(u, k, config.n_rounds_max, config.ssim, seed)
                          for u in uavs if u.alive}
             sel = deeps_select(uavs, config.per_subregion_quota, config.xi, diversity, costs)
             if sel.degraded_subregions:
@@ -214,7 +210,7 @@ def run_experiment(config: ExperimentConfig, scenario: Scenario | None = None,
         # every alive UAV can fund round k; a participant with an empty shard
         # has nothing to train and spends no time or energy
         jobs = [(uid, shard) for uid in sorted(sel.ids)
-                if len(shard := by_id[uid].dataset.shard(k))]
+                if len(shard := by_id[uid].dataset.shard(k, config.n_rounds_max))]
 
         def _train(job):
             uid, shard = job

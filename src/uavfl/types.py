@@ -17,13 +17,12 @@ from .errors import InvariantViolation
 
 @dataclass(frozen=True, eq=False)
 class Samples:
-    """n images of one shape with their labels and source ids, as read-only
-    columns validated once at construction. Slices, index arrays and boolean
-    masks give Samples too; a slice shares the parent's memory."""
+    """n images of one shape with their labels, as read-only columns validated
+    once at construction. Slices, index arrays and boolean masks give Samples
+    too; a slice shares the parent's memory."""
 
     images: np.ndarray      # uint8 (n, height, width), intensities in [0, 255]
     labels: np.ndarray      # int8 (n,): 0 = non-fire surrogate, 1 = fire surrogate
-    source_ids: np.ndarray | None = None  # str (n,); empty strings when None
 
     def __post_init__(self):
         images, labels = self.images, np.asarray(self.labels)
@@ -31,14 +30,11 @@ class Samples:
             raise InvariantViolation("Samples.images must be a uint8 (n, height, width) array")
         if images.shape[1] * images.shape[2] == 0:
             raise InvariantViolation("Samples images must be non-empty")
-        ids = np.full(len(images), "") if self.source_ids is None else np.asarray(self.source_ids)
-        if labels.shape != (len(images),) or ids.shape != (len(images),):
-            raise InvariantViolation(
-                f"{len(images)} images with {labels.shape} labels and {ids.shape} source ids")
+        if labels.shape != (len(images),):
+            raise InvariantViolation(f"{len(images)} images with {labels.shape} labels")
         if not np.isin(labels, (0, 1)).all():
             raise InvariantViolation(f"labels must be 0 or 1, got {sorted(set(labels.tolist()) - {0, 1})}")
-        for name, column in (("images", images), ("labels", labels.astype(np.int8, copy=False)),
-                             ("source_ids", ids)):
+        for name, column in (("images", images), ("labels", labels.astype(np.int8, copy=False))):
             view = column.view()
             view.flags.writeable = False
             object.__setattr__(self, name, view)
@@ -48,43 +44,39 @@ class Samples:
 
     def __getitem__(self, index) -> "Samples":
         """The samples at a slice, an index array or a boolean mask, in order."""
-        return Samples(self.images[index], self.labels[index], self.source_ids[index])
+        return Samples(self.images[index], self.labels[index])
 
 
 @dataclass
 class Dataset:
-    """Ordered sample collection, sharded into `shard_count` contiguous slices.
+    """One UAV's ordered samples; round k trains on shard k of `count`.
 
-    Shard boundaries are a pure function of (len(samples), shard_count):
-    the first `len % shard_count` shards get one extra sample, so sizes
-    differ by at most one. Shards are 1-based (shard k is trained in round k).
+    Shard boundaries are a pure function of (len(samples), count): the first
+    `len % count` shards get one extra sample, so sizes differ by at most one.
+    Shards are 1-based (shard k is trained in round k).
     """
 
     samples: Samples
-    shard_count: int
-
-    def __post_init__(self):
-        if self.shard_count < 1:
-            raise InvariantViolation("shard_count must be positive")
 
     def __len__(self) -> int:
         return len(self.samples)
 
-    def shard_bounds(self, k: int) -> tuple[int, int]:
-        if not 1 <= k <= self.shard_count:
-            raise InvariantViolation(f"shard index {k} outside [1, {self.shard_count}]")
-        n = len(self.samples)
-        base, rem = divmod(n, self.shard_count)
+    def shard_bounds(self, k: int, count: int) -> tuple[int, int]:
+        if count < 1:
+            raise InvariantViolation("shard count must be positive")
+        if not 1 <= k <= count:
+            raise InvariantViolation(f"shard index {k} outside [1, {count}]")
+        base, rem = divmod(len(self.samples), count)
         i = k - 1
         start = i * base + min(i, rem)
         return start, start + base + (1 if i < rem else 0)
 
-    def shard(self, k: int) -> Samples:
-        start, stop = self.shard_bounds(k)
+    def shard(self, k: int, count: int) -> Samples:
+        start, stop = self.shard_bounds(k, count)
         return self.samples[start:stop]
 
-    def shard_size(self, k: int) -> int:
-        start, stop = self.shard_bounds(k)
+    def shard_size(self, k: int, count: int) -> int:
+        start, stop = self.shard_bounds(k, count)
         return stop - start
 
 
@@ -101,14 +93,16 @@ class Position3D:
 
 @dataclass
 class UavState:
-    """One UAV: position, battery, local data.
+    """One UAV: its link rates to the base station, battery and local data.
 
-    CPU and radio constants are fleet-wide and live in `cost.CostParams`.
+    The rates follow from its fixed placement; CPU and radio constants are
+    fleet-wide and live in `cost.CostParams`.
     """
 
     id: int
     subregion_id: int
-    position: Position3D
+    rate_up_bps: float
+    rate_down_bps: float
     battery_j: float
     battery_max_j: float
     dataset: Dataset

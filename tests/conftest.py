@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from uavfl.types import Dataset, Position3D, Samples, UavState
+from uavfl.types import Dataset, Samples, UavState
 
 
 def make_image(data) -> np.ndarray:
@@ -21,10 +21,8 @@ def random_image(rng: np.random.Generator, side: int = 8) -> np.ndarray:
 
 
 def make_samples(images, labels=0) -> Samples:
-    """Samples of equally sized 2-D images; `labels` is one label or one per
-    image, and each source id is the image's index."""
-    labels = np.broadcast_to(labels, (len(images),))
-    return Samples(np.stack(images), labels, [str(i) for i in range(len(images))])
+    """Samples of equally sized 2-D images; `labels` is one label or one per image."""
+    return Samples(np.stack(images), np.broadcast_to(labels, (len(images),)))
 
 
 def no_samples(side: int = 8) -> Samples:
@@ -32,12 +30,9 @@ def no_samples(side: int = 8) -> Samples:
 
 
 def make_uav(uid: int = 1, subregion: int = 1, battery: float = 100.0,
-             battery_max: float = 100.0, n_samples: int = 1,
-             shard_count: int = 1) -> UavState:
-    ds = Dataset(samples=make_samples([const_image(0, side=4)] * n_samples),
-                 shard_count=shard_count)
-    return UavState(id=uid, subregion_id=subregion,
-                    position=Position3D(0.0, 0.0, 10.0),
+             battery_max: float = 100.0, n_samples: int = 1) -> UavState:
+    ds = Dataset(make_samples([const_image(0, side=4)] * n_samples))
+    return UavState(id=uid, subregion_id=subregion, rate_up_bps=1e6, rate_down_bps=1e6,
                     battery_j=battery, battery_max_j=battery_max, dataset=ds)
 
 

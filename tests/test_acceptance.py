@@ -43,9 +43,8 @@ def rel_err(a: float, b: float) -> float:
 
 def make_uav(**overrides) -> UavState:
     samples = Samples(np.zeros((1, 4, 4), dtype=np.uint8), [0])
-    defaults = dict(id=1, subregion_id=1, position=Position3D(0.0, 0.0, 100.0),
-                    battery_j=5000.0, battery_max_j=10000.0,
-                    dataset=Dataset(samples=samples, shard_count=1))
+    defaults = dict(id=1, subregion_id=1, rate_up_bps=1e6, rate_down_bps=1e6,
+                    battery_j=5000.0, battery_max_j=10000.0, dataset=Dataset(samples))
     defaults.update(overrides)
     return UavState(**defaults)
 
@@ -215,6 +214,7 @@ def test_criterion_6_energy_closure(capsys):
             f"rel err {rel:.2e} (tol 1e-9)")
 
 
+@pytest.mark.slow
 def test_criterion_7_qualitative_ordering(capsys):
     t0 = time.time()
     base = load_config(CALIBRATED_CONFIG)
@@ -224,8 +224,7 @@ def test_criterion_7_qualitative_ordering(capsys):
     # generator calibration anchor: consecutive same-class samples of one UAV
     # sit near SSIM 0.85; these are the training samples build_scenario gives
     # UAV 1 (sub-region 1)
-    samples = generate_uav_dataset(base.generator, 1, 1, base.master_seed,
-                                   base.n_rounds_max).train.samples
+    samples = generate_uav_dataset(base.generator, 1, 1, base.master_seed).train
     consec = [ssim_pair(samples.images[i], samples.images[i + 1])
               for i in range(400)
               if samples.labels[i] == samples.labels[i + 1]]

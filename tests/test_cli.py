@@ -69,6 +69,17 @@ class TestRun:
         assert err == "uavfl: error: 1 alive UAVs < cohort size 2\n"
         assert not os.path.exists(os.path.join(out, "metadata.json"))
 
+    def test_empty_test_pool_is_one_line_error(self, tmp_path, capsys):
+        # 40-45 samples at 1% round every UAV's test split to 0
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**TINY, "generator": {**TINY["generator"], "samples_max": 45,
+                                                          "test_fraction": 0.01}}))
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("uavfl: error: generator.test_fraction 0.01 ")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("values", [{"workers": "2"}, {"model": {"hidden_dim": "x"}},
                                         {"generator": {"image_side": 8.5}}],
                              ids=["workers", "model", "float-for-int"])
@@ -172,6 +183,23 @@ class TestGenDataAndDedupReport:
         wide = tmp_path / "wide.json"
         wide.write_text(json.dumps({"ssim": {"k1": 0.1, "k2": 0.1}}))
         assert report("--config", str(wide)) != default
+
+    def test_dedup_report_reads_the_config_threshold(self, tiny_config_file, tmp_path,
+                                                     capsys):
+        out = str(tmp_path / "data")
+        assert main(["gen-data", "--config", tiny_config_file, "--out", out]) == 0
+        manifest = os.path.join(out, "manifest.csv")
+        config = tmp_path / "th.json"
+        config.write_text(json.dumps({**TINY, "ssim_threshold": 0.1}))
+        capsys.readouterr()
+
+        def report(*extra):
+            assert main(["dedup-report", "--manifest", manifest, "--config", str(config),
+                         *extra]) == 0
+            return capsys.readouterr().out
+
+        assert "at threshold 0.1\n" in report()
+        assert "at threshold 0.3\n" in report("--ssim-th", "0.3")  # the flag wins
 
     @pytest.mark.parametrize("th", ["1.5", "0"])
     def test_bad_threshold_fails_before_the_manifest_is_read(self, tmp_path, capsys,

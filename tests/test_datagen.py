@@ -29,32 +29,31 @@ class TestGenSpec:
 
 class TestGenerate:
     def test_deterministic(self):
-        a = generate_uav_dataset(FAST, 1, 1, rng_seed=42, shard_count=1)
-        b = generate_uav_dataset(FAST, 1, 1, rng_seed=42, shard_count=1)
+        a = generate_uav_dataset(FAST, 1, 1, rng_seed=42)
+        b = generate_uav_dataset(FAST, 1, 1, rng_seed=42)
         assert len(a.train) == len(b.train)
-        assert np.array_equal(a.train.samples.labels, b.train.samples.labels)
-        assert np.array_equal(a.train.samples.images, b.train.samples.images)
+        assert np.array_equal(a.train.labels, b.train.labels)
+        assert np.array_equal(a.train.images, b.train.images)
 
     def test_different_seeds_differ(self):
-        a = generate_uav_dataset(FAST, 1, 1, rng_seed=42, shard_count=1)
-        b = generate_uav_dataset(FAST, 1, 1, rng_seed=43, shard_count=1)
+        a = generate_uav_dataset(FAST, 1, 1, rng_seed=42)
+        b = generate_uav_dataset(FAST, 1, 1, rng_seed=43)
         assert any(not np.array_equal(ia, ib)
-                   for ia, ib in zip(a.train.samples.images, b.train.samples.images))
+                   for ia, ib in zip(a.train.images, b.train.images))
 
     def test_split_and_count(self):
-        data = generate_uav_dataset(FAST, 2, 3, rng_seed=0, shard_count=1)
+        data = generate_uav_dataset(FAST, 2, 3, rng_seed=0)
         total = len(data.train) + len(data.test)
         assert FAST.samples_min <= total <= FAST.samples_max
         assert len(data.test) == int(round(FAST.test_fraction * total))
 
     def test_non_integer_seed_rejected(self):
         with pytest.raises(InvariantViolation):
-            generate_uav_dataset(FAST, 1, 1, rng_seed="abc", shard_count=1)
+            generate_uav_dataset(FAST, 1, 1, rng_seed="abc")
 
     def test_full_redundancy_collapses_classes(self):
         spec = dataclasses.replace(FAST, redundancy=1.0)
-        data = generate_uav_dataset(spec, 1, 1, rng_seed=7, shard_count=1)
-        train = data.train.samples
+        train = generate_uav_dataset(spec, 1, 1, rng_seed=7).train
         for cls in (0, 1):
             samples = train[train.labels == cls]
             assert len(samples) >= 2
@@ -65,16 +64,16 @@ class TestGenerate:
         # default-size dataset so short-range walk correlation is a small
         # fraction of all sampled pairs
         spec = GenSpec(redundancy=0.0)
-        data = generate_uav_dataset(spec, 1, 1, rng_seed=7, shard_count=1)
-        d = dataset_diversity(data.train.samples, SsimParams(max_pairs=800))
+        data = generate_uav_dataset(spec, 1, 1, rng_seed=7)
+        d = dataset_diversity(data.train, SsimParams(max_pairs=800))
         assert abs(d.mean_pairwise_ssim) < 0.05
 
     def test_redundancy_monotonicity(self):
         means = []
         for rho in (0.1, 0.5, 0.9):
             spec = dataclasses.replace(FAST, redundancy=rho)
-            data = generate_uav_dataset(spec, 1, 1, rng_seed=7, shard_count=1)
-            means.append(dataset_diversity(data.train.samples,
+            data = generate_uav_dataset(spec, 1, 1, rng_seed=7)
+            means.append(dataset_diversity(data.train,
                                            SsimParams(max_pairs=500)).mean_pairwise_ssim)
         assert means[0] < means[1] < means[2]
 
@@ -84,19 +83,15 @@ class TestGenerate:
         spec = dataclasses.replace(FAST, offset_span=0, walk_weight=1.0,
                                    samples_min=140, samples_max=140,
                                    test_fraction=0.01)
-        a = generate_uav_dataset(spec, 1, 1, rng_seed=5, shard_count=1)
-        b = generate_uav_dataset(spec, 1, 2, rng_seed=5, shard_count=1)
+        a = generate_uav_dataset(spec, 1, 1, rng_seed=5)
+        b = generate_uav_dataset(spec, 1, 2, rng_seed=5)
 
-        def by_frame(data):
-            frames = {}
-            for part in (data.train.samples, data.test):
-                for source_id, image in zip(part.source_ids, part.images):
-                    frames[source_id.rsplit("/f", 1)[1]] = image
-            return frames
+        def frames(data):
+            """Every image's bytes, train and test together, in one order."""
+            return sorted(image.tobytes() for part in (data.train, data.test)
+                          for image in part.images)
 
-        fa, fb = by_frame(a), by_frame(b)
-        assert fa.keys() == fb.keys()
-        assert all(np.array_equal(fa[t], fb[t]) for t in fa)
+        assert frames(a) == frames(b)
 
 
 class TestPgmIo:
@@ -160,7 +155,7 @@ class TestManifest:
     def test_header_only_gives_empty_mapping(self, tmp_path):
         mpath = tmp_path / "m.csv"
         mpath.write_text(",".join(MANIFEST_HEADER) + "\n")
-        assert load_manifest(str(mpath), 1) == {}
+        assert load_manifest(str(mpath)) == {}
 
     def test_four_rows_two_uavs(self, tmp_path):
         rels = self._write_images(tmp_path, 4)
@@ -169,19 +164,19 @@ class TestManifest:
             rows.append(f"{rel},{i % 2},1,{1 + i // 2}")
         mpath = tmp_path / "m.csv"
         mpath.write_text("\n".join(rows) + "\n")
-        datasets = load_manifest(str(mpath), 1, image_root=str(tmp_path))
-        assert sorted(datasets) == [1, 2]
-        assert all(len(ds) == 2 for ds in datasets.values())
-        assert datasets[1].samples.source_ids.tolist() == rels[:2]
-        assert datasets[2].samples.labels.tolist() == [0, 1]
-        assert datasets[2].samples.images[:, 0, 0].tolist() == [2, 3]
+        samples = load_manifest(str(mpath), image_root=str(tmp_path))
+        assert sorted(samples) == [1, 2]
+        assert all(len(s) == 2 for s in samples.values())
+        assert samples[1].images[:, 0, 0].tolist() == [0, 1]
+        assert samples[2].labels.tolist() == [0, 1]
+        assert samples[2].images[:, 0, 0].tolist() == [2, 3]
 
     def test_label_out_of_range(self, tmp_path):
         rels = self._write_images(tmp_path, 1)
         mpath = tmp_path / "m.csv"
         mpath.write_text(",".join(MANIFEST_HEADER) + f"\n{rels[0]},2,1,1\n")
         with pytest.raises(LabelOutOfRange):
-            load_manifest(str(mpath), 1, image_root=str(tmp_path))
+            load_manifest(str(mpath), image_root=str(tmp_path))
 
     @pytest.mark.parametrize("row,error", [("{rel},x,1,1", LabelOutOfRange),
                                            ("{rel},1,1,u1", BadHeader)])
@@ -190,7 +185,7 @@ class TestManifest:
         mpath = tmp_path / "m.csv"
         mpath.write_text(",".join(MANIFEST_HEADER) + "\n" + row.format(rel=rels[0]) + "\n")
         with pytest.raises(error, match="m.csv, line 2: "):
-            load_manifest(str(mpath), 1, image_root=str(tmp_path))
+            load_manifest(str(mpath), image_root=str(tmp_path))
 
     def test_mixed_shapes_for_one_uav_fail_at_load(self, tmp_path):
         rels = self._write_images(tmp_path, 3, shapes=((4, 4), (4, 5)))
@@ -198,14 +193,14 @@ class TestManifest:
         mpath = tmp_path / "m.csv"
         mpath.write_text("\n".join(rows) + "\n")
         with pytest.raises(DimensionMismatch, match="UAV 1"):
-            load_manifest(str(mpath), 1, image_root=str(tmp_path))
+            load_manifest(str(mpath), image_root=str(tmp_path))
 
     def test_wrong_header(self, tmp_path):
         mpath = tmp_path / "m.csv"
         mpath.write_text("a,b,c,d\n")
         with pytest.raises(BadHeader):
-            load_manifest(str(mpath), 1)
+            load_manifest(str(mpath))
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(MissingFile):
-            load_manifest(str(tmp_path / "none.csv"), 1)
+            load_manifest(str(tmp_path / "none.csv"))

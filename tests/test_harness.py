@@ -50,8 +50,16 @@ class TestScenarioBuild:
         assert len(sc.uavs) == 4
         assert sc.test_x.shape[1] == 64  # image_side 8, flattened
         assert sc.test_x.shape[0] == len(sc.test_y) > 0
-        assert set(sc.rate_up) == {1, 2, 3, 4}
-        assert all(r > 0 for r in sc.rate_up.values())
+        assert [u.id for u in sc.uavs] == [1, 2, 3, 4]
+        assert all(u.rate_up_bps > 0 and u.rate_down_bps > 0 for u in sc.uavs)
+
+    def test_empty_test_pool_fails_at_build(self):
+        # 40-45 samples at 1% round every UAV's test split to 0
+        config = tiny_config(generator={**TINY["generator"], "samples_max": 45,
+                                        "test_fraction": 0.01})
+        for run in (build_scenario, run_experiment):
+            with pytest.raises(ConfigError, match="generator.test_fraction 0.01"):
+                run(config)
 
     def test_fresh_copy_isolates_mutation(self):
         sc = build_scenario(tiny_config())
@@ -145,8 +153,9 @@ class TestRetire:
         sc = build_scenario(config)
         param_count = config.model.param_count(config.generator.image_side ** 2)
         unfunded = {u.id for u in sc.uavs
-                    if estimate_round_cost(config.cost, param_count, u.dataset.shard_size(1),
-                                           sc.rate_up[u.id], sc.rate_down[u.id]
+                    if estimate_round_cost(config.cost, param_count,
+                                           u.dataset.shard_size(1, config.n_rounds_max),
+                                           u.rate_up_bps, u.rate_down_bps
                                            ).total_energy_j > u.battery_j}
         assert 0 < len(unfunded) <= len(sc.uavs) - config.cohort_size
 

@@ -23,17 +23,15 @@ class TestSamples:
         with pytest.raises(InvariantViolation):
             Samples(np.zeros((2, 4, 4), dtype=np.uint8), [0, 2])
 
-    @pytest.mark.parametrize("labels,ids", [([0], ["a", "b"]), ([0, 1, 0], ["a", "b"]),
-                                            ([0, 1], ["a"])])
-    def test_rejects_mismatched_columns(self, labels, ids):
+    @pytest.mark.parametrize("labels", [[0], [0, 1, 0]])
+    def test_rejects_mismatched_columns(self, labels):
         with pytest.raises(InvariantViolation):
-            Samples(np.zeros((2, 4, 4), dtype=np.uint8), labels, ids)
+            Samples(np.zeros((2, 4, 4), dtype=np.uint8), labels)
 
     def test_dimensions(self):
-        s = Samples(np.zeros((2, 3, 5), dtype=np.uint8), [0, 1], ["a", "b"])
+        s = Samples(np.zeros((2, 3, 5), dtype=np.uint8), [0, 1])
         assert len(s) == 2 and s.images.shape == (2, 3, 5)
-        assert s.source_ids.tolist() == ["a", "b"]
-        assert len(no_samples()) == 0 and no_samples().source_ids.shape == (0,)
+        assert len(no_samples()) == 0 and no_samples().labels.shape == (0,)
 
     def test_accepts_binary_labels(self):
         s = Samples(np.zeros((3, 4, 4), dtype=np.uint8), np.array([0, 1, 1]))
@@ -41,7 +39,7 @@ class TestSamples:
 
     def test_read_only(self):
         s = make_samples([const_image(0), const_image(1)], [0, 1])
-        for column in (s.images, s.labels, s.source_ids):
+        for column in (s.images, s.labels):
             with pytest.raises(ValueError):
                 column[0] = column[1]
 
@@ -52,36 +50,37 @@ class TestSamples:
         assert np.shares_memory(part.images, s.images)
         assert np.shares_memory(part.labels, s.labels)
         picked = s[[4, 0]]
-        assert picked.source_ids.tolist() == ["4", "0"]
         assert picked.images[:, 0, 0].tolist() == [4, 0]
-        assert s[s.labels == 1].source_ids.tolist() == ["1", "3"]
+        assert picked.labels.tolist() == [0, 0]
+        assert s[s.labels == 1].images[:, 0, 0].tolist() == [1, 3]
 
 
 class TestDatasetSharding:
     def test_shard_sizes_differ_by_at_most_one_and_cover_all(self):
         for n, k in [(10, 3), (7, 7), (200, 200), (13, 5), (3, 8)]:
-            ds = Dataset(samples=make_samples([const_image(0)] * n),
-                         shard_count=k)
-            sizes = [ds.shard_size(i) for i in range(1, k + 1)]
+            ds = Dataset(make_samples([const_image(0)] * n))
+            sizes = [ds.shard_size(i, k) for i in range(1, k + 1)]
             assert sum(sizes) == n
             assert max(sizes) - min(sizes) <= 1
             # contiguous, in order, no overlap
             seen = []
             for i in range(1, k + 1):
-                start, stop = ds.shard_bounds(i)
+                start, stop = ds.shard_bounds(i, k)
                 seen.extend(range(start, stop))
             assert seen == list(range(n))
 
     def test_shard_index_out_of_range(self):
-        ds = Dataset(samples=make_samples([const_image(0)]), shard_count=2)
+        ds = Dataset(make_samples([const_image(0)]))
         with pytest.raises(InvariantViolation):
-            ds.shard(0)
+            ds.shard(0, 2)
         with pytest.raises(InvariantViolation):
-            ds.shard(3)
+            ds.shard(3, 2)
 
     def test_rejects_nonpositive_shard_count(self):
-        with pytest.raises(InvariantViolation):
-            Dataset(samples=no_samples(), shard_count=0)
+        ds = Dataset(no_samples())
+        for count in (0, -1):
+            with pytest.raises(InvariantViolation, match="shard count must be positive"):
+                ds.shard_bounds(1, count)
 
 
 class TestPosition:
