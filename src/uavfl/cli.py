@@ -8,7 +8,7 @@ import sys
 
 from .config import ExperimentConfig, config_from_dict, load_config
 from .datagen import (MANIFEST_HEADER, generate_uav_dataset, load_manifest,
-                      write_pgm)
+                      subregion_scenes, write_pgm)
 from .errors import UavFlError
 from .harness import (compare_strategies, emit_csv, emit_metadata, emit_summary_csv,
                       make_out_dir, run_experiment, write_text)
@@ -57,18 +57,22 @@ def cmd_gen_data(args) -> int:
     config = _load(args)
     out = config.output_dir
     make_out_dir(out)
-    rows = [",".join(MANIFEST_HEADER)]
-    for uid in range(1, config.n_uavs + 1):
-        subregion = (uid - 1) % config.subregion_count + 1
-        train = generate_uav_dataset(config.generator, subregion, uid, config.master_seed).train
-        make_out_dir(os.path.join(out, f"uav{uid:03d}"))
-        for i, (image, label) in enumerate(zip(train.images, train.labels)):
-            rel = os.path.join(f"uav{uid:03d}", f"{i:05d}.pgm")
-            write_pgm(os.path.join(out, rel), image)
-            rows.append(f"{rel},{label},{subregion},{uid}")
+    rows: dict[int, list[str]] = {}  # manifest rows by UAV id
+    for scene in subregion_scenes(config.generator, config.subregion_count,
+                                  config.master_seed):
+        for uid in range(scene.subregion_id, config.n_uavs + 1, config.subregion_count):
+            train = generate_uav_dataset(config.generator, scene, uid,
+                                         config.master_seed).train
+            make_out_dir(os.path.join(out, f"uav{uid:03d}"))
+            rows[uid] = []
+            for i, (image, label) in enumerate(zip(train.images, train.labels)):
+                rel = os.path.join(f"uav{uid:03d}", f"{i:05d}.pgm")
+                write_pgm(os.path.join(out, rel), image)
+                rows[uid].append(f"{rel},{label},{scene.subregion_id},{uid}")
+    lines = [",".join(MANIFEST_HEADER)] + [row for uid in sorted(rows) for row in rows[uid]]
     manifest = os.path.join(out, "manifest.csv")
-    write_text(manifest, "\n".join(rows) + "\n")
-    print(f"wrote {len(rows) - 1} images and {manifest}")
+    write_text(manifest, "\n".join(lines) + "\n")
+    print(f"wrote {len(lines) - 1} images and {manifest}")
     return 0
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,7 @@ from .types import Samples
 
 
 BASE_LEVEL = 128.0  # grey level that a zero pixel field maps to
+_BLOCK = 32  # images per noise draw, and walk frames per normalisation step
 
 
 @dataclass(frozen=True)
@@ -121,62 +123,101 @@ def _label_track(seed, subregion_id: int, length: int, spec: GenSpec) -> np.ndar
     return labels
 
 
-def _walk_frames(seed, subregion_id: int, length: int, spec: GenSpec) -> np.ndarray:
-    """First `length` frames of the sub-region scene walk.
+def _walk_frames(seed, subregion_id: int, spec: GenSpec, buf: np.ndarray) -> np.ndarray:
+    """The sub-region scene walk, built in `buf` and returned as a view of it.
 
     The walk is a moving average (window `walk_window`) over iid white-noise
     frames, so frames `L` apart correlate as max(0, 1 - L/window): strong
     short-range redundancy, none beyond the window. White-noise innovations
     keep distant-frame similarity tightly concentrated at zero, which makes
-    near-duplicate removal behave the same at any dataset size.
+    near-duplicate removal behave the same at any dataset size. `buf` holds
+    `window - 1` rows more than the walk has frames.
     """
     rng = np.random.default_rng(np.random.SeedSequence([_entropy(seed), 104, subregion_id]))
     w = spec.walk_window
+    rng.standard_normal(out=buf)
+    for lo in range(0, len(buf), _BLOCK):
+        innovations = buf[lo:lo + _BLOCK]
+        innovations -= innovations.mean(axis=(1, 2), keepdims=True)
+        std = innovations.std(axis=(1, 2), keepdims=True)
+        std[std == 0] = 1.0
+        innovations /= std
+    np.cumsum(buf, axis=0, out=buf)
+    # frame t is csum[t + w - 1] - csum[t - 1]; differencing from the end, each
+    # block of w rows reads rows below it that still hold the cumulative sum
+    for hi in range(len(buf), w, -w):
+        lo = max(hi - w, w)
+        buf[lo:hi] -= buf[lo - w:hi - w]
+    frames = buf[w - 1:]
+    frames /= np.sqrt(w)
+    return frames
+
+
+@dataclass(frozen=True)
+class Scene:
+    """What every UAV of one sub-region films: the scene walk, its label track
+    and the (class 0, class 1) patterns."""
+
+    subregion_id: int
+    frames: np.ndarray    # (span, side, side) float64, a view of a shared buffer
+    labels: np.ndarray    # (span,) int64
+    patterns: np.ndarray  # (2, side, side) float64
+
+
+def subregion_scenes(spec: GenSpec, count: int, rng_seed: int) -> Iterator[Scene]:
+    """The scenes of sub-regions 1..count, built one at a time.
+
+    Every scene's frames live in one walk buffer allocated per call, so a
+    scene is valid only until the next one is drawn. The walk and label track
+    span `offset_span + samples_max` frames, so every UAV of a sub-region sees
+    the identical scene sequence regardless of its own length.
+    """
+    span = spec.offset_span + spec.samples_max
     side = spec.image_side
-    innovations = rng.standard_normal((length + w - 1, side, side))
-    innovations -= innovations.mean(axis=(1, 2), keepdims=True)
-    std = innovations.std(axis=(1, 2), keepdims=True)
-    std[std == 0] = 1.0
-    innovations /= std
-    csum = np.cumsum(innovations, axis=0)
-    frames = np.empty((length, side, side))
-    frames[0] = csum[w - 1]
-    frames[1:] = csum[w:] - csum[:length - 1]
-    return frames / np.sqrt(w)
+    buf = np.empty((span + spec.walk_window - 1, side, side))
+    for subregion_id in range(1, count + 1):
+        yield Scene(subregion_id=subregion_id,
+                    frames=_walk_frames(rng_seed, subregion_id, spec, buf),
+                    labels=_label_track(rng_seed, subregion_id, span, spec),
+                    patterns=np.stack([_class_pattern(rng_seed, c, subregion_id, spec)
+                                       for c in (0, 1)]))
 
 
-def generate_uav_dataset(spec: GenSpec, subregion_id: int, uav_id: int,
+def generate_uav_dataset(spec: GenSpec, scene: Scene, uav_id: int,
                          rng_seed: int) -> UavData:
-    """Deterministic synthetic dataset for one UAV.
+    """Deterministic synthetic dataset for one UAV filming `scene`.
 
     pixel field = rho*scene(class) + (1-rho)*(w*walk_frame + (1-w)*noise),
     quantized to 8 bits around `BASE_LEVEL`. rho=1 collapses each class to
     its scene (identical images); rho=0 yields effectively independent
     images. All randomness derives from (rng_seed, subregion_id, uav_id).
+    Images are made `_BLOCK` at a time; each pixel takes the same
+    floating-point operations as when made one image at a time.
     """
     rng_u = np.random.default_rng(np.random.SeedSequence([_entropy(rng_seed), 105,
-                                                          subregion_id, uav_id]))
+                                                          scene.subregion_id, uav_id]))
     n = int(rng_u.integers(spec.samples_min, spec.samples_max + 1))
     offset = int(rng_u.integers(0, spec.offset_span + 1))
-
-    # Walk/labels are generated at full span so every UAV of a sub-region
-    # sees the identical scene sequence regardless of its own length.
-    span = spec.offset_span + spec.samples_max
-    frames = _walk_frames(rng_seed, subregion_id, span, spec)
-    labels = _label_track(rng_seed, subregion_id, span, spec)
-    patterns = {c: _class_pattern(rng_seed, c, subregion_id, spec) for c in (0, 1)}
 
     rho = spec.redundancy
     wv = spec.walk_weight
     eta_norm = np.sqrt(wv * wv + (1.0 - wv) ** 2)
+    class_fields = rho * scene.patterns
     images = np.empty((n, spec.image_side, spec.image_side), dtype=np.uint8)
-    for i in range(n):
-        t = offset + i
-        noise = rng_u.standard_normal((spec.image_side, spec.image_side))
-        varying = (wv * frames[t] + (1.0 - wv) * noise) / eta_norm
-        field = rho * patterns[int(labels[t])] + (1.0 - rho) * varying
-        images[i] = np.clip(np.rint(BASE_LEVEL + spec.contrast * field), 0, 255)
-    samples = Samples(images, labels[offset:offset + n])
+    for lo in range(0, n, _BLOCK):
+        t = slice(offset + lo, offset + min(lo + _BLOCK, n))
+        field = rng_u.standard_normal((t.stop - t.start, spec.image_side, spec.image_side))
+        field *= 1.0 - wv
+        field += wv * scene.frames[t]
+        field /= eta_norm
+        field *= 1.0 - rho
+        field += class_fields[scene.labels[t]]
+        field *= spec.contrast
+        field += BASE_LEVEL
+        np.rint(field, out=field)
+        np.clip(field, 0, 255, out=field)
+        images[lo:lo + len(field)] = field
+    samples = Samples(images, scene.labels[offset:offset + n])
 
     test = np.zeros(n, dtype=bool)
     test[rng_u.permutation(n)[:int(round(spec.test_fraction * n))]] = True

@@ -22,7 +22,7 @@ from . import __version__
 from .channel import capacity, channel_gain, link_geometry
 from .config import ExperimentConfig
 from .cost import RoundCost, charge_round, estimate_round_cost, round_duration
-from .datagen import generate_uav_dataset
+from .datagen import UavData, generate_uav_dataset, subregion_scenes
 from .errors import CohortInfeasible, ConfigError, UavFlError
 from .learning import aggregate, evaluate_matrix, local_train, model_init, samples_to_matrix
 from .selection import deeps_select, is_feasible, random_select
@@ -86,24 +86,27 @@ def build_scenario(config: ExperimentConfig) -> Scenario:
     place_rng = np.random.default_rng(np.random.SeedSequence([seed, _TAG_PLACEMENT]))
     battery_rng = np.random.default_rng(np.random.SeedSequence([seed, _TAG_BATTERY]))
 
+    data: dict[int, UavData] = {}
+    for scene in subregion_scenes(config.generator, config.subregion_count, seed):
+        # UAV i flies sub-region (i - 1) mod subregion_count + 1
+        for uid in range(scene.subregion_id, config.n_uavs + 1, config.subregion_count):
+            data[uid] = generate_uav_dataset(config.generator, scene, uid, seed)
+
     uavs: list[UavState] = []
-    tests: list[Samples] = []
     for uid in range(1, config.n_uavs + 1):
-        subregion = (uid - 1) % config.subregion_count + 1
         x, y = place_rng.uniform(0.0, geo.region_m, size=2)
         battery = float(battery_rng.uniform(config.battery.min_j, config.battery.max_j))
-        data = generate_uav_dataset(config.generator, subregion, uid, seed)
         position = Position3D(float(x), float(y), geo.uav_altitude_m)
         h = channel_gain(link_geometry(position, bs_pos), channel)
         uavs.append(UavState(
-            id=uid, subregion_id=subregion,
+            id=uid, subregion_id=(uid - 1) % config.subregion_count + 1,
             rate_up_bps=capacity(h, config.cost.tx_power_w, channel),
             rate_down_bps=capacity(h, channel.bs_tx_power_w, channel),
             battery_j=battery, battery_max_j=config.battery.max_j,
-            dataset=Dataset(data.train),
+            dataset=Dataset(data[uid].train),
         ))
-        tests.append(data.test)
 
+    tests = [data[uid].test for uid in sorted(data)]
     test_pool = Samples(np.concatenate([t.images for t in tests]),
                         np.concatenate([t.labels for t in tests]))
     if not len(test_pool):

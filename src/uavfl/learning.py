@@ -81,7 +81,8 @@ def model_init(spec: ModelSpec, input_dim: int, rng_seed) -> np.ndarray:
 def samples_to_matrix(samples: Samples) -> tuple[np.ndarray, np.ndarray]:
     """(n, height*width) float64 inputs scaled to [0, 1] and float64 labels."""
     n, height, width = samples.images.shape
-    X = samples.images.reshape(n, height * width).astype(np.float64) / 255.0
+    X = samples.images.reshape(n, height * width).astype(np.float64)
+    X /= 255.0
     return X, samples.labels.astype(np.float64)
 
 

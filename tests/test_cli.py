@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -167,6 +168,23 @@ class TestGenDataAndDedupReport:
         report = capsys.readouterr().out
         assert "total:" in report
         assert f"total: {n_rows} ->" in report
+
+    def test_gen_data_is_pinned(self, tiny_config_file, tmp_path):
+        # sha256 of TINY's manifest and of every PGM (relative path, then
+        # bytes, in path order)
+        out = tmp_path / "data"
+        assert main(["gen-data", "--config", tiny_config_file, "--out", str(out)]) == 0
+        manifest = (out / "manifest.csv").read_bytes()
+        assert hashlib.sha256(manifest).hexdigest() == (
+            "54a47f1135318d862967a2aa0f2b2bd9a04cc3d2019a2e10c0008762d0f36962")
+        pgms = sorted(str(p.relative_to(out)) for p in out.rglob("*.pgm"))
+        assert len(pgms) == 160
+        digest = hashlib.sha256()
+        for rel in pgms:
+            digest.update(rel.encode() + b"\n")
+            digest.update((out / rel).read_bytes())
+        assert digest.hexdigest() == (
+            "37b3c3a83ea2a3e7bf17f85ed939ce1cef7bb552285039e62aee47c865f5a85c")
 
     def test_dedup_report_reads_ssim_section(self, tiny_config_file, tmp_path, capsys):
         out = str(tmp_path / "data")

@@ -3,14 +3,33 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from uavfl.datagen import (GenSpec, MANIFEST_HEADER, generate_uav_dataset,
-                           load_manifest, read_pgm, write_pgm)
+from oracles import _oracle_walk_frames, oracle_uav_dataset
+from uavfl.datagen import (_BLOCK, GenSpec, MANIFEST_HEADER, _class_pattern,
+                           _label_track, generate_uav_dataset, load_manifest, read_pgm,
+                           subregion_scenes, write_pgm)
 from uavfl.errors import (BadHeader, BadPgmMagic, DimensionMismatch, InvariantViolation,
                           LabelOutOfRange, MissingFile, UavFlError)
 from uavfl.similarity import SsimParams, dataset_diversity
 
 FAST = GenSpec(samples_min=120, samples_max=150, offset_span=30, test_fraction=0.2)
+
+
+def generate(spec, subregion_id, uav_id, rng_seed):
+    """One UAV's dataset, made from its sub-region's scene as `build_scenario`
+    makes it; the last scene drawn is still valid."""
+    scene = list(subregion_scenes(spec, subregion_id, rng_seed))[-1]
+    return generate_uav_dataset(spec, scene, uav_id, rng_seed)
+
+
+def assert_same_data(got, want):
+    """Equal images (bytes and shape) and labels, in both halves of the split."""
+    for part in ("train", "test"):
+        g, w = getattr(got, part), getattr(want, part)
+        assert g.images.shape == w.images.shape
+        assert g.images.tobytes() == w.images.tobytes()
+        assert g.labels.dtype == w.labels.dtype and np.array_equal(g.labels, w.labels)
 
 
 class TestGenSpec:
@@ -29,31 +48,34 @@ class TestGenSpec:
 
 class TestGenerate:
     def test_deterministic(self):
-        a = generate_uav_dataset(FAST, 1, 1, rng_seed=42)
-        b = generate_uav_dataset(FAST, 1, 1, rng_seed=42)
+        a = generate(FAST, 1, 1, rng_seed=42)
+        b = generate(FAST, 1, 1, rng_seed=42)
         assert len(a.train) == len(b.train)
         assert np.array_equal(a.train.labels, b.train.labels)
         assert np.array_equal(a.train.images, b.train.images)
 
     def test_different_seeds_differ(self):
-        a = generate_uav_dataset(FAST, 1, 1, rng_seed=42)
-        b = generate_uav_dataset(FAST, 1, 1, rng_seed=43)
+        a = generate(FAST, 1, 1, rng_seed=42)
+        b = generate(FAST, 1, 1, rng_seed=43)
         assert any(not np.array_equal(ia, ib)
                    for ia, ib in zip(a.train.images, b.train.images))
 
     def test_split_and_count(self):
-        data = generate_uav_dataset(FAST, 2, 3, rng_seed=0)
+        data = generate(FAST, 2, 3, rng_seed=0)
         total = len(data.train) + len(data.test)
         assert FAST.samples_min <= total <= FAST.samples_max
         assert len(data.test) == int(round(FAST.test_fraction * total))
 
     def test_non_integer_seed_rejected(self):
         with pytest.raises(InvariantViolation):
-            generate_uav_dataset(FAST, 1, 1, rng_seed="abc")
+            next(subregion_scenes(FAST, 1, rng_seed="abc"))
+        scene = next(subregion_scenes(FAST, 1, rng_seed=42))
+        with pytest.raises(InvariantViolation):
+            generate_uav_dataset(FAST, scene, 1, rng_seed="abc")
 
     def test_full_redundancy_collapses_classes(self):
         spec = dataclasses.replace(FAST, redundancy=1.0)
-        train = generate_uav_dataset(spec, 1, 1, rng_seed=7).train
+        train = generate(spec, 1, 1, rng_seed=7).train
         for cls in (0, 1):
             samples = train[train.labels == cls]
             assert len(samples) >= 2
@@ -64,7 +86,7 @@ class TestGenerate:
         # default-size dataset so short-range walk correlation is a small
         # fraction of all sampled pairs
         spec = GenSpec(redundancy=0.0)
-        data = generate_uav_dataset(spec, 1, 1, rng_seed=7)
+        data = generate(spec, 1, 1, rng_seed=7)
         d = dataset_diversity(data.train, SsimParams(max_pairs=800))
         assert abs(d.mean_pairwise_ssim) < 0.05
 
@@ -72,7 +94,7 @@ class TestGenerate:
         means = []
         for rho in (0.1, 0.5, 0.9):
             spec = dataclasses.replace(FAST, redundancy=rho)
-            data = generate_uav_dataset(spec, 1, 1, rng_seed=7)
+            data = generate(spec, 1, 1, rng_seed=7)
             means.append(dataset_diversity(data.train,
                                            SsimParams(max_pairs=500)).mean_pairwise_ssim)
         assert means[0] < means[1] < means[2]
@@ -83,8 +105,9 @@ class TestGenerate:
         spec = dataclasses.replace(FAST, offset_span=0, walk_weight=1.0,
                                    samples_min=140, samples_max=140,
                                    test_fraction=0.01)
-        a = generate_uav_dataset(spec, 1, 1, rng_seed=5)
-        b = generate_uav_dataset(spec, 1, 2, rng_seed=5)
+        scene = next(subregion_scenes(spec, 1, rng_seed=5))
+        a = generate_uav_dataset(spec, scene, 1, rng_seed=5)
+        b = generate_uav_dataset(spec, scene, 2, rng_seed=5)
 
         def frames(data):
             """Every image's bytes, train and test together, in one order."""
@@ -92,6 +115,56 @@ class TestGenerate:
                           for image in part.images)
 
         assert frames(a) == frames(b)
+
+
+# the oracle test's base spec: the walk buffer holds 87 rows, not a multiple
+# of the window of 8 or of _BLOCK
+SMALL = GenSpec(image_side=8, samples_min=50, samples_max=70, offset_span=10,
+                test_fraction=0.2)
+
+
+class TestBlockedGeneratorMatchesOracle:
+    """`subregion_scenes` + `generate_uav_dataset` against the per-image,
+    per-UAV-walk generator in `oracles.py`, byte for byte."""
+
+    @pytest.mark.parametrize("overrides", [
+        {"samples_min": _BLOCK - 1, "samples_max": _BLOCK - 1},
+        {"samples_min": 2 * _BLOCK, "samples_max": 2 * _BLOCK},
+        {"samples_min": 2 * _BLOCK + 1, "samples_max": 2 * _BLOCK + 1},
+        {"walk_window": 5, "offset_span": 7},
+        {"walk_window": 1},
+        {"redundancy": 0.0},
+        {"redundancy": 1.0},
+        {"image_side": 32},
+    ], ids=["n_below_block", "n_at_block", "n_above_block", "walk_not_multiple_of_window",
+            "window_1", "redundancy_0", "redundancy_1", "side_32"])
+    def test_several_uavs_of_one_pass(self, overrides):
+        spec = dataclasses.replace(SMALL, **overrides)
+        span = spec.offset_span + spec.samples_max
+        seen = []
+        for scene in subregion_scenes(spec, 3, rng_seed=9):
+            sr = scene.subregion_id
+            assert scene.frames.tobytes() == _oracle_walk_frames(9, sr, span, spec).tobytes()
+            assert np.array_equal(scene.labels, _label_track(9, sr, span, spec))
+            for c in (0, 1):
+                assert np.array_equal(scene.patterns[c], _class_pattern(9, c, sr, spec))
+            for uid in (sr, sr + 3):  # two UAVs per scene, as build_scenario numbers them
+                assert_same_data(generate_uav_dataset(spec, scene, uid, rng_seed=9),
+                                 oracle_uav_dataset(spec, sr, uid, rng_seed=9))
+                seen.append(uid)
+        assert sorted(seen) == list(range(1, 7))
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3 * _BLOCK + 1),
+           window=st.integers(1, 12), offset_span=st.integers(0, 40),
+           redundancy=st.floats(0.0, 1.0), side=st.sampled_from([4, 8]))
+    def test_random_specs(self, seed, n, window, offset_span, redundancy, side):
+        spec = GenSpec(image_side=side, samples_min=n, samples_max=n, walk_window=window,
+                       offset_span=offset_span, redundancy=redundancy, test_fraction=0.3)
+        for scene in subregion_scenes(spec, 2, seed):
+            assert_same_data(generate_uav_dataset(spec, scene, scene.subregion_id, seed),
+                             oracle_uav_dataset(spec, scene.subregion_id,
+                                                scene.subregion_id, seed))
 
 
 class TestPgmIo:
