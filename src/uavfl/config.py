@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 from .channel import ChannelParams
@@ -60,8 +61,9 @@ _SCALAR_TYPES = {"int": int, "float": (int, float), "str": str, "bool": bool}
 
 def _check_types(cls, values: dict, where: str = "") -> None:
     """Raise a ConfigError for a value that is not of its `cls` field's
-    annotated scalar type; an int passes for a float, a bool only for a bool.
-    An optional field is checked as its type: its None is filled in first."""
+    annotated scalar type; an int passes for a float, a bool only for a bool,
+    and NaN and +-inf for nothing. An optional field is checked as its type:
+    its None is filled in first."""
     for f in dataclasses.fields(cls):
         kind = f.type.removesuffix(" | None")
         kinds = _SCALAR_TYPES.get(kind)
@@ -69,6 +71,8 @@ def _check_types(cls, values: dict, where: str = "") -> None:
             value = values[f.name]
             if not isinstance(value, kinds) or isinstance(value, bool) != (kind == "bool"):
                 raise ConfigError(f"{where}{f.name}: expected {kind}, got {type(value).__name__}")
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{where}{f.name}: must be finite, got {value}")
 
 
 @dataclass
@@ -185,11 +189,14 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
 def load_config(path: str, **overrides) -> ExperimentConfig:
     """Load a JSON config file; `overrides` replace top-level keys before it is
-    validated. An unreadable file or malformed JSON fails as a ConfigError
-    naming the path."""
+    validated. An unreadable file, malformed JSON or a NaN/Infinity constant
+    (which Python's json would accept) fails as a ConfigError naming the path."""
+    def no_constant(name: str):
+        raise ConfigError(f"config {path} holds {name}; every number must be finite")
+
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, parse_constant=no_constant)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc.strerror or exc}") from exc
     except ValueError as exc:  # json.JSONDecodeError, or bytes that are not UTF-8

@@ -25,8 +25,10 @@ class CostParams:
     param_size_bits: int = 32
 
     def __post_init__(self):
-        if self.cpu_hz <= 0 or self.tx_power_w < 0 or self.cycles_per_sample < 0:
-            raise InvariantViolation("bad CPU/radio parameters")
+        if self.cpu_hz <= 0 or self.cycles_per_sample < 0:
+            raise InvariantViolation("bad CPU parameters")
+        if not self.tx_power_w > 0:  # a silent radio has no uplink rate
+            raise InvariantViolation(f"tx_power_w must be > 0, got {self.tx_power_w}")
         if self.chip_coeff < 0:
             raise InvariantViolation("chip_coeff must be >= 0")
         if self.epochs_per_round < 1 or self.param_size_bits < 1:

@@ -5,7 +5,9 @@ that every random stream is independent of the others. Harness tags:
 1 placement, 2 batteries, 3 training (per round+UAV), 4 random selection
 (per round), 5 diversity sampling (per round+UAV), 6 model init. The data
 generator uses its own 10x tags internally. Fixing the master seed makes a
-whole run bit-reproducible, independent of the training worker count.
+whole run bit-reproducible on one BLAS kernel, independent of the training
+worker count and of the BLAS thread count: `run_experiment` runs OpenBLAS on
+one thread and gives the caller's thread count back when it returns.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from .config import ExperimentConfig
 from .cost import RoundCost, charge_round, estimate_round_cost, round_duration
 from .datagen import UavData, generate_uav_dataset, subregion_scenes
 from .errors import CohortInfeasible, ConfigError, UavFlError
-from .learning import aggregate, evaluate_matrix, local_train, model_init, samples_to_matrix
+from .learning import (aggregate, blas_info, evaluate_matrix, local_train, model_init,
+                       one_blas_thread, samples_to_matrix)
 from .selection import deeps_select, is_feasible, random_select
 from .similarity import DiversityScore, SsimParams, dataset_diversity, deduplicate
 from .types import Dataset, Position3D, RoundRecord, Samples, UavState
@@ -144,132 +147,133 @@ def run_experiment(config: ExperimentConfig, scenario: Scenario | None = None,
     validated like a loaded config. `scenario`, when given, must have been
     built from the same config; each run works on a fresh copy of it.
     """
-    overrides = {"strategy": strategy, "ssim_threshold": ssim_threshold}
-    config = dataclasses.replace(
-        config, **{key: value for key, value in overrides.items() if value is not None})
-    scenario = build_scenario(config) if scenario is None else scenario.fresh_copy()
-    uavs = scenario.uavs
-    by_id = {u.id: u for u in uavs}
-    seed = config.master_seed
-    # the model reads each image flattened; local_train and evaluate_matrix
-    # reject images that do not fit these parameters
-    params = model_init(config.model, config.generator.image_side ** 2,
-                        np.random.SeedSequence([seed, _TAG_MODEL_INIT]))
-    param_count = len(params)
+    with one_blas_thread():
+        overrides = {"strategy": strategy, "ssim_threshold": ssim_threshold}
+        config = dataclasses.replace(
+            config, **{key: value for key, value in overrides.items() if value is not None})
+        scenario = build_scenario(config) if scenario is None else scenario.fresh_copy()
+        uavs = scenario.uavs
+        by_id = {u.id: u for u in uavs}
+        seed = config.master_seed
+        # the model reads each image flattened; local_train and evaluate_matrix
+        # reject images that do not fit these parameters
+        params = model_init(config.model, config.generator.image_side ** 2,
+                            np.random.SeedSequence([seed, _TAG_MODEL_INIT]))
+        param_count = len(params)
 
-    def round_cost(u: UavState, k: int) -> RoundCost:
-        return estimate_round_cost(config.cost, param_count,
-                                   u.dataset.shard_size(k, config.n_rounds_max),
-                                   u.rate_up_bps, u.rate_down_bps)
+        def round_cost(u: UavState, k: int) -> RoundCost:
+            return estimate_round_cost(config.cost, param_count,
+                                       u.dataset.shard_size(k, config.n_rounds_max),
+                                       u.rate_up_bps, u.rate_down_bps)
 
-    initial_battery = sum(u.battery_j for u in uavs)
+        initial_battery = sum(u.battery_j for u in uavs)
 
-    # each alive UAV's cost of the coming round; dedup re-estimates the UAV it shrank
-    costs: dict[int, RoundCost] = {}
+        # each alive UAV's cost of the coming round; dedup re-estimates the UAV it shrank
+        costs: dict[int, RoundCost] = {}
 
-    def retire(k: int) -> int:
-        """Estimate each alive UAV's round-k cost and retire the UAVs it does not
-        fit (link rates are static, so the estimate is exact); returns how many."""
-        costs.clear()
-        costs.update((u.id, round_cost(u, k)) for u in uavs if u.alive)
-        unfunded = [u for u in uavs if u.alive and not is_feasible(u, costs[u.id])]
-        for u in unfunded:
-            u.alive = False
-        return len(unfunded)
+        def retire(k: int) -> int:
+            """Estimate each alive UAV's round-k cost and retire the UAVs it does not
+            fit (link rates are static, so the estimate is exact); returns how many."""
+            costs.clear()
+            costs.update((u.id, round_cost(u, k)) for u in uavs if u.alive)
+            unfunded = [u for u in uavs if u.alive and not is_feasible(u, costs[u.id])]
+            for u in unfunded:
+                u.alive = False
+            return len(unfunded)
 
-    def converged_at() -> int | None:
-        return _find_convergence([r.global_accuracy for r in records],
-                                 config.convergence_window, config.convergence_tol)
+        def converged_at() -> int | None:
+            return _find_convergence([r.global_accuracy for r in records],
+                                     config.convergence_window, config.convergence_tol)
 
-    records: list[RoundRecord] = []
-    deduped: set[int] = set()  # UAVs whose dataset this run has deduplicated
-    dedup_removed = 0
-    degraded_rounds = 0
-    aborted = False
+        records: list[RoundRecord] = []
+        deduped: set[int] = set()  # UAVs whose dataset this run has deduplicated
+        dedup_removed = 0
+        degraded_rounds = 0
+        aborted = False
 
-    dropouts = retire(1)  # round 1's record counts the UAVs that never fly
-    for k in range(1, config.n_rounds_max + 1):
-        if config.strategy == "deeps":
-            diversity = {u.id: _shard_diversity(u, k, config.n_rounds_max, config.ssim, seed)
-                         for u in uavs if u.alive}
-            sel = deeps_select(uavs, config.per_subregion_quota, config.xi, diversity, costs)
-            if sel.degraded_subregions:
-                degraded_rounds += 1
-            for uid in sorted(set(sel.ids) - deduped):
-                dedup_removed += deduplicate(by_id[uid].dataset, config.ssim_threshold,
-                                             config.ssim)
-                costs[uid] = round_cost(by_id[uid], k)
-            deduped.update(sel.ids)
-        else:
-            try:
-                sel = random_select(uavs, config.cohort_size,
-                                    np.random.SeedSequence([seed, _TAG_SELECTION, k]))
-            except CohortInfeasible:
-                if not records:  # retiring left no round-1 cohort: nothing can run
-                    raise
-                aborted = True
+        dropouts = retire(1)  # round 1's record counts the UAVs that never fly
+        for k in range(1, config.n_rounds_max + 1):
+            if config.strategy == "deeps":
+                diversity = {u.id: _shard_diversity(u, k, config.n_rounds_max, config.ssim, seed)
+                             for u in uavs if u.alive}
+                sel = deeps_select(uavs, config.per_subregion_quota, config.xi, diversity, costs)
+                if sel.degraded_subregions:
+                    degraded_rounds += 1
+                for uid in sorted(set(sel.ids) - deduped):
+                    dedup_removed += deduplicate(by_id[uid].dataset, config.ssim_threshold,
+                                                 config.ssim)
+                    costs[uid] = round_cost(by_id[uid], k)
+                deduped.update(sel.ids)
+            else:
+                try:
+                    sel = random_select(uavs, config.cohort_size,
+                                        np.random.SeedSequence([seed, _TAG_SELECTION, k]))
+                except CohortInfeasible:
+                    if not records:  # retiring left no round-1 cohort: nothing can run
+                        raise
+                    aborted = True
+                    break
+
+            # every alive UAV can fund round k; a participant with an empty shard
+            # has nothing to train and spends no time or energy
+            jobs = [(uid, shard) for uid in sorted(sel.ids)
+                    if len(shard := by_id[uid].dataset.shard(k, config.n_rounds_max))]
+
+            def _train(job):
+                uid, shard = job
+                train_seed = np.random.SeedSequence([seed, _TAG_TRAINING, k, uid])
+                return uid, local_train(params, shard, config.model,
+                                        config.cost.epochs_per_round, train_seed), len(shard)
+
+            if config.workers > 1 and len(jobs) > 1:
+                with ThreadPoolExecutor(max_workers=config.workers) as pool:
+                    results = list(pool.map(_train, jobs))
+            else:
+                results = [_train(j) for j in jobs]
+
+            cohort_energy = 0.0
+            for uid, _, _ in results:
+                charge_round(by_id[uid], costs[uid])
+                cohort_energy += costs[uid].total_energy_j
+
+            if results:
+                params = aggregate([(uid, vec, size) for uid, vec, size in results])
+                duration = round_duration([costs[uid] for uid, _, _ in results])
+            else:
+                duration = 0.0
+
+            acc, loss = evaluate_matrix(params, scenario.test_x, scenario.test_y, config.model)
+            if k < config.n_rounds_max:
+                dropouts += retire(k + 1)
+            records.append(RoundRecord(
+                round_k=k, selected_ids=tuple(sorted(sel.ids)),
+                global_accuracy=acc, global_loss=loss,
+                round_duration_s=duration, cohort_energy_j=cohort_energy,
+                dropouts=dropouts, alive_uavs=sum(u.alive for u in uavs),
+            ))
+            dropouts = 0
+
+            if config.stop_on_convergence and converged_at() is not None:
                 break
 
-        # every alive UAV can fund round k; a participant with an empty shard
-        # has nothing to train and spends no time or energy
-        jobs = [(uid, shard) for uid in sorted(sel.ids)
-                if len(shard := by_id[uid].dataset.shard(k, config.n_rounds_max))]
-
-        def _train(job):
-            uid, shard = job
-            train_seed = np.random.SeedSequence([seed, _TAG_TRAINING, k, uid])
-            return uid, local_train(params, shard, config.model,
-                                    config.cost.epochs_per_round, train_seed), len(shard)
-
-        if config.workers > 1 and len(jobs) > 1:
-            with ThreadPoolExecutor(max_workers=config.workers) as pool:
-                results = list(pool.map(_train, jobs))
-        else:
-            results = [_train(j) for j in jobs]
-
-        cohort_energy = 0.0
-        for uid, _, _ in results:
-            charge_round(by_id[uid], costs[uid])
-            cohort_energy += costs[uid].total_energy_j
-
-        if results:
-            params = aggregate([(uid, vec, size) for uid, vec, size in results])
-            duration = round_duration([costs[uid] for uid, _, _ in results])
-        else:
-            duration = 0.0
-
-        acc, loss = evaluate_matrix(params, scenario.test_x, scenario.test_y, config.model)
-        if k < config.n_rounds_max:
-            dropouts += retire(k + 1)
-        records.append(RoundRecord(
-            round_k=k, selected_ids=tuple(sorted(sel.ids)),
-            global_accuracy=acc, global_loss=loss,
-            round_duration_s=duration, cohort_energy_j=cohort_energy,
-            dropouts=dropouts, alive_uavs=sum(u.alive for u in uavs),
-        ))
-        dropouts = 0
-
-        if config.stop_on_convergence and converged_at() is not None:
-            break
-
-    conv = converged_at()
-    chi_r = conv if conv is not None else len(records)
-    durations = [r.round_duration_s for r in records]
-    return RunSummary(
-        strategy=config.strategy,
-        ssim_threshold=config.ssim_threshold if config.strategy == "deeps" else None,
-        avg_round_time_s=float(np.mean(durations)),
-        rounds_to_convergence=chi_r,
-        time_to_convergence_min=sum(durations[:chi_r]) / 60.0,
-        final_accuracy=records[-1].global_accuracy,
-        converged=conv is not None,
-        records=records,
-        initial_battery_total_j=initial_battery,
-        final_battery_total_j=sum(u.battery_j for u in uavs),
-        dedup_removed_total=dedup_removed,
-        degraded_rounds=degraded_rounds,
-        aborted_infeasible=aborted,
-    )
+        conv = converged_at()
+        chi_r = conv if conv is not None else len(records)
+        durations = [r.round_duration_s for r in records]
+        return RunSummary(
+            strategy=config.strategy,
+            ssim_threshold=config.ssim_threshold if config.strategy == "deeps" else None,
+            avg_round_time_s=float(np.mean(durations)),
+            rounds_to_convergence=chi_r,
+            time_to_convergence_min=sum(durations[:chi_r]) / 60.0,
+            final_accuracy=records[-1].global_accuracy,
+            converged=conv is not None,
+            records=records,
+            initial_battery_total_j=initial_battery,
+            final_battery_total_j=sum(u.battery_j for u in uavs),
+            dedup_removed_total=dedup_removed,
+            degraded_rounds=degraded_rounds,
+            aborted_infeasible=aborted,
+        )
 
 
 # --- emission -----------------------------------------------------------------
@@ -335,6 +339,7 @@ def emit_metadata(config: ExperimentConfig, path: str) -> None:
         "master_seed": config.master_seed,
         "config_hash": config.config_hash(),
         "package_version": __version__,
+        "blas": blas_info(),
         "config": config.to_dict(),
     }
     write_text(path, json.dumps(meta, indent=2, sort_keys=True) + "\n")

@@ -5,10 +5,19 @@ on flattened grayscale inputs scaled to [0, 1], trained with binary
 cross-entropy and Adam. Parameters live in one flat float64 vector laid out
 as [W1 (hidden x in), b1, w2, b2] so they can be shipped, aggregated, and
 gradient-checked as plain arrays.
+
+`one_blas_thread` pins numpy's bundled OpenBLAS to one thread for a block of
+work: a GEMM's summation order, and so its bits, can depend on the thread
+count, and on small matrices a second thread costs more than it gains.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import glob
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +29,53 @@ from .types import Samples
 _CLAMP = 1e-12  # keeps log() away from 0 and 1
 ADAM_BETA1 = 0.9    # Adam's moment decay rates
 ADAM_BETA2 = 0.999
+
+
+@functools.cache
+def _openblas() -> ctypes.CDLL | None:
+    """numpy's bundled OpenBLAS (scipy-openblas64), or None when numpy was
+    built without it or the library lacks the thread-control symbols."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_-*.so"))):
+        try:
+            lib = ctypes.CDLL(path)  # already loaded by numpy: the same handle
+            for name, argtypes, restype in (
+                    ("scipy_openblas_set_num_threads64_", [ctypes.c_int], None),
+                    ("scipy_openblas_get_num_threads64_", [], ctypes.c_int),
+                    ("scipy_openblas_get_corename64_", [], ctypes.c_char_p)):
+                fn = getattr(lib, name)
+                fn.argtypes, fn.restype = argtypes, restype
+        except (OSError, AttributeError):
+            continue
+        return lib
+    return None
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block with OpenBLAS on one thread and restore the caller's
+    thread count on exit; a no-op without the bundled library. The count is
+    process-wide, so threads started inside the block inherit it."""
+    lib = _openblas()
+    if lib is None:
+        yield
+        return
+    before = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(1)
+    try:
+        yield
+    finally:
+        lib.scipy_openblas_set_num_threads64_(before)
+
+
+def blas_info() -> dict:
+    """The BLAS a run uses: OpenBLAS's core (kernel) name, the thread count
+    `one_blas_thread` pins, and numpy's version; `core` and `threads` are
+    None without the bundled library."""
+    lib = _openblas()
+    return {"core": lib.scipy_openblas_get_corename64_().decode() if lib else None,
+            "threads": 1 if lib else None,
+            "numpy": np.__version__}
 
 
 @dataclass(frozen=True)
@@ -128,7 +184,9 @@ def local_train(params_in: np.ndarray, shard: Samples, spec: ModelSpec,
 
     Batch order is reshuffled deterministically each epoch from rng_seed.
     Adam state starts fresh at every call (each round is an independent
-    local optimization).
+    local optimization). The step updates m, v and the parameters in place,
+    in the textbook's operation order, so it allocates nothing per batch and
+    gives the textbook's bits.
     """
     if not shard:
         raise EmptyShard("local_train on empty shard")
@@ -138,6 +196,8 @@ def local_train(params_in: np.ndarray, shard: Samples, spec: ModelSpec,
 
     m = np.zeros_like(params)
     v = np.zeros_like(params)
+    step = np.empty_like(params)  # scratch buffers of the in-place step
+    denom = np.empty_like(params)
     t = 0
     n = len(shard)
     for _ in range(epochs):
@@ -146,11 +206,23 @@ def local_train(params_in: np.ndarray, shard: Samples, spec: ModelSpec,
             sel = order[start:start + spec.batch_size]
             _, grad = loss_and_grad(params, X[sel], y[sel], spec)
             t += 1
-            m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
-            v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
-            mhat = m / (1.0 - ADAM_BETA1 ** t)
-            vhat = v / (1.0 - ADAM_BETA2 ** t)
-            params -= spec.learning_rate * mhat / (np.sqrt(vhat) + spec.adam_eps)
+            # m = b1*m + (1-b1)*grad
+            np.multiply(m, ADAM_BETA1, out=m)
+            np.multiply(grad, 1.0 - ADAM_BETA1, out=step)
+            np.add(m, step, out=m)
+            # v = b2*v + ((1-b2)*grad)*grad
+            np.multiply(v, ADAM_BETA2, out=v)
+            np.multiply(grad, 1.0 - ADAM_BETA2, out=denom)
+            np.multiply(denom, grad, out=denom)
+            np.add(v, denom, out=v)
+            # params -= (lr * (m / (1-b1**t))) / (sqrt(v / (1-b2**t)) + eps)
+            np.divide(m, 1.0 - ADAM_BETA1 ** t, out=step)
+            np.multiply(step, spec.learning_rate, out=step)
+            np.divide(v, 1.0 - ADAM_BETA2 ** t, out=denom)
+            np.sqrt(denom, out=denom)
+            np.add(denom, spec.adam_eps, out=denom)
+            np.divide(step, denom, out=step)
+            np.subtract(params, step, out=params)
     return params
 
 

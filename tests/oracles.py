@@ -4,7 +4,9 @@
 and acceptance criterion 4 check `deeps_select` against; combinatorial in the
 fleet size, so it is guarded to tiny instances. `oracle_uav_dataset` is the
 one-image-at-a-time generator, with a per-UAV walk, that `test_datagen` checks
-the blocked generator against byte for byte.
+the blocked generator against byte for byte. `oracle_local_train` is the
+textbook Adam loop, a fresh array per operation, that `test_learning` checks
+the in-place step of `local_train` against bit for bit.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ from uavfl.cost import RoundCost
 from uavfl.datagen import (BASE_LEVEL, GenSpec, UavData, _class_pattern, _entropy,
                            _label_track)
 from uavfl.errors import CohortInfeasible, UavFlError
+from uavfl.learning import (ADAM_BETA1, ADAM_BETA2, ModelSpec, check_params, loss_and_grad,
+                            samples_to_matrix)
 from uavfl.selection import Selection, deeps_score, is_feasible
 from uavfl.similarity import DiversityScore
 from uavfl.types import Samples, UavState
@@ -111,3 +115,28 @@ def oracle_uav_dataset(spec: GenSpec, subregion_id: int, uav_id: int,
     test = np.zeros(n, dtype=bool)
     test[rng_u.permutation(n)[:int(round(spec.test_fraction * n))]] = True
     return UavData(train=samples[~test], test=samples[test])
+
+
+def oracle_local_train(params_in: np.ndarray, shard: Samples, spec: ModelSpec,
+                       epochs: int, rng_seed) -> np.ndarray:
+    """Mini-batch Adam written as the textbook update, one expression per
+    moment; the batches are `local_train`'s."""
+    X, y = samples_to_matrix(shard)
+    params = check_params(params_in, X.shape[1], spec).copy()
+    rng = np.random.default_rng(rng_seed)
+    m = np.zeros_like(params)
+    v = np.zeros_like(params)
+    t = 0
+    n = len(shard)
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, spec.batch_size):
+            sel = order[start:start + spec.batch_size]
+            _, grad = loss_and_grad(params, X[sel], y[sel], spec)
+            t += 1
+            m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
+            v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
+            mhat = m / (1.0 - ADAM_BETA1 ** t)
+            vhat = v / (1.0 - ADAM_BETA2 ** t)
+            params -= spec.learning_rate * mhat / (np.sqrt(vhat) + spec.adam_eps)
+    return params

@@ -112,6 +112,24 @@ class TestRun:
         assert err.startswith("uavfl: error: ") and err.count("\n") == 1
         assert not os.path.exists(tmp_path / "out")
 
+    @pytest.mark.parametrize("text,flags", [
+        ('"model": {"learning_rate": NaN}', []),
+        ('"model": {"learning_rate": Infinity}', []),
+        ('"cost": {"tx_power_w": 0}', []),
+        ('"master_seed": 1', ["--ssim-th", "nan"]),
+    ], ids=["nan-constant", "infinity-constant", "tx_power_w-0", "nan-override"])
+    def test_non_finite_or_silent_config_is_one_line_error(self, tmp_path, capsys, text,
+                                                            flags):
+        # each of these used to load and fail only after data was generated
+        path = tmp_path / "cfg.json"
+        path.write_text('{"scenario": "custom", %s}' % text)
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(path), "--out", str(out), *flags])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("uavfl: error: ") and err.count("\n") == 1
+        assert not os.path.exists(out)
+
     @pytest.mark.parametrize("content", [None, "{not json"], ids=["missing", "malformed"])
     def test_unreadable_config_is_one_line_error(self, tmp_path, capsys, content):
         path = tmp_path / "cfg.json"

@@ -123,6 +123,12 @@ class TestFromDict:
         ("model", {"adam_eps": 0.0}),
         ("model", {"adam_eps": -1e-8}),
         ("generator", {"offset_span": -1}),
+        ("cost", {"tx_power_w": 0}),  # no uplink rate; before, this failed mid-build
+        ("cost", {"tx_power_w": -0.5}),
+        ("model", {"learning_rate": float("nan")}),  # before, NaN failed after round 1
+        ("model", {"learning_rate": float("inf")}),
+        ("geometry", {"uav_altitude_m": float("nan")}),
+        ("channel", {"a3": float("-inf")}),
     ])
     def test_bad_section_value_fails_at_load(self, section, values):
         with pytest.raises(ConfigError, match=f"^{section}: "):
@@ -149,6 +155,13 @@ class TestFleetAtLoad:
     def test_out_of_range_value_fails_at_load(self, key, value):
         with pytest.raises(ConfigError, match=f"^{key} must"):
             config_from_dict({**CUSTOM, key: value})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_value_fails_at_load(self, value):
+        with pytest.raises(ConfigError, match="^xi: must be finite"):
+            config_from_dict({**CUSTOM, "xi": value})
+        with pytest.raises(ConfigError, match="^model: learning_rate: must be finite"):
+            config_from_dict({**CUSTOM, "model": {"learning_rate": value}})
 
     def test_empty_scenario(self):
         with pytest.raises(ConfigError, match="n_uavs 0 < cohort_size 2"):
@@ -189,6 +202,14 @@ class TestLoadAndHash:
                                     "per_subregion_quota": 1, "master_seed": 9}))
         c = load_config(str(path))
         assert c.n_uavs == 4 and c.master_seed == 9
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_constant_fails_at_load(self, tmp_path, constant):
+        # Python's json accepts these constants; the config loader does not
+        path = tmp_path / "cfg.json"
+        path.write_text('{"scenario": "custom", "model": {"learning_rate": %s}}' % constant)
+        with pytest.raises(ConfigError, match=f"holds {constant}; every number must be finite"):
+            load_config(str(path))
 
     def test_shipped_calibrated_config_parses(self):
         c = load_config(CALIBRATED)

@@ -98,7 +98,8 @@ class TestEnergy:
 
     def test_transmit_energy_degenerate(self):
         assert transmit_energy(CostParams(tx_power_w=0.28), 0.0) == 0.0
-        assert transmit_energy(CostParams(tx_power_w=0.0), 0.032) == 0.0
+        with pytest.raises(InvariantViolation, match="tx_power_w must be > 0"):
+            CostParams(tx_power_w=0.0)  # a silent radio has no uplink rate
 
 
 class TestRoundCost:

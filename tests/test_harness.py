@@ -11,6 +11,7 @@ from uavfl.errors import ConfigError, UavFlError
 from uavfl.harness import (CSV_HEADER, RunSummary, _find_convergence, build_scenario,
                            compare_strategies, emit_csv, emit_metadata,
                            emit_summary_csv, run_experiment)
+from uavfl.learning import blas_info
 from uavfl.types import RoundRecord
 
 TINY = {
@@ -218,6 +219,7 @@ class TestEmission:
         assert meta["master_seed"] == 5
         assert meta["config_hash"] == config.config_hash()
         assert meta["config"]["n_uavs"] == 4
+        assert meta["blas"] == blas_info()  # kernel, pinned threads, numpy version
 
     def test_summary_csv_unwritable_dir(self, tmp_path):
         s = RunSummary(strategy="random", ssim_threshold=None, avg_round_time_s=2.5,

@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import make_image, make_samples, no_samples
+from oracles import oracle_local_train
 from uavfl.errors import (EmptyShard, EmptyTestSet, EmptyUpdateSet, InvariantViolation,
                           LengthMismatch)
 from uavfl.learning import (ModelSpec, aggregate, evaluate_matrix, local_train,
                             loss_and_grad, model_init, samples_to_matrix)
+from uavfl.types import Samples
 
 SMALL = ModelSpec(hidden_dim=4)
 D = 16                       # SMALL reads 4x4 images
@@ -169,6 +173,32 @@ class TestLocalTrain:
             local_train(np.zeros(P), samples, SMALL, 1, 0)
         with pytest.raises(LengthMismatch):
             evaluate(np.zeros(P), samples, SMALL)
+
+
+@st.composite
+def training_runs(draw):
+    """(params, shard, spec, epochs): a 3x3-pixel shard whose size is not a
+    multiple of the batch size, so every epoch ends on a partial batch."""
+    batch_size = draw(st.integers(2, 8))
+    n = batch_size * draw(st.integers(0, 3)) + draw(st.integers(1, batch_size - 1))
+    spec = ModelSpec(hidden_dim=draw(st.integers(1, 5)), batch_size=batch_size,
+                     learning_rate=draw(st.sampled_from([0.0, 1e-3, 1e-2, 0.3])),
+                     adam_eps=draw(st.sampled_from([1e-8, 1e-3])))
+    images = draw(arrays(np.uint8, (n, 3, 3)))
+    labels = draw(arrays(np.int64, n, elements=st.integers(0, 1)))
+    params = draw(arrays(np.float64, spec.param_count(9),
+                         elements=st.floats(-2.0, 2.0, allow_subnormal=False)))
+    return params, Samples(images, labels), spec, draw(st.integers(2, 4))
+
+
+class TestLocalTrainMatchesOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(run=training_runs(), seed=st.integers(0, 2**32 - 1))
+    def test_in_place_step_is_the_textbook_step(self, run, seed):
+        params, shard, spec, epochs = run
+        out = local_train(params, shard, spec, epochs, np.random.SeedSequence(seed))
+        expected = oracle_local_train(params, shard, spec, epochs, np.random.SeedSequence(seed))
+        assert np.array_equal(out, expected)
 
 
 class TestAggregate:
