@@ -7,6 +7,7 @@ reception is not charged.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import EmptyCohort, InsufficientBattery, InvariantViolation, ZeroRate
@@ -31,6 +32,13 @@ class CostParams:
             raise InvariantViolation(f"tx_power_w must be > 0, got {self.tx_power_w}")
         if self.chip_coeff < 0:
             raise InvariantViolation("chip_coeff must be >= 0")
+        try:
+            cpu_power_w = self.chip_coeff * self.cpu_hz ** 3
+        except OverflowError:
+            cpu_power_w = math.inf
+        if not math.isfinite(cpu_power_w):
+            raise InvariantViolation(f"chip_coeff * cpu_hz**3 must be finite, got cpu_hz "
+                                     f"{self.cpu_hz:g} and chip_coeff {self.chip_coeff:g}")
         if self.epochs_per_round < 1 or self.param_size_bits < 1:
             raise InvariantViolation("epochs_per_round and param_size_bits must be >= 1")
 

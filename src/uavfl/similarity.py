@@ -13,10 +13,46 @@ the mean, every centered pixel and every product of two are exact, and every
 partial sum of products lies on a 2^(-2 log2 N) grid below 2^(16 + log2 N),
 within 16 + 3 log2 N <= 52 bits. Other sizes may move in the last ulp between
 kernels; no shipped configuration uses one.
+
+Dedup keeps those float64 means and variances for every N, block by block,
+but multiplies float32 copies of the centered rows. It decides a pair from
+the float32 product only where that provably gives the float64 kernel's
+decision, and recomputes the rest in float64. With u = 2^-24, u64 = 2^-53 and
+Higham's gamma_n = n u / (1 - n u) (Accuracy and Stability of Numerical
+Algorithms, 2nd ed., section 3.1):
+- Rows. At N = 2^k <= 4096 the float32 rows equal the float64 ones: N(x - mu)
+  = N x - S is an integer of magnitude below 255 N < 2^20 (below 2^18 at
+  N = 1024), which float32's 24-bit significand holds. At other N each
+  element rounds by at most u relative.
+- GEMM. For float64 rows a, b let G = a.b, the float64 kernel's covariance
+  times N. The float32 value g obeys |g - a32.b32| <= gamma_N |a32|.|b32| in
+  any summation order or blocking, with or without FMA; no product
+  underflows (a nonzero one is at least 2^-106). As |a|.|b| <= ||a|| ||b||,
+  |g - G| <= beta ||a|| ||b||. At N = 2^k <= 4096, where G is exact,
+  beta = gamma_N. At other N, beta = gamma_N (1 + u)^2 + 2u + u^2 +
+  gamma64_N: the extra terms cover the rounded float32 rows and G's own
+  float64 rounding, in any order.
+- Norms. ||a||^2 = N var_a at N = 2^k <= 4096 and at most
+  N var_a / ((1 - u64)(1 - gamma64_N)) at other N. The bound is evaluated as
+  E = sqrt(w var_a) sqrt(w var_b) with w = beta (1 + 2^-20) N; that factor
+  covers the quotient and the float64 roundings of w, the square roots and
+  the product for every N < 2^24. Beyond that gamma_N is infinite, E is not
+  finite, and every pair is recomputed.
+- Decision. The float64 test is num > ssim_th * den with num =
+  (2 mu_a mu_b + c1)(2 cov + c2) and cov = G / N. Since mu >= 0,
+  2 mu_a mu_b + c1 > 0, and rounding is monotone, so the computed num is a
+  non-decreasing function of G, its own rounding included. The same float64
+  expressions, evaluated at g - E <= G and at g + E >= G (rounding either
+  sum does not cross the float64 G), bracket the test: the pair trips if
+  the lower end trips and does not if the upper end does not. A pair
+  between the two is recomputed from float64 rows rebuilt from its pixels
+  with the float64 kernel, exact at N = 2^k <= 4096 like the GEMM. So every
+  decision is the float64 kernel's, for every threshold and image size.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +62,7 @@ from .types import Dataset, Samples
 
 
 DYNAMIC_RANGE = 255.0  # intensity range of uint8 pixels
-DEDUP_BLOCK = 64  # dedup candidates per GEMM against the kept rows and per self-GEMM
+DEDUP_BLOCK = 64  # dedup candidates per GEMM against the kept rows and themselves
 
 
 @dataclass(frozen=True)
@@ -64,6 +100,25 @@ def _stack_moments(images: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     mu = x.mean(axis=1)
     x -= mu[:, None]
     return x, mu, np.einsum("ij,ij->i", x, x) / x.shape[1]
+
+
+_U32, _U64 = 2.0 ** -24, 2.0 ** -53  # unit roundoffs of float32 and float64
+
+
+def _gamma(n: int, u: float) -> float:
+    """Higham's gamma_n: an n-term dot product rounded with unit roundoff u, in
+    any order, errs by at most gamma_n |x|.|y|."""
+    return n * u / (1.0 - n * u) if n * u < 1.0 else math.inf
+
+
+def _gemm_error_weight(size: int) -> float:
+    """w such that sqrt(w var_a) sqrt(w var_b) bounds how far dedup's float32
+    product of two centered rows of `size` pixels lies from the float64 one
+    (the module docstring proves it)."""
+    beta = _gamma(size, _U32)
+    if size & (size - 1) or size > 4096:  # rows round to float32, and the float64 sum rounds
+        beta = beta * (1.0 + _U32) ** 2 + 2.0 * _U32 + _U32 ** 2 + _gamma(size, _U64)
+    return beta * (1.0 + 2.0 ** -20) * size
 
 
 def _ssim_terms(mu_a, var_a, mu_b, var_b, cov, p: SsimParams):
@@ -118,6 +173,8 @@ def deduplicate(d: Dataset, ssim_th: float, p: SsimParams = SsimParams()) -> int
     Scans samples in order and keeps a sample iff its SSIM with every
     already-kept sample is <= ssim_th. Keep-first makes the result
     deterministic and order-stable; rerunning on the output removes nothing.
+    Every decision is the float64 kernel's; most are read off float32 GEMMs
+    (see the module docstring).
     """
     if not 0.0 < ssim_th < 1.0:
         raise InvariantViolation("ssim_th must lie in (0, 1)")
@@ -125,25 +182,55 @@ def deduplicate(d: Dataset, ssim_th: float, p: SsimParams = SsimParams()) -> int
     if n == 0:
         return 0
 
-    c, mu, var = _stack_moments(d.samples.images)
+    pixels = d.samples.images.reshape(n, -1)
+    size = pixels.shape[1]
+    weight = _gemm_error_weight(size)
+    mu, mu2, musq, var, err = np.empty((5, n))  # per-sample terms, filled block by block
+    c = np.empty((2 * DEDUP_BLOCK, size), np.float32)  # centered rows: the kept, then a block
+    ids = np.empty(n, dtype=np.intp)  # the sample behind each row of c
+
+    def recheck(ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
+        """Whether SSIM(ia[i], ib[i]) exceeds ssim_th, by the float64 kernel."""
+        cov = np.einsum("ij,ij->i", pixels[ia] - mu[ia, None], pixels[ib] - mu[ib, None]) / size
+        num, den = _ssim_terms(mu[ia], var[ia], mu[ib], var[ib], cov, p)
+        return num > ssim_th * den
 
     def trips(rows: slice, block: slice) -> np.ndarray:
         """[r, b]: SSIM of kept-side row r with candidate b exceeds ssim_th."""
-        num, den = _ssim_terms(mu[rows, None], var[rows, None], mu[block], var[block],
-                               c[rows] @ c[block].T / c.shape[1], p)
-        return num > ssim_th * den
+        ia, ib = ids[rows], ids[block]
+        g = c[rows] @ c[block].T
+        e = err[ia, None] * err[ib]  # bounds |g - G|
+        a = mu2[ia, None] * mu[ib] + p.c1
+        t = ssim_th * ((musq[ia, None] + musq[ib] + p.c1) * (var[ia, None] + var[ib] + p.c2))
+        lo, hi = g - e, g + e
+        for end in (lo, hi):  # _ssim_terms' num at cov = end / size, in its order of operations
+            end /= size
+            end *= 2.0
+            end += p.c2
+            end *= a
+        above = lo > t
+        r, b = np.nonzero(~(above | (hi <= t)))
+        if r.size:
+            above[r, b] = recheck(ia[r], ib[b])
+        return above
 
-    kept: list[int] = []  # kept rows are compacted in place to the front of c, mu, var
+    k = 0  # samples kept so far; their rows lead c
     for start in range(0, n, DEDUP_BLOCK):
-        block, k = slice(start, min(start + DEDUP_BLOCK, n)), len(kept)
-        within = trips(block, block)
-        local: list[int] = []
-        for b in np.flatnonzero(~trips(slice(0, k), block).any(axis=0)):
-            if not within[local, b].any():
-                local.append(b)
-        kept.extend(start + b for b in local)
-        fresh = slice(k, len(kept))
-        c[fresh], mu[fresh], var[fresh] = c[kept[fresh]], mu[kept[fresh]], var[kept[fresh]]
+        block = slice(start, min(start + DEDUP_BLOCK, n))
+        rows = slice(k, k + block.stop - start)  # the block's rows in c
+        if rows.stop > len(c):
+            c = np.concatenate((c, np.empty_like(c)))
+        c[rows], mu[block], var[block] = _stack_moments(d.samples.images[block])
+        mu2[block], musq[block] = 2.0 * mu[block], mu[block] * mu[block]
+        err[block] = np.sqrt(weight * var[block])
+        ids[rows] = np.arange(block.start, block.stop)
+        tripped = trips(slice(0, rows.stop), rows)  # by each kept row, then by each candidate
+        dead = tripped[:k].any(axis=0)
+        for j, row in enumerate(range(rows.start, rows.stop)):
+            if not dead[j]:
+                dead |= tripped[row]
+                c[k], ids[k] = c[row], ids[row]
+                k += 1
 
-    d.samples = d.samples[kept]
-    return n - len(kept)
+    d.samples = d.samples[ids[:k]]
+    return n - k

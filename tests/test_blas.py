@@ -51,9 +51,8 @@ print(digest.hexdigest())
 """
 
 
-def _record_digest(threads: int) -> str:
-    env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell",
-           "OPENBLAS_NUM_THREADS": str(threads),
+def _record_digest(**overrides: str) -> str:
+    env = {**os.environ, **overrides,
            "PYTHONPATH": os.path.join(ROOT, "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     proc = subprocess.run(
         [sys.executable, "-c", _HASH_RUN.format(root=ROOT, perfbench=PERFBENCH)],
@@ -64,7 +63,22 @@ def _record_digest(threads: int) -> str:
 
 @needs_openblas
 def test_records_do_not_depend_on_blas_threads():
-    assert _record_digest(1) == _record_digest(2)
+    assert (_record_digest(OPENBLAS_CORETYPE="Haswell", OPENBLAS_NUM_THREADS="1")
+            == _record_digest(OPENBLAS_CORETYPE="Haswell", OPENBLAS_NUM_THREADS="2"))
+
+
+# the record digest under OpenBLAS's SkylakeX kernel; each kernel has its own
+# bits (ROADMAP item 2), so other kernels have no recorded value
+SKYLAKEX_RECORD_DIGEST = "0877a5b1b2277cee8cd052d432de625a4d792a0a6f61136ada12467debdda64c"
+
+
+def test_records_match_the_full_precision_golden():
+    """The 6-digit CSV golden cannot see a change in the last bits; this can."""
+    core = learning.blas_info()["core"]
+    if core != "SkylakeX":
+        pytest.skip(f"the full-precision golden is recorded for the SkylakeX kernel, "
+                    f"and this process runs {core}")
+    assert _record_digest() == SKYLAKEX_RECORD_DIGEST
 
 
 @needs_openblas

@@ -117,7 +117,10 @@ class TestRun:
         ('"model": {"learning_rate": Infinity}', []),
         ('"cost": {"tx_power_w": 0}', []),
         ('"master_seed": 1', ["--ssim-th", "nan"]),
-    ], ids=["nan-constant", "infinity-constant", "tx_power_w-0", "nan-override"])
+        ('"channel": {"a3": 1e12}', []),
+        ('"cost": {"cpu_hz": 1e300}', []),
+    ], ids=["nan-constant", "infinity-constant", "tx_power_w-0", "nan-override",
+            "a3-overflow", "cpu_hz-overflow"])
     def test_non_finite_or_silent_config_is_one_line_error(self, tmp_path, capsys, text,
                                                             flags):
         # each of these used to load and fail only after data was generated

@@ -129,6 +129,8 @@ class TestFromDict:
         ("model", {"learning_rate": float("inf")}),
         ("geometry", {"uav_altitude_m": float("nan")}),
         ("channel", {"a3": float("-inf")}),
+        ("channel", {"a3": 1e12}),  # before, math.exp overflowed with a bare OverflowError
+        ("cost", {"cpu_hz": 1e300}),  # before, cpu_hz**3 overflowed after data generation
     ])
     def test_bad_section_value_fails_at_load(self, section, values):
         with pytest.raises(ConfigError, match=f"^{section}: "):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import const_image, make_image, make_samples, no_samples, random_image
@@ -226,6 +226,8 @@ def image_set(seed, n, side):
 
 
 sides = st.sampled_from([8, 32])
+# 64 is the largest exact size (N = 4096); 12 has a pixel count that is not a power of two
+dedup_sides = st.sampled_from([8, 12, 32, 64])
 params = st.builds(SsimParams, k1=st.sampled_from([0.01, 0.05]),
                    k2=st.sampled_from([0.03, 0.1]), max_pairs=st.integers(1, 300))
 thresholds = st.floats(0.05, 0.95)
@@ -262,7 +264,7 @@ class TestStackedKernelsMatchOracle:
     @given(st.integers(0, 2**32 - 1),
            st.sampled_from([0, 1, DEDUP_BLOCK - 1, DEDUP_BLOCK, DEDUP_BLOCK + 1,
                             3 * DEDUP_BLOCK + 5]),
-           sides, thresholds, params)
+           dedup_sides, thresholds, params)
     def test_deduplicate_and_idempotence(self, seed, n, side, th, p):
         samples = image_set(seed, n, side)
         ds = Dataset(samples)
@@ -272,3 +274,19 @@ class TestStackedKernelsMatchOracle:
         assert removed == n - len(expected)
         assert deduplicate(ds, th, p) == 0
         assert kept_only(ds, samples, expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, DEDUP_BLOCK + 6), sides, params,
+           st.data())
+    def test_deduplicate_decides_pairs_on_the_threshold(self, seed, n, side, p, data):
+        # a threshold within one ulp of a pair's SSIM lies far inside the float32
+        # error bound, so that pair is decided by the float64 recheck
+        samples = image_set(seed, n, side)
+        j = data.draw(st.integers(1, n - 1), label="j")
+        s = ssim_oracle(samples.images[0], samples.images[j], p)
+        th = data.draw(st.sampled_from([np.nextafter(s, 0.0), s, np.nextafter(s, 1.0)]),
+                       label="th")
+        assume(0.0 < th < 1.0)
+        ds = Dataset(samples)
+        deduplicate(ds, th, p)
+        assert kept_only(ds, samples, gemv_dedup_oracle(samples, th, p))
