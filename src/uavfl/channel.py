@@ -33,15 +33,20 @@ class ChannelParams:
         for name in ("beta0", "noise_psd_w", "bandwidth_hz", "bs_tx_power_w", "a1"):
             if getattr(self, name) <= 0:
                 raise InvariantViolation(f"{name} must be strictly positive")
+        if not self.bandwidth_hz * self.noise_psd_w > 0:
+            raise InvariantViolation("the noise power bandwidth_hz * noise_psd_w underflows to 0")
         # Denominator 1 + a4*exp(a3*(theta - a4)) must be computable and positive
         # on [0, 90]; it is monotone in theta, so checking the endpoints suffices.
+        # math.exp raises on a finite overflow but returns inf for an inf exponent.
         for theta in (0.0, 90.0):
             try:
-                denominator = 1.0 + self.a4 * math.exp(self.a3 * (theta - self.a4))
+                growth = math.exp(self.a3 * (theta - self.a4))
             except OverflowError:
+                growth = math.inf
+            if growth == math.inf:
                 raise InvariantViolation(f"path-loss term exp(a3*(theta - a4)) overflows "
-                                         f"at theta = {theta:g} deg") from None
-            if denominator <= 0:
+                                         f"at theta = {theta:g} deg")
+            if 1.0 + self.a4 * growth <= 0:
                 raise InvariantViolation("path-loss denominator not positive on [0, 90] deg")
 
 

@@ -5,18 +5,20 @@ domain types of the modules that consume them, and `geometry` and `battery`
 are defined here; each section is validated once, when the config is built,
 and a bad value fails as a ConfigError naming it. The top-level fields are
 checked the same way, against each other too: a fleet that cannot fill its
-per-sub-region quota fails here, before any data exists.
+per-sub-region quota, or a link budget that gives some placement of the
+geometry a zero or infinite rate, fails here, before any data exists.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
 
-from .channel import ChannelParams
+from .channel import ChannelParams, LinkGeometry, capacity, channel_gain
 from .cost import CostParams
 from .datagen import GenSpec
 from .errors import ConfigError, InvariantViolation
@@ -135,6 +137,40 @@ class ExperimentConfig:
             raise ConfigError(f"ssim_threshold must lie in (0, 1), got {self.ssim_threshold}")
         if not self.convergence_tol > 0.0:
             raise ConfigError(f"convergence_tol must be > 0, got {self.convergence_tol}")
+        if not math.isfinite(self.n_uavs * self.battery.max_j):
+            raise ConfigError(f"battery: the fleet's charge n_uavs * max_j overflows, got "
+                              f"{self.n_uavs} UAVs of max_j {self.battery.max_j:g}")
+        self._check_link_budget()
+
+    def _check_link_budget(self) -> None:
+        """Every uplink and downlink rate a placement can give is finite and > 0.
+
+        ln h = ln(beta0) / 2 - (alpha / 2) ln d is bilinear in (alpha, ln d), and
+        alpha is monotone in the elevation, so the rates at the nearest and
+        farthest distance and the lowest and highest elevation bound every
+        placement. The distances use `link_geometry`'s arithmetic. When the
+        nearest distance is 0 (equal UAV and BS altitudes, or a rise whose
+        square underflows), links get arbitrarily short and only the farthest
+        distance is checked.
+        """
+        geo = self.geometry
+        reach = geo.region_m / 2.0  # the largest |dx| and |dy| from the BS
+        rise = geo.uav_altitude_m - geo.bs_altitude_m
+        far = math.sqrt(reach * reach + reach * reach + rise * rise)
+        near = math.sqrt(rise * rise)
+        lowest = math.degrees(math.atan2(abs(rise), math.hypot(reach, reach)))
+        for distance, elevation in itertools.product((near, far) if near > 0 else (far,),
+                                                     (lowest, 90.0)):
+            for link, power in (("uplink", self.cost.tx_power_w),
+                                ("downlink", self.channel.bs_tx_power_w)):
+                where = f"channel: the {link} rate at {distance:g} m and {elevation:g} deg"
+                try:
+                    h = channel_gain(LinkGeometry(distance, elevation), self.channel)
+                    rate = capacity(h, power, self.channel)
+                except (InvariantViolation, OverflowError) as exc:
+                    raise ConfigError(f"{where} cannot be computed: {exc}") from None
+                if not (math.isfinite(rate) and rate > 0):
+                    raise ConfigError(f"{where} is {rate:g} b/s; it must be finite and > 0")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

@@ -1,4 +1,4 @@
-"""Synthetic redundant-image datasets and minimal grayscale image IO.
+"""Synthetic redundant-image datasets.
 
 The generator mimics aerial video footage: every sub-region owns one slowly
 drifting scene (a moving-average walk over white-noise frames) and all
@@ -7,22 +7,17 @@ samples are near-duplicates and same-sub-region UAVs hold correlated data.
 Labels come in contiguous blocks along the walk ("fire visible for a
 while"), and each class imprints a class pattern that is partly shared
 across sub-regions and partly sub-region specific.
-
-Real data enters through `load_manifest`: a CSV pointing at binary PGM
-(P5, maxval 255) files.
 """
 
 from __future__ import annotations
 
-import csv
-import os
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BadHeader, BadPgmMagic, DimensionMismatch, InvariantViolation,
-                     LabelOutOfRange, MissingFile, UavFlError)
+from .errors import InvariantViolation
 from .types import Samples
 
 
@@ -63,6 +58,10 @@ class GenSpec:
             raise InvariantViolation("weights must lie in [0, 1]")
         if not 0 < self.block_min <= self.block_max:
             raise InvariantViolation("bad label block range")
+        # wave frequencies are drawn from [-freq_max, freq_max], a band of width 2 freq_max
+        if not (self.freq_max >= 0.0 and math.isfinite(2.0 * self.freq_max)):
+            raise InvariantViolation(f"freq_max must be >= 0 with 2 * freq_max finite, "
+                                     f"got {self.freq_max}")
         if self.offset_span < 0:
             raise InvariantViolation(f"offset_span must be >= 0, got {self.offset_span}")
         if not 0.0 < self.test_fraction < 1.0:
@@ -222,105 +221,3 @@ def generate_uav_dataset(spec: GenSpec, scene: Scene, uav_id: int,
     test = np.zeros(n, dtype=bool)
     test[rng_u.permutation(n)[:int(round(spec.test_fraction * n))]] = True
     return UavData(train=samples[~test], test=samples[test])
-
-
-# --- PGM + manifest ingestion -------------------------------------------------
-
-def read_pgm(path: str) -> np.ndarray:
-    """Binary PGM (P5), maxval 255, as a read-only (height, width) uint8 array;
-    '#' comments in the header are allowed."""
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise MissingFile(str(path)) from exc
-
-    if not raw.startswith(b"P5"):
-        raise BadPgmMagic(f"{path}: not a binary PGM (P5)")
-    # header: magic, width, height, maxval as whitespace-separated tokens
-    tokens: list[bytes] = []
-    i = 2
-    while len(tokens) < 3:
-        if i >= len(raw):
-            raise BadHeader(f"{path}: truncated PGM header")
-        c = raw[i:i + 1]
-        if c == b"#":
-            i = raw.find(b"\n", i)
-            if i < 0:
-                raise BadHeader(f"{path}: unterminated comment")
-            continue
-        if c.isspace():
-            i += 1
-            continue
-        j = i
-        while j < len(raw) and not raw[j:j + 1].isspace():
-            j += 1
-        tokens.append(raw[i:j])
-        i = j
-    i += 1  # single whitespace after maxval
-    try:
-        width, height, maxval = (int(t) for t in tokens)
-    except ValueError as exc:
-        raise BadHeader(f"{path}: non-numeric PGM header") from exc
-    if maxval != 255:
-        raise BadHeader(f"{path}: only maxval 255 supported, got {maxval}")
-    pixels = raw[i:i + width * height]
-    if len(pixels) != width * height:
-        raise BadHeader(f"{path}: expected {width * height} pixel bytes, got {len(pixels)}")
-    return np.frombuffer(pixels, dtype=np.uint8).reshape(height, width)
-
-
-def write_pgm(path: str, image: np.ndarray) -> None:
-    if image.ndim != 2 or image.dtype != np.uint8:
-        raise InvariantViolation("write_pgm takes a 2-D uint8 array")
-    try:
-        with open(path, "wb") as fh:
-            fh.write(f"P5\n{image.shape[1]} {image.shape[0]}\n255\n".encode())
-            fh.write(image.tobytes())
-    except OSError as exc:
-        raise UavFlError(f"cannot write {path}: {exc}") from exc
-
-
-MANIFEST_HEADER = ["path", "label", "subregion", "uav"]
-
-
-def load_manifest(manifest_path: str, image_root: str = "") -> dict[int, Samples]:
-    """Group manifest rows into per-UAV Samples of stacked PGM images."""
-    try:
-        fh = open(manifest_path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise MissingFile(str(manifest_path)) from exc
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise BadHeader(f"{manifest_path}: empty manifest") from None
-        if header != MANIFEST_HEADER:
-            raise BadHeader(f"{manifest_path}: header must be exactly {','.join(MANIFEST_HEADER)}")
-
-        grouped: dict[int, list[tuple[np.ndarray, int]]] = {}
-        for row in reader:
-            if not row:
-                continue
-            where = f"{manifest_path}, line {reader.line_num}"
-            if len(row) != 4:
-                raise BadHeader(f"{where}: row has {len(row)} columns: {row}")
-            rel_path, label_s, _subregion, uav_s = row
-            if label_s.strip() not in ("0", "1"):
-                raise LabelOutOfRange(f"{where}: label {label_s!r} for {rel_path} is not 0 or 1")
-            try:
-                uav = int(uav_s)
-            except ValueError:
-                raise BadHeader(f"{where}: uav {uav_s!r} is not an integer") from None
-            image = read_pgm(os.path.join(image_root, rel_path) if image_root else rel_path)
-            grouped.setdefault(uav, []).append((image, int(label_s)))
-
-    samples = {}
-    for uav, rows in sorted(grouped.items()):
-        images, labels = zip(*rows)
-        shapes = sorted({image.shape for image in images})
-        if len(shapes) > 1:
-            raise DimensionMismatch(f"{manifest_path}: UAV {uav} mixes image shapes {shapes}")
-        samples[uav] = Samples(np.stack(images), labels)
-    return samples

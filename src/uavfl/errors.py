@@ -57,21 +57,5 @@ class EmptyTestSet(UavFlError):
     pass
 
 
-class MissingFile(UavFlError):
-    pass
-
-
-class BadHeader(UavFlError):
-    pass
-
-
-class BadPgmMagic(UavFlError):
-    pass
-
-
-class LabelOutOfRange(UavFlError):
-    pass
-
-
 class ConfigError(UavFlError):
     """Bad or unknown experiment configuration key/value."""

@@ -259,5 +259,7 @@ def evaluate_matrix(params: np.ndarray, X: np.ndarray, y: np.ndarray,
     if X.shape[0] == 0:
         raise EmptyTestSet("evaluate on empty test set")
     p, _ = _forward(check_params(params, X.shape[1], spec), X, spec)
+    if np.isnan(p).any():  # finite parameters can still overflow the activations
+        raise InvariantViolation("model output contains NaN")
     acc = float(np.mean((p >= 0.5) == (y == 1.0)))
     return acc, _bce(p, y)

@@ -78,6 +78,16 @@ class SsimParams:
             raise InvariantViolation("stabilizers must be positive")
         if self.max_pairs < 1:
             raise InvariantViolation("max_pairs must be >= 1")
+        # the largest SSIM term: a pixel mean is at most DYNAMIC_RANGE, a
+        # variance at most (DYNAMIC_RANGE / 2)^2
+        try:
+            largest = (2.0 * DYNAMIC_RANGE ** 2 + self.c1) * (DYNAMIC_RANGE ** 2 / 2.0 + self.c2)
+        except OverflowError:
+            largest = math.inf
+        if not math.isfinite(largest) or self.c1 <= 0 or self.c2 <= 0:
+            raise InvariantViolation(f"k1 {self.k1:g} and k2 {self.k2:g} must give c1 = "
+                                     f"(k1 * {DYNAMIC_RANGE:g})^2 and c2 = (k2 * "
+                                     f"{DYNAMIC_RANGE:g})^2 both > 0 and finite SSIM terms")
 
     @property
     def c1(self) -> float:

@@ -1,14 +1,11 @@
-import hashlib
 import json
 import os
 
-import numpy as np
 import pytest
 
 from test_harness import TINY
 from uavfl import cli, harness
 from uavfl.cli import build_parser, main
-from uavfl.datagen import MANIFEST_HEADER, write_pgm
 
 
 @pytest.fixture
@@ -26,6 +23,13 @@ class TestParser:
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
+
+    @pytest.mark.parametrize("command", ["gen-data", "dedup-report"])
+    def test_removed_subcommand_is_a_usage_error(self, capsys, command):
+        with pytest.raises(SystemExit) as exit_:
+            main([command])
+        assert exit_.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestRun:
@@ -119,8 +123,16 @@ class TestRun:
         ('"master_seed": 1', ["--ssim-th", "nan"]),
         ('"channel": {"a3": 1e12}', []),
         ('"cost": {"cpu_hz": 1e300}', []),
+        ('"generator": {"freq_max": -1.0}', []),
+        ('"ssim": {"k1": 1e300}', []),
+        ('"ssim": {"k2": 1e300}', []),
+        ('"channel": {"a3": 1.7e308}', []),
+        ('"channel": {"a2": -1e30}', []),
+        ('"channel": {"bandwidth_hz": 5e-324}', []),
+        ('"channel": {"beta0": 1e-300}', []),
     ], ids=["nan-constant", "infinity-constant", "tx_power_w-0", "nan-override",
-            "a3-overflow", "cpu_hz-overflow"])
+            "a3-overflow", "cpu_hz-overflow", "freq_max-negative", "k1-overflow",
+            "k2-overflow", "a3-inf-exponent", "a2-overflow", "noise-underflow", "dead-link"])
     def test_non_finite_or_silent_config_is_one_line_error(self, tmp_path, capsys, text,
                                                             flags):
         # each of these used to load and fail only after data was generated
@@ -149,13 +161,13 @@ def no_work(*args, **kwargs):
     raise AssertionError("work started before the command's inputs were checked")
 
 
-@pytest.mark.parametrize("command", ["run", "compare", "gen-data"])
+@pytest.mark.parametrize("command", ["run", "compare"])
 @pytest.mark.parametrize("out", ["file", "file/sub"], ids=["existing-file", "under-a-file"])
 def test_unusable_out_fails_before_any_work(tiny_config_file, tmp_path, capsys,
                                             monkeypatch, command, out):
     (tmp_path / "file").write_text("")
     for module, name in ((cli, "run_experiment"), (harness, "build_scenario"),
-                         (harness, "run_experiment"), (cli, "generate_uav_dataset")):
+                         (harness, "run_experiment")):
         monkeypatch.setattr(module, name, no_work)
     code = main([command, "--config", tiny_config_file, "--out", str(tmp_path / out)])
     err = capsys.readouterr().err
@@ -172,95 +184,3 @@ class TestCompare:
         assert "lambda_t" in capsys.readouterr().out
         assert os.path.exists(os.path.join(out, "rounds_random.csv"))
 
-
-class TestGenDataAndDedupReport:
-    def test_gen_then_dedup_report(self, tiny_config_file, tmp_path, capsys):
-        out = str(tmp_path / "data")
-        code = main(["gen-data", "--config", tiny_config_file, "--out", out])
-        assert code == 0
-        manifest = os.path.join(out, "manifest.csv")
-        assert os.path.exists(manifest)
-        n_rows = len(open(manifest).read().splitlines()) - 1
-        assert n_rows > 0
-        assert "wrote" in capsys.readouterr().out
-
-        code = main(["dedup-report", "--manifest", manifest, "--ssim-th", "0.5"])
-        assert code == 0
-        report = capsys.readouterr().out
-        assert "total:" in report
-        assert f"total: {n_rows} ->" in report
-
-    def test_gen_data_is_pinned(self, tiny_config_file, tmp_path):
-        # sha256 of TINY's manifest and of every PGM (relative path, then
-        # bytes, in path order)
-        out = tmp_path / "data"
-        assert main(["gen-data", "--config", tiny_config_file, "--out", str(out)]) == 0
-        manifest = (out / "manifest.csv").read_bytes()
-        assert hashlib.sha256(manifest).hexdigest() == (
-            "54a47f1135318d862967a2aa0f2b2bd9a04cc3d2019a2e10c0008762d0f36962")
-        pgms = sorted(str(p.relative_to(out)) for p in out.rglob("*.pgm"))
-        assert len(pgms) == 160
-        digest = hashlib.sha256()
-        for rel in pgms:
-            digest.update(rel.encode() + b"\n")
-            digest.update((out / rel).read_bytes())
-        assert digest.hexdigest() == (
-            "37b3c3a83ea2a3e7bf17f85ed939ce1cef7bb552285039e62aee47c865f5a85c")
-
-    def test_dedup_report_reads_ssim_section(self, tiny_config_file, tmp_path, capsys):
-        out = str(tmp_path / "data")
-        assert main(["gen-data", "--config", tiny_config_file, "--out", out]) == 0
-        manifest = os.path.join(out, "manifest.csv")
-        capsys.readouterr()
-
-        def report(*extra):
-            assert main(["dedup-report", "--manifest", manifest, *extra]) == 0
-            return capsys.readouterr().out
-
-        default = report()
-        assert report("--config", tiny_config_file) == default  # TINY keeps k1, k2
-        wide = tmp_path / "wide.json"
-        wide.write_text(json.dumps({"ssim": {"k1": 0.1, "k2": 0.1}}))
-        assert report("--config", str(wide)) != default
-
-    def test_dedup_report_reads_the_config_threshold(self, tiny_config_file, tmp_path,
-                                                     capsys):
-        out = str(tmp_path / "data")
-        assert main(["gen-data", "--config", tiny_config_file, "--out", out]) == 0
-        manifest = os.path.join(out, "manifest.csv")
-        config = tmp_path / "th.json"
-        config.write_text(json.dumps({**TINY, "ssim_threshold": 0.1}))
-        capsys.readouterr()
-
-        def report(*extra):
-            assert main(["dedup-report", "--manifest", manifest, "--config", str(config),
-                         *extra]) == 0
-            return capsys.readouterr().out
-
-        assert "at threshold 0.1\n" in report()
-        assert "at threshold 0.3\n" in report("--ssim-th", "0.3")  # the flag wins
-
-    @pytest.mark.parametrize("th", ["1.5", "0"])
-    def test_bad_threshold_fails_before_the_manifest_is_read(self, tmp_path, capsys,
-                                                            monkeypatch, th):
-        monkeypatch.setattr(cli, "load_manifest", no_work)
-        code = main(["dedup-report", "--manifest", str(tmp_path / "manifest.csv"),
-                     "--ssim-th", th])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.err.startswith("uavfl: error: ssim_threshold must lie in (0, 1)")
-        assert captured.err.count("\n") == 1
-        assert captured.out == ""
-
-    @pytest.mark.parametrize("cells,shape", [("x,1,1", (4, 4)), ("1,1,1", (4, 5))],
-                             ids=["non-integer-label", "mixed-shapes"])
-    def test_bad_manifest_is_one_line_error(self, tmp_path, capsys, cells, shape):
-        write_pgm(str(tmp_path / "a.pgm"), np.zeros((4, 4), dtype=np.uint8))
-        write_pgm(str(tmp_path / "b.pgm"), np.zeros(shape, dtype=np.uint8))
-        manifest = tmp_path / "manifest.csv"
-        manifest.write_text(f"{','.join(MANIFEST_HEADER)}\na.pgm,0,1,1\nb.pgm,{cells}\n")
-        code = main(["dedup-report", "--manifest", str(manifest)])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.err.startswith("uavfl: error: ") and captured.err.count("\n") == 1
-        assert captured.out == ""

@@ -1,13 +1,17 @@
 import dataclasses
 import json
+import math
 import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from uavfl import harness
+from uavfl.channel import capacity, channel_gain, link_geometry
 from uavfl.config import ExperimentConfig, config_from_dict, load_config
 from uavfl.errors import ConfigError
 from uavfl.learning import ModelSpec
+from uavfl.types import Position3D
 
 CALIBRATED = os.path.join(os.path.dirname(__file__), "..", "configs",
                           "scenario1_calibrated.json")
@@ -131,6 +135,17 @@ class TestFromDict:
         ("channel", {"a3": float("-inf")}),
         ("channel", {"a3": 1e12}),  # before, math.exp overflowed with a bare OverflowError
         ("cost", {"cpu_hz": 1e300}),  # before, cpu_hz**3 overflowed after data generation
+        # each of these used to load and then fail late, or with a traceback
+        ("generator", {"freq_max": -1.0}),  # before, ValueError in Generator.uniform
+        ("generator", {"freq_max": 1.7e308}),  # before, OverflowError: the band overflows
+        ("ssim", {"k1": 1e300}),  # before, OverflowError in SsimParams.c1 mid-run
+        ("ssim", {"k2": 1e300}),
+        ("ssim", {"k1": 1e-300}),  # c1 underflows to 0
+        ("channel", {"a3": 1.7e308}),  # exp(inf) is inf, where exp(1e12) raised
+        ("channel", {"a2": -1e30}),  # before, OverflowError in channel_gain
+        ("channel", {"bandwidth_hz": 5e-324}),  # before, ZeroDivisionError in capacity
+        ("channel", {"beta0": 1e-300}),  # before, ZeroRate after all data was generated
+        ("battery", {"max_j": 1.7e308}),  # the fleet's total charge overflowed
     ])
     def test_bad_section_value_fails_at_load(self, section, values):
         with pytest.raises(ConfigError, match=f"^{section}: "):
@@ -194,6 +209,43 @@ class TestFleetAtLoad:
         monkeypatch.setattr(harness, "generate_uav_dataset", no_data)
         with pytest.raises(ConfigError, match="n_uavs 5 < cohort_size 10"):
             harness.run_experiment(load_config(CALIBRATED, n_uavs=5))
+
+
+def powers_of_ten(low, high):
+    return st.floats(low, high).map(lambda e: 10.0 ** e)
+
+
+class TestLinkBudgetAtLoad:
+    """The load-time corners bound the link rate of every placement."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(beta0=powers_of_ten(-300, 0), a1=powers_of_ten(-3, 5),
+           a2=st.floats(-50.0, 50.0), a3=st.floats(-1.0, 20.0), a4=powers_of_ten(-3, 3),
+           bandwidth=powers_of_ten(-300, 12), region=powers_of_ten(-300, 300),
+           uav_altitude=st.one_of(st.just(30.0), powers_of_ten(-300, 300)),
+           fractions=st.lists(st.tuples(st.sampled_from([0.0, 0.5]) | st.floats(0.0, 1.0),
+                                        st.sampled_from([0.0, 0.5]) | st.floats(0.0, 1.0)),
+                              min_size=1, max_size=20))
+    def test_every_placement_of_a_loading_config_has_a_finite_positive_rate(
+            self, beta0, a1, a2, a3, a4, bandwidth, region, uav_altitude, fractions):
+        try:
+            c = config_from_dict({"channel": {"beta0": beta0, "a1": a1, "a2": a2, "a3": a3,
+                                              "a4": a4, "bandwidth_hz": bandwidth},
+                                  "geometry": {"region_m": region,
+                                               "uav_altitude_m": uav_altitude}})
+        except ConfigError:
+            return
+        geo = c.geometry
+        if geo.uav_altitude_m == geo.bs_altitude_m:
+            fractions = [(0.0, 0.0)]  # links get arbitrarily short: only the farthest is bounded
+        bs = Position3D(geo.region_m / 2.0, geo.region_m / 2.0, geo.bs_altitude_m)
+        for fx, fy in fractions:
+            # as build_scenario places a UAV: uniform on [0, region_m)
+            uav = Position3D(fx * geo.region_m, fy * geo.region_m, geo.uav_altitude_m)
+            h = channel_gain(link_geometry(uav, bs), c.channel)
+            for power in (c.cost.tx_power_w, c.channel.bs_tx_power_w):
+                rate = capacity(h, power, c.channel)
+                assert math.isfinite(rate) and rate > 0
 
 
 class TestLoadAndHash:

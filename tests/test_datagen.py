@@ -1,16 +1,13 @@
 import dataclasses
-import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import _oracle_walk_frames, oracle_uav_dataset
-from uavfl.datagen import (_BLOCK, GenSpec, MANIFEST_HEADER, _class_pattern,
-                           _label_track, generate_uav_dataset, load_manifest, read_pgm,
-                           subregion_scenes, write_pgm)
-from uavfl.errors import (BadHeader, BadPgmMagic, DimensionMismatch, InvariantViolation,
-                          LabelOutOfRange, MissingFile, UavFlError)
+from uavfl.datagen import (_BLOCK, GenSpec, _class_pattern, _label_track,
+                           generate_uav_dataset, subregion_scenes)
+from uavfl.errors import InvariantViolation
 from uavfl.similarity import SsimParams, dataset_diversity
 
 FAST = GenSpec(samples_min=120, samples_max=150, offset_span=30, test_fraction=0.2)
@@ -166,114 +163,3 @@ class TestBlockedGeneratorMatchesOracle:
                              oracle_uav_dataset(spec, scene.subregion_id,
                                                 scene.subregion_id, seed))
 
-
-class TestPgmIo:
-    def test_roundtrip(self, tmp_path, rng):
-        img = rng.integers(0, 256, size=(13, 9)).astype(np.uint8)
-        path = str(tmp_path / "img.pgm")
-        write_pgm(path, img)
-        back = read_pgm(path)
-        assert back.dtype == np.uint8 and back.shape == (13, 9)
-        assert np.array_equal(back, img)
-
-    @pytest.mark.parametrize("image", [np.zeros((2, 2)), np.zeros((1, 2, 2), dtype=np.uint8)])
-    def test_write_rejects_non_2d_uint8(self, tmp_path, image):
-        with pytest.raises(InvariantViolation):
-            write_pgm(str(tmp_path / "x.pgm"), image)
-
-    def test_write_into_missing_dir_is_uavflerror(self, tmp_path):
-        with pytest.raises(UavFlError, match="cannot write"):
-            write_pgm(str(tmp_path / "missing" / "x.pgm"), np.zeros((2, 2), dtype=np.uint8))
-
-    def test_header_comments_allowed(self, tmp_path):
-        path = tmp_path / "c.pgm"
-        path.write_bytes(b"P5\n# a comment\n2 2\n255\n\x00\x01\x02\x03")
-        img = read_pgm(str(path))
-        assert img.tolist() == [[0, 1], [2, 3]]
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "bad.pgm"
-        path.write_bytes(b"P6\n2 2\n255\n\x00\x01\x02\x03")
-        with pytest.raises(BadPgmMagic):
-            read_pgm(str(path))
-
-    def test_truncated_pixels(self, tmp_path):
-        path = tmp_path / "short.pgm"
-        path.write_bytes(b"P5\n2 2\n255\n\x00\x01")
-        with pytest.raises(BadHeader):
-            read_pgm(str(path))
-
-    def test_unsupported_maxval(self, tmp_path):
-        path = tmp_path / "deep.pgm"
-        path.write_bytes(b"P5\n1 1\n65535\n\x00\x00")
-        with pytest.raises(BadHeader):
-            read_pgm(str(path))
-
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(MissingFile):
-            read_pgm(str(tmp_path / "nope.pgm"))
-
-
-class TestManifest:
-    def _write_images(self, tmp_path, n, shapes=((4, 4),)):
-        """n images, image i filled with i and shaped shapes[i % len(shapes)]."""
-        paths = []
-        for i in range(n):
-            rel = f"img{i}.pgm"
-            write_pgm(str(tmp_path / rel),
-                      np.full(shapes[i % len(shapes)], i, dtype=np.uint8))
-            paths.append(rel)
-        return paths
-
-    def test_header_only_gives_empty_mapping(self, tmp_path):
-        mpath = tmp_path / "m.csv"
-        mpath.write_text(",".join(MANIFEST_HEADER) + "\n")
-        assert load_manifest(str(mpath)) == {}
-
-    def test_four_rows_two_uavs(self, tmp_path):
-        rels = self._write_images(tmp_path, 4)
-        rows = [",".join(MANIFEST_HEADER)]
-        for i, rel in enumerate(rels):
-            rows.append(f"{rel},{i % 2},1,{1 + i // 2}")
-        mpath = tmp_path / "m.csv"
-        mpath.write_text("\n".join(rows) + "\n")
-        samples = load_manifest(str(mpath), image_root=str(tmp_path))
-        assert sorted(samples) == [1, 2]
-        assert all(len(s) == 2 for s in samples.values())
-        assert samples[1].images[:, 0, 0].tolist() == [0, 1]
-        assert samples[2].labels.tolist() == [0, 1]
-        assert samples[2].images[:, 0, 0].tolist() == [2, 3]
-
-    def test_label_out_of_range(self, tmp_path):
-        rels = self._write_images(tmp_path, 1)
-        mpath = tmp_path / "m.csv"
-        mpath.write_text(",".join(MANIFEST_HEADER) + f"\n{rels[0]},2,1,1\n")
-        with pytest.raises(LabelOutOfRange):
-            load_manifest(str(mpath), image_root=str(tmp_path))
-
-    @pytest.mark.parametrize("row,error", [("{rel},x,1,1", LabelOutOfRange),
-                                           ("{rel},1,1,u1", BadHeader)])
-    def test_non_integer_cell(self, tmp_path, row, error):
-        rels = self._write_images(tmp_path, 1)
-        mpath = tmp_path / "m.csv"
-        mpath.write_text(",".join(MANIFEST_HEADER) + "\n" + row.format(rel=rels[0]) + "\n")
-        with pytest.raises(error, match="m.csv, line 2: "):
-            load_manifest(str(mpath), image_root=str(tmp_path))
-
-    def test_mixed_shapes_for_one_uav_fail_at_load(self, tmp_path):
-        rels = self._write_images(tmp_path, 3, shapes=((4, 4), (4, 5)))
-        rows = [",".join(MANIFEST_HEADER)] + [f"{rel},0,1,1" for rel in rels]
-        mpath = tmp_path / "m.csv"
-        mpath.write_text("\n".join(rows) + "\n")
-        with pytest.raises(DimensionMismatch, match="UAV 1"):
-            load_manifest(str(mpath), image_root=str(tmp_path))
-
-    def test_wrong_header(self, tmp_path):
-        mpath = tmp_path / "m.csv"
-        mpath.write_text("a,b,c,d\n")
-        with pytest.raises(BadHeader):
-            load_manifest(str(mpath))
-
-    def test_missing_manifest(self, tmp_path):
-        with pytest.raises(MissingFile):
-            load_manifest(str(tmp_path / "none.csv"))
