@@ -10,8 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import CoincidentPositions, InvariantViolation
-from .types import Position3D
+from .errors import InvariantViolation
 
 
 @dataclass(frozen=True)
@@ -62,19 +61,17 @@ class LinkGeometry:
             raise InvariantViolation("elevation_deg must lie in [0, 90]")
 
 
-def link_geometry(uav_pos: Position3D, bs_pos: Position3D) -> LinkGeometry:
-    """3D distance and elevation angle between a UAV and a base station.
+def link_geometry(dx: float, dy: float, dz: float) -> LinkGeometry:
+    """3D distance and elevation angle of a UAV at offset (dx, dy, dz) meters
+    from its base station, dz being the altitude difference.
 
-    Elevation is arctan(|altitude difference| / horizontal distance) in
-    degrees, 90 for a vertical link.
+    Elevation is arctan(|dz| / horizontal distance) in degrees, 90 for a
+    vertical link.
     """
-    dx = uav_pos.x - bs_pos.x
-    dy = uav_pos.y - bs_pos.y
-    dz = uav_pos.z - bs_pos.z
     horiz = math.hypot(dx, dy)
     dist = math.sqrt(dx * dx + dy * dy + dz * dz)
     if dist == 0.0:
-        raise CoincidentPositions("UAV and BS positions coincide")
+        raise InvariantViolation("UAV and BS positions coincide")
     if horiz == 0.0:
         elev = 90.0
     else:

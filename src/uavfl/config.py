@@ -18,7 +18,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .channel import ChannelParams, LinkGeometry, capacity, channel_gain
+from .channel import ChannelParams, LinkGeometry, capacity, channel_gain, link_geometry
 from .cost import CostParams
 from .datagen import GenSpec
 from .errors import ConfigError, InvariantViolation
@@ -148,19 +148,22 @@ class ExperimentConfig:
         ln h = ln(beta0) / 2 - (alpha / 2) ln d is bilinear in (alpha, ln d), and
         alpha is monotone in the elevation, so the rates at the nearest and
         farthest distance and the lowest and highest elevation bound every
-        placement. The distances use `link_geometry`'s arithmetic. When the
-        nearest distance is 0 (equal UAV and BS altitudes, or a rise whose
-        square underflows), links get arbitrarily short and only the farthest
-        distance is checked.
+        placement. The farthest distance and lowest elevation are those
+        `link_geometry` gives the region's corner. When the nearest distance
+        is 0 (equal UAV and BS altitudes, or a rise whose square underflows),
+        links get arbitrarily short and only the farthest distance is checked.
         """
         geo = self.geometry
         reach = geo.region_m / 2.0  # the largest |dx| and |dy| from the BS
         rise = geo.uav_altitude_m - geo.bs_altitude_m
-        far = math.sqrt(reach * reach + reach * reach + rise * rise)
+        try:
+            corner = link_geometry(reach, reach, rise)
+        except InvariantViolation as exc:
+            raise ConfigError(f"geometry: the region's corner has no link: {exc}") from None
+        far = corner.distance_m
         near = math.sqrt(rise * rise)
-        lowest = math.degrees(math.atan2(abs(rise), math.hypot(reach, reach)))
         for distance, elevation in itertools.product((near, far) if near > 0 else (far,),
-                                                     (lowest, 90.0)):
+                                                     (corner.elevation_deg, 90.0)):
             for link, power in (("uplink", self.cost.tx_power_w),
                                 ("downlink", self.channel.bs_tx_power_w)):
                 where = f"channel: the {link} rate at {distance:g} m and {elevation:g} deg"
@@ -181,15 +184,9 @@ class ExperimentConfig:
         ).hexdigest()
 
 
-_NESTED = {
-    "channel": ChannelParams,
-    "cost": CostParams,
-    "model": ModelSpec,
-    "generator": GenSpec,
-    "ssim": SsimParams,
-    "geometry": GeometryConfig,
-    "battery": BatteryConfig,
-}
+# section name -> its type, in field order
+_NESTED = {f.name: f.default_factory for f in dataclasses.fields(ExperimentConfig)
+           if f.default_factory is not dataclasses.MISSING}
 
 
 def _build(cls, data: dict, where: str):

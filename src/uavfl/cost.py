@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import EmptyCohort, InsufficientBattery, InvariantViolation, ZeroRate
+from .errors import InvariantViolation
 from .types import UavState
 
 
@@ -76,14 +76,14 @@ def tx_time(params: CostParams, param_count: int, rate_bps: float) -> float:
     if param_count == 0:
         return 0.0
     if rate_bps <= 0:
-        raise ZeroRate("link rate must be > 0")
+        raise InvariantViolation("link rate must be > 0")
     return param_count * params.param_size_bits / rate_bps
 
 
 def round_duration(costs: list[RoundCost]) -> float:
     """Round duration: slowest participant's train + uplink + downlink time."""
     if not costs:
-        raise EmptyCohort("round_duration needs at least one participant")
+        raise InvariantViolation("round_duration needs at least one participant")
     return max(c.total_time_s for c in costs)
 
 
@@ -116,12 +116,12 @@ def charge_round(uav: UavState, cost: RoundCost) -> float:
     """Debit one round's energy from the UAV battery; returns the new level.
 
     The caller must have verified feasibility first; a debit that would
-    drive the battery negative raises InsufficientBattery and leaves the
+    drive the battery negative raises InvariantViolation and leaves the
     battery untouched.
     """
     debit = cost.total_energy_j
     if debit > uav.battery_j:
-        raise InsufficientBattery(
+        raise InvariantViolation(
             f"UAV {uav.id}: round needs {debit} J, battery holds {uav.battery_j} J"
         )
     uav.battery_j -= debit

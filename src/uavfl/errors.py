@@ -6,54 +6,10 @@ class UavFlError(Exception):
 
 
 class InvariantViolation(UavFlError):
-    """A domain type was constructed with an out-of-range field."""
-
-
-class CoincidentPositions(UavFlError):
-    pass
-
-
-class ZeroRate(UavFlError):
-    pass
-
-
-class EmptyCohort(UavFlError):
-    pass
-
-
-class InsufficientBattery(UavFlError):
-    pass
-
-
-class DimensionMismatch(UavFlError):
-    pass
-
-
-class TooFewSamples(UavFlError):
-    pass
+    """A value breaks a condition the simulator requires."""
 
 
 class CohortInfeasible(UavFlError):
-    pass
-
-
-class EmptyShard(UavFlError):
-    pass
-
-
-class NonFiniteGradient(UavFlError):
-    pass
-
-
-class LengthMismatch(UavFlError):
-    pass
-
-
-class EmptyUpdateSet(UavFlError):
-    pass
-
-
-class EmptyTestSet(UavFlError):
     pass
 
 

@@ -30,7 +30,7 @@ from .learning import (aggregate, blas_info, evaluate_matrix, local_train, model
                        one_blas_thread, samples_to_matrix)
 from .selection import deeps_select, is_feasible, random_select
 from .similarity import DiversityScore, SsimParams, dataset_diversity, deduplicate
-from .types import Dataset, Position3D, RoundRecord, Samples, UavState
+from .types import Dataset, RoundRecord, Samples, UavState
 
 _TAG_PLACEMENT = 1
 _TAG_BATTERY = 2
@@ -85,7 +85,8 @@ def build_scenario(config: ExperimentConfig) -> Scenario:
     channel = config.channel
 
     geo = config.geometry
-    bs_pos = Position3D(geo.region_m / 2.0, geo.region_m / 2.0, geo.bs_altitude_m)
+    centre = geo.region_m / 2.0  # the BS stands at the region's centre
+    rise = geo.uav_altitude_m - geo.bs_altitude_m
     place_rng = np.random.default_rng(np.random.SeedSequence([seed, _TAG_PLACEMENT]))
     battery_rng = np.random.default_rng(np.random.SeedSequence([seed, _TAG_BATTERY]))
 
@@ -99,8 +100,7 @@ def build_scenario(config: ExperimentConfig) -> Scenario:
     for uid in range(1, config.n_uavs + 1):
         x, y = place_rng.uniform(0.0, geo.region_m, size=2)
         battery = float(battery_rng.uniform(config.battery.min_j, config.battery.max_j))
-        position = Position3D(float(x), float(y), geo.uav_altitude_m)
-        h = channel_gain(link_geometry(position, bs_pos), channel)
+        h = channel_gain(link_geometry(float(x) - centre, float(y) - centre, rise), channel)
         uavs.append(UavState(
             id=uid, subregion_id=(uid - 1) % config.subregion_count + 1,
             rate_up_bps=capacity(h, config.cost.tx_power_w, channel),

@@ -22,8 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (EmptyShard, EmptyTestSet, EmptyUpdateSet, InvariantViolation,
-                     LengthMismatch, NonFiniteGradient)
+from .errors import InvariantViolation
 from .types import Samples
 
 _CLAMP = 1e-12  # keeps log() away from 0 and 1
@@ -115,8 +114,8 @@ def check_params(params: np.ndarray, input_dim: int, spec: ModelSpec) -> np.ndar
     """params as float64, checked to be a finite vector laid out for `input_dim` inputs."""
     params = np.asarray(params, dtype=np.float64)
     if params.shape != (spec.param_count(input_dim),):
-        raise LengthMismatch(f"{input_dim} inputs take {spec.param_count(input_dim)} "
-                             f"parameters, got {params.shape}")
+        raise InvariantViolation(f"{input_dim} inputs take {spec.param_count(input_dim)} "
+                                 f"parameters, got {params.shape}")
     if not np.all(np.isfinite(params)):
         raise InvariantViolation("parameter vector contains NaN/Inf")
     return params
@@ -174,7 +173,7 @@ def loss_and_grad(params: np.ndarray, X: np.ndarray, y: np.ndarray,
 
     grad = np.concatenate([gw1.ravel(), gb1, gw2, [gb2]])
     if not np.all(np.isfinite(grad)):
-        raise NonFiniteGradient("non-finite gradient encountered")
+        raise InvariantViolation("non-finite gradient encountered")
     return loss, grad
 
 
@@ -189,7 +188,7 @@ def local_train(params_in: np.ndarray, shard: Samples, spec: ModelSpec,
     gives the textbook's bits.
     """
     if not shard:
-        raise EmptyShard("local_train on empty shard")
+        raise InvariantViolation("local_train on empty shard")
     X, y = samples_to_matrix(shard)
     params = check_params(params_in, X.shape[1], spec).copy()
     rng = np.random.default_rng(rng_seed)
@@ -234,13 +233,13 @@ def aggregate(updates: list[tuple[int, np.ndarray, int]]) -> np.ndarray:
     under any permutation of the input list.
     """
     if not updates:
-        raise EmptyUpdateSet("no updates to aggregate")
+        raise InvariantViolation("no updates to aggregate")
     ordered = sorted(updates, key=lambda u: u[0])
     length = ordered[0][1].shape
     total = 0
     for _, vec, size in ordered:
         if vec.shape != length:
-            raise LengthMismatch("parameter vectors differ in length")
+            raise InvariantViolation("parameter vectors differ in length")
         if size <= 0:
             raise InvariantViolation("shard sizes must be positive")
         total += size
@@ -257,7 +256,7 @@ def evaluate_matrix(params: np.ndarray, X: np.ndarray, y: np.ndarray,
                     spec: ModelSpec) -> tuple[float, float]:
     """(accuracy, mean loss) on a test matrix; threshold at 0.5."""
     if X.shape[0] == 0:
-        raise EmptyTestSet("evaluate on empty test set")
+        raise InvariantViolation("evaluate on empty test set")
     p, _ = _forward(check_params(params, X.shape[1], spec), X, spec)
     if np.isnan(p).any():  # finite parameters can still overflow the activations
         raise InvariantViolation("model output contains NaN")

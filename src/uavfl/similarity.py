@@ -57,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvariantViolation, TooFewSamples
+from .errors import InvariantViolation
 from .types import Dataset, Samples
 
 
@@ -145,7 +145,8 @@ def ssim_pair(a: np.ndarray, b: np.ndarray, p: SsimParams = SsimParams()) -> flo
     covariance (in particular when a and b are the same image).
     """
     if a.ndim != 2 or a.shape != b.shape:
-        raise DimensionMismatch(f"ssim_pair needs two equal 2-D images, got {a.shape} and {b.shape}")
+        raise InvariantViolation(f"ssim_pair needs two equal 2-D images, "
+                                 f"got {a.shape} and {b.shape}")
     c, mu, var = _stack_moments(np.stack([a, b]))
     # the same einsum kernel as the variances, so a self-pair gives cov == var
     cov = np.einsum("i,i->", c[0], c[1]) / c.shape[1]
@@ -164,7 +165,7 @@ def dataset_diversity(shard: Samples, p: SsimParams = SsimParams(),
     """
     n = len(shard)
     if n < 2:
-        raise TooFewSamples("diversity needs at least 2 samples")
+        raise InvariantViolation("diversity needs at least 2 samples")
     c, mu, var = _stack_moments(shard.images)
     i, j = np.triu_indices(n, 1)
     if i.size > p.max_pairs:

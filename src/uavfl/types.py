@@ -80,17 +80,6 @@ class Dataset:
         return stop - start
 
 
-@dataclass(frozen=True)
-class Position3D:
-    x: float
-    y: float
-    z: float  # altitude, meters
-
-    def __post_init__(self):
-        if self.z < 0:
-            raise InvariantViolation("altitude must be >= 0")
-
-
 @dataclass
 class UavState:
     """One UAV: its link rates to the base station, battery and local data.

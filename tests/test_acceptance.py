@@ -25,7 +25,7 @@ from uavfl.harness import build_scenario, compare_strategies, run_experiment
 from uavfl.learning import ModelSpec, aggregate, loss_and_grad
 from uavfl.selection import deeps_score, deeps_select
 from uavfl.similarity import DiversityScore, SsimParams, ssim_pair
-from uavfl.types import Dataset, Position3D, Samples, UavState
+from uavfl.types import Dataset, Samples, UavState
 
 HERE = os.path.dirname(__file__)
 CALIBRATED_CONFIG = os.path.join(HERE, "..", "configs", "scenario1_calibrated.json")
@@ -54,7 +54,7 @@ def test_criterion_1_formula_exactness(capsys):
     checks = []
 
     # channel: geometry, path-loss exponent, gain, capacity
-    g = link_geometry(Position3D(100, 0, 100), Position3D(0, 0, 0))
+    g = link_geometry(100, 0, 100)
     checks.append(rel_err(g.distance_m, 100.0 * math.sqrt(2)))
     checks.append(rel_err(g.elevation_deg, 45.0))
     plc = ChannelParams(a1=2.0, a2=2.0, a3=0.1, a4=10.0)

@@ -11,7 +11,6 @@ from uavfl.channel import capacity, channel_gain, link_geometry
 from uavfl.config import ExperimentConfig, config_from_dict, load_config
 from uavfl.errors import ConfigError
 from uavfl.learning import ModelSpec
-from uavfl.types import Position3D
 
 CALIBRATED = os.path.join(os.path.dirname(__file__), "..", "configs",
                           "scenario1_calibrated.json")
@@ -144,8 +143,10 @@ class TestFromDict:
         ("channel", {"a3": 1.7e308}),  # exp(inf) is inf, where exp(1e12) raised
         ("channel", {"a2": -1e30}),  # before, OverflowError in channel_gain
         ("channel", {"bandwidth_hz": 5e-324}),  # before, ZeroDivisionError in capacity
-        ("channel", {"beta0": 1e-300}),  # before, ZeroRate after all data was generated
+        ("channel", {"beta0": 1e-300}),  # before, a zero link rate failed after all data
         ("battery", {"max_j": 1.7e308}),  # the fleet's total charge overflowed
+        # reach rounds to 0 and the altitudes are equal: the corner is the BS
+        ("geometry", {"region_m": 5e-324, "uav_altitude_m": 30.0, "bs_altitude_m": 30.0}),
     ])
     def test_bad_section_value_fails_at_load(self, section, values):
         with pytest.raises(ConfigError, match=f"^{section}: "):
@@ -238,11 +239,11 @@ class TestLinkBudgetAtLoad:
         geo = c.geometry
         if geo.uav_altitude_m == geo.bs_altitude_m:
             fractions = [(0.0, 0.0)]  # links get arbitrarily short: only the farthest is bounded
-        bs = Position3D(geo.region_m / 2.0, geo.region_m / 2.0, geo.bs_altitude_m)
+        centre = geo.region_m / 2.0
         for fx, fy in fractions:
-            # as build_scenario places a UAV: uniform on [0, region_m)
-            uav = Position3D(fx * geo.region_m, fy * geo.region_m, geo.uav_altitude_m)
-            h = channel_gain(link_geometry(uav, bs), c.channel)
+            # as build_scenario places a UAV: uniform on [0, region_m), the BS at the centre
+            h = channel_gain(link_geometry(fx * geo.region_m - centre, fy * geo.region_m - centre,
+                                           geo.uav_altitude_m - geo.bs_altitude_m), c.channel)
             for power in (c.cost.tx_power_w, c.channel.bs_tx_power_w):
                 rate = capacity(h, power, c.channel)
                 assert math.isfinite(rate) and rate > 0

@@ -7,8 +7,7 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import make_image, make_samples, no_samples
 from oracles import oracle_local_train
-from uavfl.errors import (EmptyShard, EmptyTestSet, EmptyUpdateSet, InvariantViolation,
-                          LengthMismatch)
+from uavfl.errors import InvariantViolation
 from uavfl.learning import (ModelSpec, aggregate, evaluate_matrix, local_train,
                             loss_and_grad, model_init, samples_to_matrix)
 from uavfl.types import Samples
@@ -130,6 +129,14 @@ class TestGradientCheck:
                 num[i] = (l_hi - l_lo) / (2.0 * h)
             assert np.linalg.norm(grad - num) / max(np.linalg.norm(num), 1e-12) <= 1e-4
 
+    def test_non_finite_gradient_is_rejected(self):
+        # finite parameters whose hidden activations overflow to inf
+        params = np.full(P, 1e308)
+        X, y = np.ones((2, D)), np.zeros(2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(InvariantViolation, match="non-finite gradient"):
+                loss_and_grad(params, X, y, SMALL)
+
 
 class TestLocalTrain:
     def test_zero_learning_rate_is_identity(self, rng):
@@ -162,16 +169,18 @@ class TestLocalTrain:
         assert acc >= 0.95
 
     def test_empty_shard(self):
-        with pytest.raises(EmptyShard):
+        with pytest.raises(InvariantViolation, match="local_train on empty shard"):
             local_train(np.zeros(P), no_samples(4), SMALL, 1, 0)
 
     @pytest.mark.parametrize("shape", [(8, 8), (4, 5), (3, 3)])
     def test_images_that_do_not_fit_the_params_are_rejected(self, shape):
         # SMALL's 4x4 parameter vector: the shard fails before any training
         samples = make_samples([make_image(np.zeros(shape))] * 2, [0, 1])
-        with pytest.raises(LengthMismatch):
+        d = shape[0] * shape[1]
+        message = rf"{d} inputs take {SMALL.param_count(d)} parameters, got \({P},\)"
+        with pytest.raises(InvariantViolation, match=message):
             local_train(np.zeros(P), samples, SMALL, 1, 0)
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(InvariantViolation, match=message):
             evaluate(np.zeros(P), samples, SMALL)
 
 
@@ -230,9 +239,9 @@ class TestAggregate:
         assert np.array_equal(out, vec)
 
     def test_errors(self):
-        with pytest.raises(EmptyUpdateSet):
+        with pytest.raises(InvariantViolation, match="no updates to aggregate"):
             aggregate([])
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(InvariantViolation, match="parameter vectors differ in length"):
             aggregate([(1, np.zeros(3), 1), (2, np.zeros(4), 1)])
         with pytest.raises(InvariantViolation):
             aggregate([(1, np.zeros(3), 0)])
@@ -255,5 +264,5 @@ class TestEvaluate:
         assert loss > 0.0
 
     def test_empty_test_set(self):
-        with pytest.raises(EmptyTestSet):
+        with pytest.raises(InvariantViolation, match="evaluate on empty test set"):
             evaluate(np.zeros(P), no_samples(4), SMALL)

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import const_image, make_samples, make_uav, no_samples
 from uavfl.errors import InvariantViolation
-from uavfl.types import Dataset, Position3D, RoundRecord, Samples
+from uavfl.types import Dataset, RoundRecord, Samples
 
 
 class TestSamples:
@@ -81,12 +81,6 @@ class TestDatasetSharding:
         for count in (0, -1):
             with pytest.raises(InvariantViolation, match="shard count must be positive"):
                 ds.shard_bounds(1, count)
-
-
-class TestPosition:
-    def test_rejects_negative_altitude(self):
-        with pytest.raises(InvariantViolation):
-            Position3D(0.0, 0.0, -1.0)
 
 
 class TestUavState:
