@@ -6,6 +6,27 @@ cross-entropy and Adam. Parameters live in one flat float64 vector laid out
 as [W1 (hidden x in), b1, w2, b2] so they can be shipped, aggregated, and
 gradient-checked as plain arrays.
 
+`local_train` keeps Adam's moments m and v for the tail [b1, w2, b2] and for
+the W1 rows of the hidden units that have fired so far in the call (z1 > 0
+for some sample of some batch); a row joins, with m = v = +0, in the batch
+where its unit first fires. The textbook step (Kingma & Ba, "Adam", ICLR
+2015) runs on those entries alone, and the result is bit for bit the step
+on the whole vector. Proof: let unit j not have fired yet. In every batch so
+far z1[i, j] > 0 held for no sample i, so dz1[:, j] = da1[:, j] * 0.0 is +0
+or -0 (were da1 inf or NaN, the row would be NaN and the finiteness check,
+which reads the whole gradient, would raise), and so is each entry of its
+gradient row dz1[:, j] @ X, a sum of signed zeros. Suppose m = v = +0 for
+the row, as at the start. With a gradient g = ±0, step t gives
+  m = 0.9 * (+0) + 0.1 * g           = +0 + (±0) = +0,
+  v = 0.999 * (+0) + (0.001 * g) * g = +0 + (+0) = +0,
+  (lr * (m / (1 - 0.9**t))) / (sqrt(v / (1 - 0.999**t)) + eps) = +0 / eps = +0,
+as lr >= 0 and eps > 0, and w - (+0) is w in every bit, -0.0 included.
+So the row's m and v stay +0 and its weights stay unchanged until the unit
+fires, which is what leaving the row out does. A unit that has fired keeps
+its row to the end of the call, since its moments are no longer zero. The
+forward `X @ w1.T` and the backward `dz1.T @ X` keep their full shapes:
+a GEMM's bits can depend on its shape, so only the step is made smaller.
+
 `one_blas_thread` pins numpy's bundled OpenBLAS to one thread for a block of
 work: a GEMM's summation order, and so its bits, can depend on the thread
 count, and on small matrices a second thread costs more than it gains.
@@ -141,13 +162,58 @@ def samples_to_matrix(samples: Samples) -> tuple[np.ndarray, np.ndarray]:
     return X, samples.labels.astype(np.float64)
 
 
-def _forward(params: np.ndarray, X: np.ndarray, spec: ModelSpec):
+class _Workspace:
+    """The arrays that one forward and backward pass over up to `rows`
+    samples write into; a pass over fewer samples uses their leading rows."""
+
+    def __init__(self, rows: int, hidden_dim: int):
+        self.z1 = np.empty((rows, hidden_dim))  # z1, then da1 and dz1
+        self.a1 = np.empty((rows, hidden_dim))
+        self.fired = np.empty((rows, hidden_dim), dtype=bool)  # z1 > 0
+        self.p = np.empty(rows)                 # p, then dz2
+
+
+def _forward(params: np.ndarray, X: np.ndarray, spec: ModelSpec,
+             ws: _Workspace) -> np.ndarray:
+    """The model's outputs p on the rows of X, computed in ws."""
+    n = X.shape[0]
     w1, b1, w2, b2 = _unpack(params, X.shape[1], spec)
-    z1 = X @ w1.T + b1
-    a1 = np.maximum(z1, 0.0)
-    z2 = a1 @ w2 + b2
-    p = 1.0 / (1.0 + np.exp(-z2))
-    return p, (z1, a1)
+    z1, a1, p = ws.z1[:n], ws.a1[:n], ws.p[:n]
+    np.matmul(X, w1.T, out=z1)          # z1 = X @ w1.T + b1
+    np.add(z1, b1, out=z1)
+    np.maximum(z1, 0.0, out=a1)
+    np.matmul(a1, w2, out=p)            # p = 1 / (1 + exp(-(a1 @ w2 + b2)))
+    np.add(p, b2, out=p)
+    np.negative(p, out=p)
+    np.exp(p, out=p)
+    np.add(1.0, p, out=p)
+    np.divide(1.0, p, out=p)
+    return p
+
+
+def _backward(params: np.ndarray, X: np.ndarray, y: np.ndarray, spec: ModelSpec,
+              ws: _Workspace, grad: np.ndarray) -> None:
+    """Write the gradient of the mean BCE over the batch into `grad`, from
+    `_forward`'s pass over X in ws; leaves ws.fired as z1 > 0 and overwrites
+    the rest of ws. Raises if any entry of the gradient is not finite."""
+    n, d = X.shape
+    h = spec.hidden_dim
+    w2 = _unpack(params, d, spec)[2]
+    gw1, gb1, gw2 = grad[:d * h].reshape(h, d), grad[d * h:d * h + h], grad[d * h + h:-1]
+    z1, a1, fired, dz2 = ws.z1[:n], ws.a1[:n], ws.fired[:n], ws.p[:n]
+    np.subtract(dz2, y, out=dz2)        # dz2 = (p - y) / n: sigmoid + BCE shortcut
+    np.divide(dz2, n, out=dz2)
+    np.matmul(a1.T, dz2, out=gw2)
+    np.sum(dz2, keepdims=True, out=grad[-1:])
+    np.greater(z1, 0.0, out=fired)
+    dz1 = z1
+    np.multiply(dz2[:, None], w2, out=dz1)  # da1 = outer(dz2, w2)
+    np.multiply(dz1, fired, out=dz1)        # dz1 = da1 * (z1 > 0)
+    np.matmul(dz1.T, X, out=gw1)
+    np.sum(dz1, axis=0, out=gb1)
+    # max and min propagate NaN, and an infinity is one of the two
+    if not (np.isfinite(grad.max()) and np.isfinite(grad.min())):
+        raise InvariantViolation("non-finite gradient encountered")
 
 
 def _bce(p: np.ndarray, y: np.ndarray) -> float:
@@ -158,22 +224,10 @@ def _bce(p: np.ndarray, y: np.ndarray) -> float:
 def loss_and_grad(params: np.ndarray, X: np.ndarray, y: np.ndarray,
                   spec: ModelSpec) -> tuple[float, np.ndarray]:
     """Mean BCE over the batch and its gradient w.r.t. the flat parameter vector."""
-    w1, b1, w2, b2 = _unpack(params, X.shape[1], spec)
-    p, (z1, a1) = _forward(params, X, spec)
-    loss = _bce(p, y)
-
-    n = X.shape[0]
-    dz2 = (p - y) / n                      # sigmoid + BCE shortcut
-    gw2 = a1.T @ dz2
-    gb2 = float(np.sum(dz2))
-    da1 = np.outer(dz2, w2)
-    dz1 = da1 * (z1 > 0.0)
-    gw1 = dz1.T @ X
-    gb1 = dz1.sum(axis=0)
-
-    grad = np.concatenate([gw1.ravel(), gb1, gw2, [gb2]])
-    if not np.all(np.isfinite(grad)):
-        raise InvariantViolation("non-finite gradient encountered")
+    ws = _Workspace(X.shape[0], spec.hidden_dim)
+    loss = _bce(_forward(params, X, spec, ws), y)
+    grad = np.empty(spec.param_count(X.shape[1]))
+    _backward(params, X, y, spec, ws, grad)
     return loss, grad
 
 
@@ -183,9 +237,11 @@ def local_train(params_in: np.ndarray, shard: Samples, spec: ModelSpec,
 
     Batch order is reshuffled deterministically each epoch from rng_seed.
     Adam state starts fresh at every call (each round is an independent
-    local optimization). The step updates m, v and the parameters in place,
-    in the textbook's operation order, so it allocates nothing per batch and
-    gives the textbook's bits.
+    local optimization). It covers the tail [b1, w2, b2] and the W1 rows of
+    the units fired so far, appended as they first fire; the module
+    docstring proves that this gives the textbook step's bits. The step
+    runs in place, in the textbook's operation order, on buffers made once
+    per call, so a batch allocates nothing.
     """
     if not shard:
         raise InvariantViolation("local_train on empty shard")
@@ -193,35 +249,68 @@ def local_train(params_in: np.ndarray, shard: Samples, spec: ModelSpec,
     params = check_params(params_in, X.shape[1], spec).copy()
     rng = np.random.default_rng(rng_seed)
 
-    m = np.zeros_like(params)
-    v = np.zeros_like(params)
-    step = np.empty_like(params)  # scratch buffers of the in-place step
-    denom = np.empty_like(params)
+    n, d = X.shape
+    h = spec.hidden_dim
+    batch = min(n, spec.batch_size)
+    ws = _Workspace(batch, h)
+    X_rows, y_rows = np.empty((batch, d)), np.empty(batch)
+    grad = np.empty_like(params)
+    w1, gw1 = params[:d * h].reshape(h, d), grad[:d * h].reshape(h, d)
+    tail = 2 * h + 1
+    # Adam over the compact vector [tail, W1 rows of units[:k]]: its
+    # parameters w, moments m and v, gradient g (then the step's
+    # denominator) and scratch step; an entry is set when it joins
+    w, m, v, g, step = np.empty((5, len(params)))
+    w[:tail] = params[d * h:]
+    m[:tail] = v[:tail] = 0.0
+    units = np.empty(h, dtype=np.intp)
+    k = 0
+    ever = np.zeros(h, dtype=bool)      # fired in this call
+    new = np.empty(h, dtype=bool)
     t = 0
-    n = len(shard)
     for _ in range(epochs):
         order = rng.permutation(n)
         for start in range(0, n, spec.batch_size):
             sel = order[start:start + spec.batch_size]
-            _, grad = loss_and_grad(params, X[sel], y[sel], spec)
+            Xb, yb = X_rows[:len(sel)], y_rows[:len(sel)]
+            np.take(X, sel, axis=0, out=Xb, mode="clip")  # "clip" writes out unbuffered
+            np.take(y, sel, out=yb, mode="clip")
+            _forward(params, Xb, spec, ws)
+            _backward(params, Xb, yb, spec, ws, grad)
+            np.any(ws.fired[:len(sel)], axis=0, out=new)
+            np.greater(new, ever, out=new)  # fired for the first time
+            if new.any():
+                fresh = np.flatnonzero(new)
+                ever[fresh] = True
+                units[k:k + len(fresh)] = fresh
+                joined = slice(tail + k * d, tail + (k + len(fresh)) * d)
+                np.take(w1, fresh, axis=0, out=w[joined].reshape(-1, d))
+                m[joined] = v[joined] = 0.0
+                k += len(fresh)
+            size = tail + k * d
+            g[:tail] = grad[d * h:]
+            np.take(gw1, units[:k], axis=0, out=g[tail:size].reshape(k, d), mode="clip")
             t += 1
-            # m = b1*m + (1-b1)*grad
-            np.multiply(m, ADAM_BETA1, out=m)
-            np.multiply(grad, 1.0 - ADAM_BETA1, out=step)
-            np.add(m, step, out=m)
-            # v = b2*v + ((1-b2)*grad)*grad
-            np.multiply(v, ADAM_BETA2, out=v)
-            np.multiply(grad, 1.0 - ADAM_BETA2, out=denom)
-            np.multiply(denom, grad, out=denom)
-            np.add(v, denom, out=v)
-            # params -= (lr * (m / (1-b1**t))) / (sqrt(v / (1-b2**t)) + eps)
-            np.divide(m, 1.0 - ADAM_BETA1 ** t, out=step)
-            np.multiply(step, spec.learning_rate, out=step)
-            np.divide(v, 1.0 - ADAM_BETA2 ** t, out=denom)
-            np.sqrt(denom, out=denom)
-            np.add(denom, spec.adam_eps, out=denom)
-            np.divide(step, denom, out=step)
-            np.subtract(params, step, out=params)
+            wc, mc, vc, gc, sc = w[:size], m[:size], v[:size], g[:size], step[:size]
+            # m = b1*m + (1-b1)*g
+            np.multiply(mc, ADAM_BETA1, out=mc)
+            np.multiply(gc, 1.0 - ADAM_BETA1, out=sc)
+            np.add(mc, sc, out=mc)
+            # v = b2*v + ((1-b2)*g)*g
+            np.multiply(vc, ADAM_BETA2, out=vc)
+            np.multiply(gc, 1.0 - ADAM_BETA2, out=sc)
+            np.multiply(sc, gc, out=sc)
+            np.add(vc, sc, out=vc)
+            # w -= (lr * (m / (1-b1**t))) / (sqrt(v / (1-b2**t)) + eps)
+            np.divide(mc, 1.0 - ADAM_BETA1 ** t, out=sc)
+            np.multiply(sc, spec.learning_rate, out=sc)
+            np.divide(vc, 1.0 - ADAM_BETA2 ** t, out=gc)
+            np.sqrt(gc, out=gc)
+            np.add(gc, spec.adam_eps, out=gc)
+            np.divide(sc, gc, out=sc)
+            np.subtract(wc, sc, out=wc)
+            params[d * h:] = w[:tail]
+            w1[units[:k]] = w[tail:size].reshape(k, d)
     return params
 
 
@@ -257,7 +346,8 @@ def evaluate_matrix(params: np.ndarray, X: np.ndarray, y: np.ndarray,
     """(accuracy, mean loss) on a test matrix; threshold at 0.5."""
     if X.shape[0] == 0:
         raise InvariantViolation("evaluate on empty test set")
-    p, _ = _forward(check_params(params, X.shape[1], spec), X, spec)
+    p = _forward(check_params(params, X.shape[1], spec), X, spec,
+                 _Workspace(X.shape[0], spec.hidden_dim))
     if np.isnan(p).any():  # finite parameters can still overflow the activations
         raise InvariantViolation("model output contains NaN")
     acc = float(np.mean((p >= 0.5) == (y == 1.0)))

@@ -25,16 +25,23 @@ class Samples:
     labels: np.ndarray      # int8 (n,): 0 = non-fire surrogate, 1 = fire surrogate
 
     def __post_init__(self):
-        images, labels = self.images, np.asarray(self.labels)
+        labels = np.asarray(self.labels)
+        self._check_shapes(self.images, labels)
+        if not np.isin(labels, (0, 1)).all():
+            raise InvariantViolation(f"labels must be 0 or 1, got {sorted(set(labels.tolist()) - {0, 1})}")
+        self._freeze(self.images, labels.astype(np.int8, copy=False))
+
+    @staticmethod
+    def _check_shapes(images, labels):
         if not isinstance(images, np.ndarray) or images.ndim != 3 or images.dtype != np.uint8:
             raise InvariantViolation("Samples.images must be a uint8 (n, height, width) array")
         if images.shape[1] * images.shape[2] == 0:
             raise InvariantViolation("Samples images must be non-empty")
         if labels.shape != (len(images),):
             raise InvariantViolation(f"{len(images)} images with {labels.shape} labels")
-        if not np.isin(labels, (0, 1)).all():
-            raise InvariantViolation(f"labels must be 0 or 1, got {sorted(set(labels.tolist()) - {0, 1})}")
-        for name, column in (("images", images), ("labels", labels.astype(np.int8, copy=False))):
+
+    def _freeze(self, images, labels):
+        for name, column in (("images", images), ("labels", labels)):
             view = column.view()
             view.flags.writeable = False
             object.__setattr__(self, name, view)
@@ -43,8 +50,14 @@ class Samples:
         return len(self.images)
 
     def __getitem__(self, index) -> "Samples":
-        """The samples at a slice, an index array or a boolean mask, in order."""
-        return Samples(self.images[index], self.labels[index])
+        """The samples at a slice, an index array or a boolean mask, in order.
+        Their labels are some of these validated ones, so only the shapes are
+        checked again."""
+        images, labels = self.images[index], self.labels[index]
+        self._check_shapes(images, labels)
+        part = object.__new__(Samples)
+        part._freeze(images, labels)
+        return part
 
 
 @dataclass

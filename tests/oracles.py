@@ -5,8 +5,9 @@ and acceptance criterion 4 check `deeps_select` against; combinatorial in the
 fleet size, so it is guarded to tiny instances. `oracle_uav_dataset` is the
 one-image-at-a-time generator, with a per-UAV walk, that `test_datagen` checks
 the blocked generator against byte for byte. `oracle_local_train` is the
-textbook Adam loop, a fresh array per operation, that `test_learning` checks
-the in-place step of `local_train` against bit for bit.
+textbook Adam loop over the whole parameter vector, with its own backward
+pass and a fresh array per operation, that `test_learning` checks the
+buffered, active-rows step of `local_train` against bit for bit.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ from uavfl.cost import RoundCost
 from uavfl.datagen import (BASE_LEVEL, GenSpec, UavData, _class_pattern, _entropy,
                            _label_track)
 from uavfl.errors import CohortInfeasible, UavFlError
-from uavfl.learning import (ADAM_BETA1, ADAM_BETA2, ModelSpec, check_params, loss_and_grad,
-                            samples_to_matrix)
+from uavfl.learning import ADAM_BETA1, ADAM_BETA2, ModelSpec, check_params, samples_to_matrix
 from uavfl.selection import Selection, deeps_score, is_feasible
 from uavfl.similarity import DiversityScore
 from uavfl.types import Samples, UavState
@@ -117,10 +117,30 @@ def oracle_uav_dataset(spec: GenSpec, subregion_id: int, uav_id: int,
     return UavData(train=samples[~test], test=samples[test])
 
 
+def _oracle_grad(params: np.ndarray, X: np.ndarray, y: np.ndarray,
+                 spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient of the batch's mean BCE over the whole parameter vector, from
+    fresh arrays, and which hidden units fired (z1 > 0) on some sample."""
+    d, h = X.shape[1], spec.hidden_dim
+    w1, b1 = params[:d * h].reshape(h, d), params[d * h:d * h + h]
+    w2, b2 = params[d * h + h:d * h + 2 * h], params[-1]
+    z1 = X @ w1.T + b1
+    a1 = np.maximum(z1, 0.0)
+    p = 1.0 / (1.0 + np.exp(-(a1 @ w2 + b2)))
+    dz2 = (p - y) / X.shape[0]
+    gw2 = a1.T @ dz2
+    gb2 = float(np.sum(dz2))
+    dz1 = np.outer(dz2, w2) * (z1 > 0.0)
+    gw1 = dz1.T @ X
+    gb1 = dz1.sum(axis=0)
+    return np.concatenate([gw1.ravel(), gb1, gw2, [gb2]]), (z1 > 0.0).any(axis=0)
+
+
 def oracle_local_train(params_in: np.ndarray, shard: Samples, spec: ModelSpec,
-                       epochs: int, rng_seed) -> np.ndarray:
-    """Mini-batch Adam written as the textbook update, one expression per
-    moment; the batches are `local_train`'s."""
+                       epochs: int, rng_seed, firing: list | None = None) -> np.ndarray:
+    """Mini-batch Adam written as the textbook update on every parameter, one
+    expression per moment; the batches are `local_train`'s. `firing`, when
+    given, gets each batch's fired units in batch order."""
     X, y = samples_to_matrix(shard)
     params = check_params(params_in, X.shape[1], spec).copy()
     rng = np.random.default_rng(rng_seed)
@@ -132,7 +152,9 @@ def oracle_local_train(params_in: np.ndarray, shard: Samples, spec: ModelSpec,
         order = rng.permutation(n)
         for start in range(0, n, spec.batch_size):
             sel = order[start:start + spec.batch_size]
-            _, grad = loss_and_grad(params, X[sel], y[sel], spec)
+            grad, fired = _oracle_grad(params, X[sel], y[sel], spec)
+            if firing is not None:
+                firing.append(fired)
             t += 1
             m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
             v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import make_image, make_samples, no_samples
 from oracles import oracle_local_train
+from uavfl.config import load_config
 from uavfl.errors import InvariantViolation
 from uavfl.learning import (ModelSpec, aggregate, evaluate_matrix, local_train,
                             loss_and_grad, model_init, samples_to_matrix)
@@ -15,6 +17,8 @@ from uavfl.types import Samples
 SMALL = ModelSpec(hidden_dim=4)
 D = 16                       # SMALL reads 4x4 images
 P = SMALL.param_count(D)
+CALIBRATED = os.path.join(os.path.dirname(__file__), "..", "configs",
+                          "scenario1_calibrated.json")
 
 
 def cluster_shard(rng, n=40, side=8):
@@ -200,6 +204,11 @@ def training_runs(draw):
     return params, Samples(images, labels), spec, draw(st.integers(2, 4))
 
 
+def same_bits(a, b):
+    """Equal bit for bit: tells -0.0 from 0.0, which np.array_equal does not."""
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 class TestLocalTrainMatchesOracle:
     @settings(max_examples=60, deadline=None)
     @given(run=training_runs(), seed=st.integers(0, 2**32 - 1))
@@ -208,6 +217,52 @@ class TestLocalTrainMatchesOracle:
         out = local_train(params, shard, spec, epochs, np.random.SeedSequence(seed))
         expected = oracle_local_train(params, shard, spec, epochs, np.random.SeedSequence(seed))
         assert np.array_equal(out, expected)
+
+    @pytest.mark.parametrize("n", [7, 15, 33, 70])
+    def test_calibrated_size(self, n):
+        # the calibrated model on 32x32 images: a part batch, one batch and
+        # two and three batches an epoch
+        config = load_config(CALIBRATED)
+        spec, epochs = config.model, config.cost.epochs_per_round
+        assert (spec.hidden_dim, spec.batch_size) == (64, 32)
+        rng = np.random.default_rng(n)
+        images = np.clip(rng.normal(128.0, 60.0, (n, 32, 32)), 0, 255).astype(np.uint8)
+        shard = Samples(images, rng.integers(0, 2, n))
+        params = model_init(spec, 1024, np.random.SeedSequence(n))
+        seed = np.random.SeedSequence([n, 1])
+        assert same_bits(local_train(params, shard, spec, epochs, seed),
+                         oracle_local_train(params, shard, spec, epochs, seed))
+
+    def test_units_that_fire_late_or_never(self):
+        # 2x2 images, 3 hidden units, batches of 2 out of 6 samples:
+        # unit 0 reads pixel 0, which only sample `trigger` lights, so it
+        # fires only in that sample's batch; unit 1 has -0.0 weights and a negative
+        # bias, so it never fires; unit 2's positive bias fires it always.
+        # lr 1e-3 over 6 steps moves no weight far enough to change that.
+        trigger = 4
+        spec = ModelSpec(hidden_dim=3, batch_size=2, learning_rate=1e-3)
+        images = np.array([[[0, 50], [100, 150]], [[0, 200], [30, 90]], [[0, 120], [60, 10]],
+                           [[0, 80], [160, 240]], [[0, 40], [70, 130]],
+                           [[0, 180], [20, 110]]], dtype=np.uint8)
+        images[trigger, 0, 0] = 255
+        shard = Samples(images, [0, 1, 0, 1, 1, 0])
+        d = 4
+        params = np.zeros(spec.param_count(d))
+        w1 = params[:3 * d].reshape(3, d)
+        w1[0] = [1.0, 0.0, 0.0, 0.0]
+        w1[1] = -0.0
+        w1[2] = [0.0, 0.5, 0.5, 0.5]
+        params[3 * d:3 * d + 3] = [-0.5, -1.0, 1.0]     # b1
+        params[3 * d + 3:3 * d + 6] = [0.5, -0.5, 0.3]  # w2
+        seed = np.random.SeedSequence(0)  # puts `trigger` in the second batch
+        firing = []
+        expected = oracle_local_train(params, shard, spec, 2, seed, firing=firing)
+        first = [next((b for b, fired in enumerate(firing) if fired[j]), None) for j in range(3)]
+        assert first == [first[0], None, 0] and first[0] > 0  # later, never, from the start
+        assert not all(fired[0] for fired in firing[first[0]:])  # unit 0 pauses after it fires
+        out = local_train(params, shard, spec, 2, seed)
+        assert same_bits(out, expected)
+        assert same_bits(out[d:2 * d], params[d:2 * d])  # the never-fired row keeps its -0.0
 
 
 class TestAggregate:
