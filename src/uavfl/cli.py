@@ -15,6 +15,9 @@ from .harness import (compare_strategies, emit_csv, emit_metadata, emit_summary_
 _OVERRIDES = {"strategy": "strategy", "ssim_th": "ssim_threshold", "seed": "master_seed",
               "out": "output_dir", "workers": "workers"}
 
+_WORKERS_HELP = ("threads that share data generation, dedup and training "
+                 "(results do not depend on it; default 1)")
+
 
 def _load(args) -> ExperimentConfig:
     """The config file (or the defaults) with the CLI overrides applied before
@@ -59,14 +62,14 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--ssim-th", type=float, dest="ssim_th")
     run.add_argument("--seed", type=int)
     run.add_argument("--out")
-    run.add_argument("--workers", type=int)
+    run.add_argument("--workers", type=int, help=_WORKERS_HELP)
     run.set_defaults(func=cmd_run)
 
     comp = sub.add_parser("compare", help="run deeps(0.1)/deeps(0.5)/random on shared data")
     comp.add_argument("--config", help="JSON config file")
     comp.add_argument("--seed", type=int)
     comp.add_argument("--out")
-    comp.add_argument("--workers", type=int)
+    comp.add_argument("--workers", type=int, help=_WORKERS_HELP)
     comp.set_defaults(func=cmd_compare)
 
     return parser

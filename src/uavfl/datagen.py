@@ -12,7 +12,7 @@ across sub-regions and partly sub-region specific.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,18 +163,21 @@ class Scene:
     patterns: np.ndarray  # (2, side, side) float64
 
 
-def subregion_scenes(spec: GenSpec, count: int, rng_seed: int) -> Iterator[Scene]:
-    """The scenes of sub-regions 1..count, built one at a time.
+def subregion_scenes(spec: GenSpec, subregion_ids: Iterable[int],
+                     rng_seed: int) -> Iterator[Scene]:
+    """The scenes of the given sub-regions, built one at a time in order.
 
     Every scene's frames live in one walk buffer allocated per call, so a
-    scene is valid only until the next one is drawn. The walk and label track
-    span `offset_span + samples_max` frames, so every UAV of a sub-region sees
-    the identical scene sequence regardless of its own length.
+    scene is valid only until the next one is drawn; separate calls share
+    nothing and may run on separate threads. A scene depends only on its
+    sub-region id and the seed. The walk and label track span
+    `offset_span + samples_max` frames, so every UAV of a sub-region sees the
+    identical scene sequence regardless of its own length.
     """
     span = spec.offset_span + spec.samples_max
     side = spec.image_side
     buf = np.empty((span + spec.walk_window - 1, side, side))
-    for subregion_id in range(1, count + 1):
+    for subregion_id in subregion_ids:
         yield Scene(subregion_id=subregion_id,
                     frames=_walk_frames(rng_seed, subregion_id, spec, buf),
                     labels=_label_track(rng_seed, subregion_id, span, spec),

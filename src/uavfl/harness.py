@@ -5,13 +5,16 @@ that every random stream is independent of the others. Harness tags:
 1 placement, 2 batteries, 3 training (per round+UAV), 4 random selection
 (per round), 5 diversity sampling (per round+UAV), 6 model init. The data
 generator uses its own 10x tags internally. Fixing the master seed makes a
-whole run bit-reproducible on one BLAS kernel, independent of the training
-worker count and of the BLAS thread count: `run_experiment` runs OpenBLAS on
-one thread and gives the caller's thread count back when it returns.
+whole run bit-reproducible on one BLAS kernel, independent of the BLAS thread
+count and of `workers`: `run_experiment` runs OpenBLAS on one thread and gives
+the caller's thread count back when it returns. `workers` threads share data
+generation, dedup and training; every UAV's work draws only on its own
+streams and writes only its own results, which are merged in UAV-id order.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import os
@@ -79,9 +82,29 @@ class RunSummary:
         return self.strategy
 
 
+def _pool(workers: int, tasks: int):
+    """A `with` context holding a pool of min(workers, tasks) threads, or None
+    when that is one thread, so the work runs inline."""
+    size = min(workers, tasks)
+    return ThreadPoolExecutor(max_workers=size) if size > 1 else contextlib.nullcontext()
+
+
+def _map(pool: ThreadPoolExecutor | None, fn, items) -> list:
+    """[fn(x) for x in items], through the pool when there is one and more
+    than one item."""
+    if pool is None or len(items) < 2:
+        return [fn(x) for x in items]
+    return list(pool.map(fn, items))
+
+
 def build_scenario(config: ExperimentConfig) -> Scenario:
-    """Generate datasets, place UAVs, derive link rates and the test pool."""
+    """Generate datasets, place UAVs, derive link rates and the test pool.
+
+    With W = min(workers, subregion_count) > 1, W threads each build every
+    W-th sub-region's scene and its UAVs' datasets through one walk buffer.
+    """
     seed = config.master_seed
+    count = config.subregion_count
     channel = config.channel
 
     geo = config.geometry
@@ -90,11 +113,21 @@ def build_scenario(config: ExperimentConfig) -> Scenario:
     place_rng = np.random.default_rng(np.random.SeedSequence([seed, _TAG_PLACEMENT]))
     battery_rng = np.random.default_rng(np.random.SeedSequence([seed, _TAG_BATTERY]))
 
+    strides = min(config.workers, count)
+
+    def build_stride(first: int) -> dict[int, UavData]:
+        out = {}
+        for scene in subregion_scenes(config.generator, range(first, count + 1, strides),
+                                      seed):
+            # UAV i flies sub-region (i - 1) mod subregion_count + 1
+            for uid in range(scene.subregion_id, config.n_uavs + 1, count):
+                out[uid] = generate_uav_dataset(config.generator, scene, uid, seed)
+        return out
+
     data: dict[int, UavData] = {}
-    for scene in subregion_scenes(config.generator, config.subregion_count, seed):
-        # UAV i flies sub-region (i - 1) mod subregion_count + 1
-        for uid in range(scene.subregion_id, config.n_uavs + 1, config.subregion_count):
-            data[uid] = generate_uav_dataset(config.generator, scene, uid, seed)
+    with _pool(config.workers, strides) as pool:
+        for part in _map(pool, build_stride, range(1, strides + 1)):
+            data.update(part)
 
     uavs: list[UavState] = []
     for uid in range(1, config.n_uavs + 1):
@@ -102,7 +135,7 @@ def build_scenario(config: ExperimentConfig) -> Scenario:
         battery = float(battery_rng.uniform(config.battery.min_j, config.battery.max_j))
         h = channel_gain(link_geometry(float(x) - centre, float(y) - centre, rise), channel)
         uavs.append(UavState(
-            id=uid, subregion_id=(uid - 1) % config.subregion_count + 1,
+            id=uid, subregion_id=(uid - 1) % count + 1,
             rate_up_bps=capacity(h, config.cost.tx_power_w, channel),
             rate_down_bps=capacity(h, channel.bs_tx_power_w, channel),
             battery_j=battery, battery_max_j=config.battery.max_j,
@@ -146,11 +179,13 @@ def run_experiment(config: ExperimentConfig, scenario: Scenario | None = None,
     `strategy` and `ssim_threshold`, when given, replace the config's and are
     validated like a loaded config. `scenario`, when given, must have been
     built from the same config; each run works on a fresh copy of it.
+    With workers > 1, a round's training and its new participants' dedups run
+    on one pool of min(workers, cohort_size) threads.
     """
-    with one_blas_thread():
-        overrides = {"strategy": strategy, "ssim_threshold": ssim_threshold}
-        config = dataclasses.replace(
-            config, **{key: value for key, value in overrides.items() if value is not None})
+    overrides = {"strategy": strategy, "ssim_threshold": ssim_threshold}
+    config = dataclasses.replace(
+        config, **{key: value for key, value in overrides.items() if value is not None})
+    with one_blas_thread(), _pool(config.workers, config.cohort_size) as pool:
         scenario = build_scenario(config) if scenario is None else scenario.fresh_copy()
         uavs = scenario.uavs
         by_id = {u.id: u for u in uavs}
@@ -199,9 +234,11 @@ def run_experiment(config: ExperimentConfig, scenario: Scenario | None = None,
                 sel = deeps_select(uavs, config.per_subregion_quota, config.xi, diversity, costs)
                 if sel.degraded_subregions:
                     degraded_rounds += 1
-                for uid in sorted(set(sel.ids) - deduped):
-                    dedup_removed += deduplicate(by_id[uid].dataset, config.ssim_threshold,
-                                                 config.ssim)
+                new = sorted(set(sel.ids) - deduped)
+                removed = _map(pool, lambda uid: deduplicate(
+                    by_id[uid].dataset, config.ssim_threshold, config.ssim), new)
+                for uid, n_removed in zip(new, removed):
+                    dedup_removed += n_removed
                     costs[uid] = round_cost(by_id[uid], k)
                 deduped.update(sel.ids)
             else:
@@ -225,11 +262,7 @@ def run_experiment(config: ExperimentConfig, scenario: Scenario | None = None,
                 return uid, local_train(params, shard, config.model,
                                         config.cost.epochs_per_round, train_seed), len(shard)
 
-            if config.workers > 1 and len(jobs) > 1:
-                with ThreadPoolExecutor(max_workers=config.workers) as pool:
-                    results = list(pool.map(_train, jobs))
-            else:
-                results = [_train(j) for j in jobs]
+            results = _map(pool, _train, jobs)
 
             cohort_energy = 0.0
             for uid, _, _ in results:

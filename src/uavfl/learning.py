@@ -62,7 +62,8 @@ def _openblas() -> ctypes.CDLL | None:
             for name, argtypes, restype in (
                     ("scipy_openblas_set_num_threads64_", [ctypes.c_int], None),
                     ("scipy_openblas_get_num_threads64_", [], ctypes.c_int),
-                    ("scipy_openblas_get_corename64_", [], ctypes.c_char_p)):
+                    ("scipy_openblas_get_corename64_", [], ctypes.c_char_p),
+                    ("scipy_openblas_get_config64_", [], ctypes.c_char_p)):
                 fn = getattr(lib, name)
                 fn.argtypes, fn.restype = argtypes, restype
         except (OSError, AttributeError):
@@ -89,12 +90,18 @@ def one_blas_thread():
 
 
 def blas_info() -> dict:
-    """The BLAS a run uses: OpenBLAS's core (kernel) name, the thread count
-    `one_blas_thread` pins, and numpy's version; `core` and `threads` are
-    None without the bundled library."""
+    """The BLAS a run uses: OpenBLAS's version and core (kernel) name, the
+    thread count `one_blas_thread` pins, and numpy's version; `openblas`,
+    `core` and `threads` are None without the bundled library."""
     lib = _openblas()
-    return {"core": lib.scipy_openblas_get_corename64_().decode() if lib else None,
-            "threads": 1 if lib else None,
+    if lib is None:
+        return {"openblas": None, "core": None, "threads": None, "numpy": np.__version__}
+    # the build config reads "OpenBLAS <version> <build options...>"
+    words = lib.scipy_openblas_get_config64_().decode().split()
+    version = words[1] if len(words) > 1 and words[0] == "OpenBLAS" else None
+    return {"openblas": version,
+            "core": lib.scipy_openblas_get_corename64_().decode(),
+            "threads": 1,
             "numpy": np.__version__}
 
 

@@ -224,7 +224,7 @@ def test_criterion_7_qualitative_ordering(capsys):
     # generator calibration anchor: consecutive same-class samples of one UAV
     # sit near SSIM 0.85; these are the training samples build_scenario gives
     # UAV 1 (sub-region 1)
-    scene = next(subregion_scenes(base.generator, 1, base.master_seed))
+    scene = next(subregion_scenes(base.generator, [1], base.master_seed))
     samples = generate_uav_dataset(base.generator, scene, 1, base.master_seed).train
     consec = [ssim_pair(samples.images[i], samples.images[i + 1])
               for i in range(400)

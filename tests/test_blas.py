@@ -8,9 +8,11 @@ cannot see that, so the check here hashes `float.hex` of every round record.
 """
 
 import os
+import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from test_harness import tiny_config
@@ -96,7 +98,7 @@ def test_run_experiment_pins_one_thread_and_restores_the_callers(monkeypatch):
     lib.scipy_openblas_set_num_threads64_(2)
     try:
         assert lib.scipy_openblas_get_num_threads64_() == 2
-        # the training pool's threads see the pinned count too
+        # the pool's threads see the pinned count too
         harness.run_experiment(tiny_config(workers=2))
         assert seen and set(seen) == {1}
         assert lib.scipy_openblas_get_num_threads64_() == 2
@@ -111,9 +113,23 @@ def test_run_experiment_pins_one_thread_and_restores_the_callers(monkeypatch):
 
 def test_blas_info_names_the_pinned_kernel():
     info = learning.blas_info()
-    assert set(info) == {"core", "threads", "numpy"}
+    assert set(info) == {"openblas", "core", "threads", "numpy"}
     if learning._openblas() is None:
-        assert info["core"] is None and info["threads"] is None
+        assert info["openblas"] is None and info["core"] is None and info["threads"] is None
     else:
         assert isinstance(info["core"], str) and info["core"]
         assert info["threads"] == 1
+
+
+@needs_openblas
+def test_blas_info_names_the_openblas_version():
+    config = learning._openblas().scipy_openblas_get_config64_().decode()
+    version = learning.blas_info()["openblas"]
+    assert re.fullmatch(r"\d+\.\d+\.\d+(\.\d+)*", version)
+    assert config.startswith(f"OpenBLAS {version} ")
+
+
+def test_blas_info_without_the_library(monkeypatch):
+    monkeypatch.setattr(learning, "_openblas", lambda: None)
+    assert learning.blas_info() == {"openblas": None, "core": None, "threads": None,
+                                    "numpy": np.__version__}

@@ -54,15 +54,19 @@ def test_workload_matches_golden(workload, tmp_path):
 
 @pytest.mark.parametrize("workload", sorted(SCENARIO_DIGESTS))
 def test_workload_data_matches_digest(workload):
+    """The same bytes whether the build runs inline (workers 1) or on 2 or 3
+    threads. Among the workloads, 3 sub-regions on 2 threads and 10 on 3 make
+    uneven strides, and tiny's 2 sub-regions cap workers 3 at 2 threads."""
     with open(os.path.join(ROOT, WORKLOADS["BASE_CONFIG"]), encoding="utf-8") as fh:
         base = json.load(fh)
-    overrides = {**WORKLOADS["WORKLOADS"][workload].overrides,
-                 "master_seed": WORKLOADS["DEFAULT_SEED"]}
-    scenario = build_scenario(config_from_dict(WORKLOADS["merged"](base, overrides)))
-    digest = hashlib.sha256()
-    for uav in scenario.uavs:
-        digest.update(uav.dataset.samples.images.tobytes())
-        digest.update(uav.dataset.samples.labels.tobytes())
-    digest.update(scenario.test_x.tobytes())
-    digest.update(scenario.test_y.tobytes())
-    assert digest.hexdigest() == SCENARIO_DIGESTS[workload]
+    for workers in (1, 2, 3):
+        overrides = {**WORKLOADS["WORKLOADS"][workload].overrides,
+                     "master_seed": WORKLOADS["DEFAULT_SEED"], "workers": workers}
+        scenario = build_scenario(config_from_dict(WORKLOADS["merged"](base, overrides)))
+        digest = hashlib.sha256()
+        for uav in scenario.uavs:
+            digest.update(uav.dataset.samples.images.tobytes())
+            digest.update(uav.dataset.samples.labels.tobytes())
+        digest.update(scenario.test_x.tobytes())
+        digest.update(scenario.test_y.tobytes())
+        assert digest.hexdigest() == SCENARIO_DIGESTS[workload], f"workers {workers}"

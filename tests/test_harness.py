@@ -1,9 +1,13 @@
+import dataclasses
 import json
 import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from uavfl import harness
 from uavfl.config import config_from_dict
 from uavfl.datagen import GenSpec
 from uavfl.cost import estimate_round_cost
@@ -33,6 +37,31 @@ def tiny_config(**overrides):
     return config_from_dict(data)
 
 
+def exact(value):
+    """value with every float written as float.hex, so == compares bits."""
+    if isinstance(value, float):
+        return value.hex()
+    if dataclasses.is_dataclass(value):
+        return {f.name: exact(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, (list, tuple)):
+        return [exact(v) for v in value]
+    return value
+
+
+def scenario_bytes(sc):
+    """Every byte and float a scenario holds, in UAV-id order."""
+    out = [sc.test_x.tobytes(), sc.test_y.tobytes()]
+    for u in sc.uavs:
+        out += [u.dataset.samples.images.tobytes(), u.dataset.samples.labels.tobytes(),
+                exact(dataclasses.replace(u, dataset=None))]
+    return out
+
+
+# three sub-regions: 2 workers split them into uneven strides, and 5 workers
+# outnumber them
+THREE_SUBREGIONS = {"n_uavs": 7, "cohort_size": 3, "subregion_count": 3}
+
+
 def record(k=1, acc=0.5, energy=1.0):
     return RoundRecord(round_k=k, selected_ids=(1, 2), global_accuracy=acc,
                        global_loss=0.7, round_duration_s=2.5,
@@ -53,6 +82,23 @@ class TestScenarioBuild:
         assert sc.test_x.shape[0] == len(sc.test_y) > 0
         assert [u.id for u in sc.uavs] == [1, 2, 3, 4]
         assert all(u.rate_up_bps > 0 and u.rate_down_bps > 0 for u in sc.uavs)
+
+    @pytest.mark.parametrize("workers,strides", [
+        (1, [(1, 2, 3)]), (2, [(1, 3), (2,)]), (5, [(1,), (2,), (3,)])])
+    def test_pooled_build_is_byte_identical(self, workers, strides, monkeypatch):
+        want = scenario_bytes(build_scenario(tiny_config(**THREE_SUBREGIONS)))
+        calls = []
+
+        def spy(spec, subregion_ids, rng_seed):
+            calls.append(tuple(subregion_ids))
+            return real(spec, subregion_ids, rng_seed)
+
+        real = harness.subregion_scenes
+        monkeypatch.setattr(harness, "subregion_scenes", spy)
+        sc = build_scenario(tiny_config(**THREE_SUBREGIONS, workers=workers))
+        assert scenario_bytes(sc) == want
+        # one walk buffer per call, so at most min(workers, 3) exist at once
+        assert sorted(calls) == strides
 
     def test_empty_test_pool_fails_at_build(self):
         # 40-45 samples at 1% round every UAV's test split to 0
@@ -105,14 +151,43 @@ class TestRunExperiment:
             paths.append(p)
         assert open(paths[0], "rb").read() == open(paths[1], "rb").read()
 
-    def test_worker_count_does_not_change_results(self, tmp_path):
-        paths = []
-        for i, workers in enumerate((1, 3)):
-            s = run_experiment(tiny_config(workers=workers))
-            p = str(tmp_path / f"w{i}.csv")
-            emit_csv(s.records, p)
-            paths.append(p)
-        assert open(paths[0], "rb").read() == open(paths[1], "rb").read()
+    def test_worker_count_does_not_change_results(self, monkeypatch):
+        """Workers 1, 2 and 3 give the same bits in every field of every record
+        and of the summary; round 1 deduplicates three new participants on the
+        pool."""
+        dedup_threads = []
+
+        def spy(*args, **kwargs):
+            dedup_threads.append(threading.get_ident())
+            return real(*args, **kwargs)
+
+        real = harness.deduplicate
+        monkeypatch.setattr(harness, "deduplicate", spy)
+        runs = {}
+        for workers in (1, 2, 3):
+            dedup_threads.clear()
+            s = run_experiment(tiny_config(**THREE_SUBREGIONS, workers=workers))
+            runs[workers] = exact(s)
+            assert len(s.records[0].selected_ids) == 3 and len(dedup_threads) >= 3
+            main = threading.main_thread().ident
+            assert (set(dedup_threads) == {main}) == (workers == 1)
+        assert runs[1]["dedup_removed_total"] > 0
+        assert runs[1] == runs[2] == runs[3]
+
+    def test_one_pool_per_build_and_per_run_sized_by_its_tasks(self, monkeypatch):
+        sizes = []
+
+        class Recorder(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", Recorder)
+        s = run_experiment(tiny_config(**THREE_SUBREGIONS, workers=64))
+        assert len(s.records) == 3
+        # the run's pool and its build's, none per round; each is capped by its
+        # tasks (3 sub-regions, a cohort of 3), not by workers
+        assert sizes == [3, 3]
 
     def test_energy_closure(self):
         s = run_experiment(tiny_config())
