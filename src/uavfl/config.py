@@ -1,4 +1,4 @@
-"""Experiment configuration: presets, JSON loading, strict key checking.
+"""Experiment configuration: JSON loading, strict key checking.
 
 The `channel`, `cost`, `generator`, `model` and `ssim` sections are the
 domain types of the modules that consume them, and `geometry` and `battery`
@@ -25,14 +25,6 @@ from .errors import ConfigError, InvariantViolation
 from .learning import ModelSpec
 from .similarity import SsimParams
 
-_FLEET_FIELDS = ("n_uavs", "cohort_size", "subregion_count", "per_subregion_quota",
-                 "n_rounds_max")
-SCENARIO_PRESETS = {  # values of _FLEET_FIELDS
-    "scenario1": (40, 10, 10, 1, 200),
-    "scenario2": (100, 20, 10, 2, 200),
-}
-
-
 @dataclass
 class GeometryConfig:
     region_m: float = 1000.0       # square side; UAVs uniform on it
@@ -57,42 +49,38 @@ class BatteryConfig:
                 f"need 0 <= min_j <= max_j and max_j > 0, got [{self.min_j}, {self.max_j}]")
 
 
-# field annotation -> the JSON value types it accepts (bool only for bool)
-_SCALAR_TYPES = {"int": int, "float": (int, float), "str": str, "bool": bool}
+# field annotation -> the JSON value types it accepts
+_SCALAR_TYPES = {"int": int, "float": (int, float), "str": str}
 
 
 def _check_types(cls, values: dict, where: str = "") -> None:
     """Raise a ConfigError for a value that is not of its `cls` field's
-    annotated scalar type; an int passes for a float, a bool only for a bool,
-    and NaN and +-inf for nothing. An optional field is checked as its type:
-    its None is filled in first."""
+    annotated scalar type; an int passes for a float, and a bool (an int to
+    Python) and NaN and +-inf for nothing."""
     for f in dataclasses.fields(cls):
-        kind = f.type.removesuffix(" | None")
-        kinds = _SCALAR_TYPES.get(kind)
+        kinds = _SCALAR_TYPES.get(f.type)
         if kinds and f.name in values:
             value = values[f.name]
-            if not isinstance(value, kinds) or isinstance(value, bool) != (kind == "bool"):
-                raise ConfigError(f"{where}{f.name}: expected {kind}, got {type(value).__name__}")
+            if not isinstance(value, kinds) or isinstance(value, bool):
+                raise ConfigError(f"{where}{f.name}: expected {f.type}, "
+                                  f"got {type(value).__name__}")
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{where}{f.name}: must be finite, got {value}")
 
 
 @dataclass
 class ExperimentConfig:
-    scenario: str = "scenario1"    # scenario1 | scenario2 | custom
-    # the fleet fields of SCENARIO_PRESETS: None takes the preset's value
-    # (scenario1's under custom), and a preset rejects any other value
-    n_uavs: int | None = None
-    cohort_size: int | None = None
-    subregion_count: int | None = None
-    per_subregion_quota: int | None = None
-    n_rounds_max: int | None = None
+    # the fleet: the paper's scenario 1 (configs/scenario2.json holds scenario 2)
+    n_uavs: int = 40
+    cohort_size: int = 10
+    subregion_count: int = 10
+    per_subregion_quota: int = 1
+    n_rounds_max: int = 200
     strategy: str = "deeps"        # deeps | random
     ssim_threshold: float = 0.5
     xi: float = 0.5
     master_seed: int = 0
     output_dir: str = "out"
-    stop_on_convergence: bool = False
     convergence_window: int = 10
     convergence_tol: float = 0.005
     workers: int = 1
@@ -105,16 +93,6 @@ class ExperimentConfig:
     battery: BatteryConfig = field(default_factory=BatteryConfig)
 
     def __post_init__(self):
-        if self.scenario not in ("scenario1", "scenario2", "custom"):
-            raise ConfigError(f"unknown scenario {self.scenario!r}")
-        preset = SCENARIO_PRESETS.get(self.scenario, SCENARIO_PRESETS["scenario1"])
-        for name, value in zip(_FLEET_FIELDS, preset):
-            explicit = getattr(self, name)
-            if explicit is None:
-                setattr(self, name, value)
-            elif self.scenario != "custom" and explicit != value:
-                raise ConfigError(f"{name} {explicit} conflicts with {self.scenario}'s "
-                                  f"{value}; set scenario to custom to change it")
         _check_types(type(self), vars(self))
         if self.strategy not in ("deeps", "random"):
             raise ConfigError(f"unknown strategy {self.strategy!r}")

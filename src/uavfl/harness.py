@@ -216,10 +216,6 @@ def run_experiment(config: ExperimentConfig, scenario: Scenario | None = None,
                 u.alive = False
             return len(unfunded)
 
-        def converged_at() -> int | None:
-            return _find_convergence([r.global_accuracy for r in records],
-                                     config.convergence_window, config.convergence_tol)
-
         records: list[RoundRecord] = []
         deduped: set[int] = set()  # UAVs whose dataset this run has deduplicated
         dedup_removed = 0
@@ -286,10 +282,8 @@ def run_experiment(config: ExperimentConfig, scenario: Scenario | None = None,
             ))
             dropouts = 0
 
-            if config.stop_on_convergence and converged_at() is not None:
-                break
-
-        conv = converged_at()
+        conv = _find_convergence([r.global_accuracy for r in records],
+                                 config.convergence_window, config.convergence_tol)
         chi_r = conv if conv is not None else len(records)
         durations = [r.round_duration_s for r in records]
         return RunSummary(

@@ -202,7 +202,7 @@ def test_criterion_5_fedavg_exactness(capsys):
 
 
 def test_criterion_6_energy_closure(capsys):
-    config = config_from_dict({"scenario": "scenario1", "master_seed": 7})
+    config = config_from_dict({"master_seed": 7})
     summary = run_experiment(config)
     drawdown = summary.initial_battery_total_j - summary.final_battery_total_j
     spent = sum(r.cohort_energy_j for r in summary.records)
@@ -279,8 +279,8 @@ def test_criterion_8_determinism(capsys, tmp_path):
     t0 = time.time()
     strategies = [("deeps", 0.1), ("deeps", 0.5), ("random", None)]
     tiny = {
-        "scenario": "custom", "n_uavs": 4, "cohort_size": 2,
-        "subregion_count": 2, "per_subregion_quota": 1, "n_rounds_max": 3,
+        "n_uavs": 4, "cohort_size": 2, "subregion_count": 2,
+        "per_subregion_quota": 1, "n_rounds_max": 3,
         "master_seed": 5, "ssim": {"max_pairs": 30},
         "generator": {"image_side": 8, "samples_min": 40, "samples_max": 60,
                       "offset_span": 10, "test_fraction": 0.2},

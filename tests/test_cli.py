@@ -1,11 +1,16 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
 from test_harness import TINY
 from uavfl import cli, harness
-from uavfl.cli import build_parser, main
+from uavfl.cli import _load, build_parser, main
+from uavfl.config import ExperimentConfig
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 
 
 @pytest.fixture
@@ -23,6 +28,18 @@ class TestParser:
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
+
+    def test_no_config_file_takes_the_defaults(self):
+        args = build_parser().parse_args(["run", "--seed", "3", "--workers", "2"])
+        assert _load(args) == ExperimentConfig(master_seed=3, workers=2)
+
+    def test_module_help(self):
+        env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src"),
+               "PYTHONDONTWRITEBYTECODE": "1"}
+        proc = subprocess.run([sys.executable, "-m", "uavfl", "--help"], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert "run" in proc.stdout and "compare" in proc.stdout
 
     @pytest.mark.parametrize("command", ["gen-data", "dedup-report"])
     def test_removed_subcommand_is_a_usage_error(self, capsys, command):
@@ -102,11 +119,12 @@ class TestRun:
         {"xi": 1.5}, {"ssim_threshold": 1.5}, {"n_rounds_max": 0},
         {"convergence_window": 0}, {"convergence_window": -2},
         {"battery": {"min_j": 20.0, "max_j": 10.0}}, {"convergence_tol": 0.0},
-        {"scenario": "scenario1"}, {"master_seed": -1}, {"model": {"adam_eps": 0.0}},
+        {"scenario": "scenario1"}, {"stop_on_convergence": True},
+        {"master_seed": -1}, {"model": {"adam_eps": 0.0}},
         {"generator": {**TINY["generator"], "offset_span": -1}},
     ], ids=["fleet", "xi", "ssim_threshold", "n_rounds_max", "window-0", "window-neg",
-            "battery", "convergence_tol", "preset-conflict", "master_seed", "adam_eps",
-            "offset_span"])
+            "battery", "convergence_tol", "scenario-key", "stop_on_convergence-key",
+            "master_seed", "adam_eps", "offset_span"])
     def test_unusable_experiment_is_one_line_error(self, tmp_path, capsys, values):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({**TINY, **values}))
@@ -137,7 +155,7 @@ class TestRun:
                                                             flags):
         # each of these used to load and fail only after data was generated
         path = tmp_path / "cfg.json"
-        path.write_text('{"scenario": "custom", %s}' % text)
+        path.write_text('{%s}' % text)
         out = tmp_path / "out"
         code = main(["run", "--config", str(path), "--out", str(out), *flags])
         err = capsys.readouterr().err

@@ -1,4 +1,5 @@
 import dataclasses
+import glob
 import json
 import math
 import os
@@ -12,62 +13,49 @@ from uavfl.config import ExperimentConfig, config_from_dict, load_config
 from uavfl.errors import ConfigError
 from uavfl.learning import ModelSpec
 
-CALIBRATED = os.path.join(os.path.dirname(__file__), "..", "configs",
-                          "scenario1_calibrated.json")
+CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
+CALIBRATED = os.path.join(CONFIGS, "scenario1_calibrated.json")
+SCENARIO2 = os.path.join(CONFIGS, "scenario2.json")
+README = os.path.join(os.path.dirname(__file__), "..", "README.md")
 
 
 class TestPresets:
+    """The paper's two fleets: scenario 1 is the defaults, scenario 2 a config file."""
+
     def test_scenario1(self):
-        c = ExperimentConfig(scenario="scenario1")
+        c = ExperimentConfig()
         assert (c.n_uavs, c.cohort_size, c.subregion_count,
                 c.per_subregion_quota, c.n_rounds_max) == (40, 10, 10, 1, 200)
 
     def test_scenario2(self):
-        c = ExperimentConfig(scenario="scenario2")
+        c = load_config(SCENARIO2)
         assert (c.n_uavs, c.cohort_size, c.subregion_count,
-                c.per_subregion_quota) == (100, 20, 10, 2)
-
-    @pytest.mark.parametrize("scenario,key,value", [
-        ("scenario1", "n_uavs", 7), ("scenario1", "cohort_size", 20),
-        ("scenario1", "subregion_count", 5), ("scenario1", "per_subregion_quota", 2),
-        ("scenario1", "n_rounds_max", 60),
-        ("scenario2", "n_uavs", 40),  # the old dataclass default
-    ])
-    def test_preset_rejects_a_conflicting_explicit_field(self, scenario, key, value):
-        match = f"^{key} {value} conflicts with {scenario}'s"
-        with pytest.raises(ConfigError, match=match):
-            ExperimentConfig(scenario=scenario, **{key: value})
-        with pytest.raises(ConfigError, match=match):
-            config_from_dict({"scenario": scenario, key: value})
-        with pytest.raises(ConfigError, match=match):
-            dataclasses.replace(ExperimentConfig(scenario=scenario), **{key: value})
-
-    def test_preset_accepts_an_equal_explicit_field(self):
-        c = config_from_dict({"scenario": "scenario2", "n_uavs": 100, "cohort_size": 20,
-                              "subregion_count": 10, "per_subregion_quota": 2,
-                              "n_rounds_max": 200})
-        assert c == ExperimentConfig(scenario="scenario2")
+                c.per_subregion_quota, c.n_rounds_max) == (100, 20, 10, 2, 200)
         # run_experiment re-validates through replace with every field set
-        assert dataclasses.replace(c, strategy="random").n_uavs == 100
+        r = dataclasses.replace(c, strategy="random")
+        assert (r.n_uavs, r.cohort_size, r.strategy) == (100, 20, "random")
 
-    def test_custom_fills_missing_fleet_fields_from_scenario1(self):
-        c = ExperimentConfig(scenario="custom", n_rounds_max=3)
-        assert (c.n_uavs, c.cohort_size, c.subregion_count, c.per_subregion_quota,
-                c.n_rounds_max) == (40, 10, 10, 1, 3)
-        with pytest.raises(ConfigError, match="^n_uavs: expected int, got float"):
-            ExperimentConfig(scenario="custom", n_uavs=40.0)
-        with pytest.raises(ConfigError, match="^n_rounds_max: expected int, got float"):
-            ExperimentConfig(n_rounds_max=200.0)  # equal to the preset, still not an int
+    @pytest.mark.parametrize("key,value", [
+        ("scenario", "scenario1"), ("scenario", "scenario2"), ("scenario", "custom"),
+        ("stop_on_convergence", False), ("stop_on_convergence", True),
+    ])
+    def test_removed_mode_key_fails_at_load(self, tmp_path, key, value):
+        match = f"^unknown config keys \\['{key}'\\]$"
+        with pytest.raises(ConfigError, match=match):
+            config_from_dict({key: value})
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({key: value}))
+        with pytest.raises(ConfigError, match=match):
+            load_config(str(path))
 
     def test_custom_keeps_fields(self):
-        c = ExperimentConfig(scenario="custom", n_uavs=4, cohort_size=2,
-                             subregion_count=2, per_subregion_quota=1,
-                             n_rounds_max=3)
+        c = ExperimentConfig(n_uavs=4, cohort_size=2, subregion_count=2,
+                             per_subregion_quota=1, n_rounds_max=3)
         assert c.n_uavs == 4 and c.n_rounds_max == 3
-
-    def test_unknown_scenario(self):
-        with pytest.raises(ConfigError):
-            ExperimentConfig(scenario="scenario9")
+        with pytest.raises(ConfigError, match="^n_uavs: expected int, got float"):
+            ExperimentConfig(n_uavs=40.0)
+        with pytest.raises(ConfigError, match="^n_rounds_max: expected int, got float"):
+            ExperimentConfig(n_rounds_max=200.0)  # equal to the default, still not an int
 
     def test_unknown_strategy(self):
         with pytest.raises(ConfigError):
@@ -75,8 +63,7 @@ class TestPresets:
 
     def test_quota_mismatch(self):
         with pytest.raises(ConfigError):
-            ExperimentConfig(scenario="custom", cohort_size=3,
-                             subregion_count=2, per_subregion_quota=1)
+            ExperimentConfig(cohort_size=3, subregion_count=2, per_subregion_quota=1)
 
 
 class TestFromDict:
@@ -154,7 +141,7 @@ class TestFromDict:
 
 
 # the smallest valid custom fleet: 2 sub-regions of quota 1
-CUSTOM = {"scenario": "custom", "n_uavs": 2, "cohort_size": 2, "subregion_count": 2,
+CUSTOM = {"n_uavs": 2, "cohort_size": 2, "subregion_count": 2,
           "per_subregion_quota": 1, "n_rounds_max": 3}
 
 
@@ -252,8 +239,7 @@ class TestLinkBudgetAtLoad:
 class TestLoadAndHash:
     def test_load_config(self, tmp_path):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"scenario": "custom", "n_uavs": 4,
-                                    "cohort_size": 2, "subregion_count": 2,
+        path.write_text(json.dumps({"n_uavs": 4, "cohort_size": 2, "subregion_count": 2,
                                     "per_subregion_quota": 1, "master_seed": 9}))
         c = load_config(str(path))
         assert c.n_uavs == 4 and c.master_seed == 9
@@ -262,7 +248,7 @@ class TestLoadAndHash:
     def test_non_finite_constant_fails_at_load(self, tmp_path, constant):
         # Python's json accepts these constants; the config loader does not
         path = tmp_path / "cfg.json"
-        path.write_text('{"scenario": "custom", "model": {"learning_rate": %s}}' % constant)
+        path.write_text('{"model": {"learning_rate": %s}}' % constant)
         with pytest.raises(ConfigError, match=f"holds {constant}; every number must be finite"):
             load_config(str(path))
 
@@ -270,6 +256,21 @@ class TestLoadAndHash:
         c = load_config(CALIBRATED)
         assert (c.n_uavs, c.cohort_size) == (40, 10)
         assert c.n_rounds_max <= 200
+        shipped = sorted(glob.glob(os.path.join(CONFIGS, "*.json")))
+        assert CALIBRATED in shipped and SCENARIO2 in shipped
+        for path in shipped:
+            assert load_config(path).n_rounds_max <= 200, path
+
+    @pytest.mark.parametrize("text,message", [
+        ('{"workers": true}', "^workers: expected int, got bool$"),
+        ('{"xi": false}', "^xi: expected float, got bool$"),
+        ('{"model": {"hidden_dim": true}}', "^model: hidden_dim: expected int, got bool$"),
+    ], ids=["workers", "xi", "hidden_dim"])
+    def test_json_bool_for_a_number_fails_at_load(self, tmp_path, text, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=message):
+            load_config(str(path))
 
     def test_overrides_apply_before_validation(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -294,6 +295,16 @@ class TestLoadAndHash:
         # digests of the serialised defaults and of the calibrated config; a
         # change here means metadata.json no longer matches earlier runs
         assert ExperimentConfig().config_hash() == \
-            "8cab36c5a2e52b7b52cb032c08409d64b810e9808944e5da3519c42b69d128e4"
+            "e40a3d584905c9276ddc3537aefbaf7adf0f5f211065b8d5c2b06c8a4117838f"
         assert load_config(CALIBRATED).config_hash() == \
-            "c453e2eec1c7f0f66a63038d36e7adf7a612b662067bb0c8d6f70274ad1ce726"
+            "b023feda65fc68fdb38ac9cf07159b917ab8b4560f7b8a328fafae35dd7b460e"
+
+
+def test_readme_names_every_config_key():
+    """README's Configuration section names each top-level field and section
+    in backticks, so it cannot keep a removed key or miss a new one."""
+    with open(README, encoding="utf-8") as fh:
+        section = fh.read().split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    missing = [f.name for f in dataclasses.fields(ExperimentConfig)
+               if f"`{f.name}`" not in section]
+    assert missing == []

@@ -19,7 +19,6 @@ from uavfl.learning import blas_info
 from uavfl.types import RoundRecord
 
 TINY = {
-    "scenario": "custom",
     "n_uavs": 4,
     "cohort_size": 2,
     "subregion_count": 2,
@@ -255,13 +254,6 @@ class TestConvergence:
 
     def test_no_convergence(self):
         assert _find_convergence([0.1, 0.5, 0.9], window=3, tol=0.005) is None
-
-    def test_stop_on_convergence_truncates(self):
-        config = tiny_config(n_rounds_max=3, stop_on_convergence=True,
-                             convergence_window=2, convergence_tol=1.1)
-        s = run_experiment(config)
-        assert len(s.records) == 2  # any 2-window converges at tol > 1
-        assert s.converged
 
 
 class TestEmission:

@@ -321,3 +321,22 @@ class TestEvaluate:
     def test_empty_test_set(self):
         with pytest.raises(InvariantViolation, match="evaluate on empty test set"):
             evaluate(np.zeros(P), no_samples(4), SMALL)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_params_are_rejected(self, bad):
+        params = np.zeros(P)
+        params[3] = bad
+        X, y = np.ones((2, D)), np.zeros(2)
+        with pytest.raises(InvariantViolation, match="parameter vector contains NaN/Inf"):
+            evaluate_matrix(params, X, y, SMALL)
+
+    def test_nan_output_is_rejected(self):
+        # finite parameters: both hidden units overflow to inf, and the output
+        # weights +1 and -1 give inf - inf
+        spec = ModelSpec(hidden_dim=2)
+        w1, b1, w2, b2 = np.full(2 * D, 1e308), np.zeros(2), np.array([1.0, -1.0]), [0.0]
+        params = np.concatenate([w1, b1, w2, b2])
+        X, y = np.ones((2, D)), np.zeros(2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(InvariantViolation, match="model output contains NaN"):
+                evaluate_matrix(params, X, y, spec)
