@@ -48,14 +48,21 @@ class TestPresets:
         with pytest.raises(ConfigError, match=match):
             load_config(str(path))
 
-    def test_custom_keeps_fields(self):
-        c = ExperimentConfig(n_uavs=4, cohort_size=2, subregion_count=2,
-                             per_subregion_quota=1, n_rounds_max=3)
-        assert c.n_uavs == 4 and c.n_rounds_max == 3
+    def test_custom_fills_missing_fleet_fields_from_scenario1(self):
+        c = ExperimentConfig(n_rounds_max=3)
+        assert (c.n_uavs, c.cohort_size, c.subregion_count, c.per_subregion_quota,
+                c.n_rounds_max) == (40, 10, 10, 1, 3)
+        c = config_from_dict({"n_rounds_max": 3})
+        assert (c.n_uavs, c.cohort_size, c.n_rounds_max) == (40, 10, 3)
         with pytest.raises(ConfigError, match="^n_uavs: expected int, got float"):
             ExperimentConfig(n_uavs=40.0)
         with pytest.raises(ConfigError, match="^n_rounds_max: expected int, got float"):
             ExperimentConfig(n_rounds_max=200.0)  # equal to the default, still not an int
+
+    def test_custom_keeps_fields(self):
+        c = ExperimentConfig(n_uavs=4, cohort_size=2, subregion_count=2,
+                             per_subregion_quota=1, n_rounds_max=3)
+        assert c.n_uavs == 4 and c.n_rounds_max == 3
 
     def test_unknown_strategy(self):
         with pytest.raises(ConfigError):
