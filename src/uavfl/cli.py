@@ -13,10 +13,7 @@ from .harness import (compare_strategies, emit_csv, emit_metadata, emit_summary_
 
 # CLI flag (argparse dest) -> the top-level config key it overrides
 _OVERRIDES = {"strategy": "strategy", "ssim_th": "ssim_threshold", "seed": "master_seed",
-              "out": "output_dir", "workers": "workers"}
-
-_WORKERS_HELP = ("threads that share data generation, dedup and training "
-                 "(results do not depend on it; default 1)")
+              "workers": "workers"}
 
 
 def _load(args) -> ExperimentConfig:
@@ -31,7 +28,7 @@ def _load(args) -> ExperimentConfig:
 
 def cmd_run(args) -> int:
     config = _load(args)
-    out = config.output_dir
+    out = args.out
     make_out_dir(out)
     summary = run_experiment(config)
     emit_csv(summary.records, os.path.join(out, f"rounds_{summary.label}.csv"))
@@ -47,7 +44,7 @@ def cmd_run(args) -> int:
 def cmd_compare(args) -> int:
     config = _load(args)
     strategies = [("deeps", 0.1), ("deeps", 0.5), ("random", None)]
-    compare_strategies(config, strategies, out_dir=config.output_dir)
+    compare_strategies(config, strategies, out_dir=args.out)
     return 0
 
 
@@ -56,20 +53,21 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="UAV edge FL selection simulator")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="run one strategy")
-    run.add_argument("--config", help="JSON config file")
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--config", help="JSON config file")
+    shared.add_argument("--seed", type=int)
+    shared.add_argument("--out", default="out", help="output directory (default out)")
+    shared.add_argument("--workers", type=int,
+                        help="threads that share data generation, dedup and training "
+                             "(results do not depend on it; default 1)")
+
+    run = sub.add_parser("run", parents=[shared], help="run one strategy")
     run.add_argument("--strategy", choices=["deeps", "random"])
     run.add_argument("--ssim-th", type=float, dest="ssim_th")
-    run.add_argument("--seed", type=int)
-    run.add_argument("--out")
-    run.add_argument("--workers", type=int, help=_WORKERS_HELP)
     run.set_defaults(func=cmd_run)
 
-    comp = sub.add_parser("compare", help="run deeps(0.1)/deeps(0.5)/random on shared data")
-    comp.add_argument("--config", help="JSON config file")
-    comp.add_argument("--seed", type=int)
-    comp.add_argument("--out")
-    comp.add_argument("--workers", type=int, help=_WORKERS_HELP)
+    comp = sub.add_parser("compare", parents=[shared],
+                          help="run deeps(0.1)/deeps(0.5)/random on shared data")
     comp.set_defaults(func=cmd_compare)
 
     return parser

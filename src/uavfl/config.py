@@ -80,7 +80,6 @@ class ExperimentConfig:
     ssim_threshold: float = 0.5
     xi: float = 0.5
     master_seed: int = 0
-    output_dir: str = "out"
     convergence_window: int = 10
     convergence_tol: float = 0.005
     workers: int = 1

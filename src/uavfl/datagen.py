@@ -70,7 +70,7 @@ class GenSpec:
 
 @dataclass
 class UavData:
-    """80/20 split of one UAV's generated samples."""
+    """One UAV's samples: a random `test_fraction` of them, and the rest in order."""
 
     train: Samples
     test: Samples

@@ -28,7 +28,7 @@ from .channel import capacity, channel_gain, link_geometry
 from .config import ExperimentConfig
 from .cost import RoundCost, charge_round, estimate_round_cost, round_duration
 from .datagen import UavData, generate_uav_dataset, subregion_scenes
-from .errors import CohortInfeasible, ConfigError, UavFlError
+from .errors import CohortInfeasible, ConfigError, InvariantViolation, UavFlError
 from .learning import (aggregate, blas_info, evaluate_matrix, local_train, model_init,
                        one_blas_thread, samples_to_matrix)
 from .selection import deeps_select, is_feasible, random_select
@@ -152,13 +152,25 @@ def build_scenario(config: ExperimentConfig) -> Scenario:
     return Scenario(uavs=uavs, test_x=test_x, test_y=test_y)
 
 
-def _shard_diversity(uav: UavState, round_k: int, n_shards: int, params: SsimParams,
+def _shard(samples: Samples, k: int, count: int) -> Samples:
+    """The k-th (1-based) of `count` contiguous slices of `samples`, as a view;
+    the first `len % count` slices get one extra sample."""
+    if count < 1:
+        raise InvariantViolation("shard count must be positive")
+    if not 1 <= k <= count:
+        raise InvariantViolation(f"shard index {k} outside [1, {count}]")
+    base, rem = divmod(len(samples), count)
+    i = k - 1
+    start = i * base + min(i, rem)
+    return samples[start:start + base + (1 if i < rem else 0)]
+
+
+def _shard_diversity(shard: Samples, round_k: int, uav_id: int, params: SsimParams,
                      master_seed: int) -> DiversityScore:
-    shard = uav.dataset.shard(round_k, n_shards)
     if len(shard) < 2:
         # a 0/1-sample shard carries no evidence of redundancy
         return DiversityScore(mean_pairwise_ssim=0.0, pairs_evaluated=0)
-    seed = np.random.SeedSequence([master_seed, _TAG_DIVERSITY, round_k, uav.id])
+    seed = np.random.SeedSequence([master_seed, _TAG_DIVERSITY, round_k, uav_id])
     return dataset_diversity(shard, params, rng_seed=seed)
 
 
@@ -196,9 +208,11 @@ def run_experiment(config: ExperimentConfig, scenario: Scenario | None = None,
                             np.random.SeedSequence([seed, _TAG_MODEL_INIT]))
         param_count = len(params)
 
+        def shard(u: UavState, k: int) -> Samples:
+            return _shard(u.dataset.samples, k, config.n_rounds_max)
+
         def round_cost(u: UavState, k: int) -> RoundCost:
-            return estimate_round_cost(config.cost, param_count,
-                                       u.dataset.shard_size(k, config.n_rounds_max),
+            return estimate_round_cost(config.cost, param_count, len(shard(u, k)),
                                        u.rate_up_bps, u.rate_down_bps)
 
         initial_battery = sum(u.battery_j for u in uavs)
@@ -225,7 +239,7 @@ def run_experiment(config: ExperimentConfig, scenario: Scenario | None = None,
         dropouts = retire(1)  # round 1's record counts the UAVs that never fly
         for k in range(1, config.n_rounds_max + 1):
             if config.strategy == "deeps":
-                diversity = {u.id: _shard_diversity(u, k, config.n_rounds_max, config.ssim, seed)
+                diversity = {u.id: _shard_diversity(shard(u, k), k, u.id, config.ssim, seed)
                              for u in uavs if u.alive}
                 sel = deeps_select(uavs, config.per_subregion_quota, config.xi, diversity, costs)
                 if sel.degraded_subregions:
@@ -249,14 +263,13 @@ def run_experiment(config: ExperimentConfig, scenario: Scenario | None = None,
 
             # every alive UAV can fund round k; a participant with an empty shard
             # has nothing to train and spends no time or energy
-            jobs = [(uid, shard) for uid in sorted(sel.ids)
-                    if len(shard := by_id[uid].dataset.shard(k, config.n_rounds_max))]
+            jobs = [(uid, part) for uid in sorted(sel.ids) if len(part := shard(by_id[uid], k))]
 
             def _train(job):
-                uid, shard = job
+                uid, part = job
                 train_seed = np.random.SeedSequence([seed, _TAG_TRAINING, k, uid])
-                return uid, local_train(params, shard, config.model,
-                                        config.cost.epochs_per_round, train_seed), len(shard)
+                return uid, local_train(params, part, config.model,
+                                        config.cost.epochs_per_round, train_seed), len(part)
 
             results = _map(pool, _train, jobs)
 
@@ -374,22 +387,20 @@ def emit_metadata(config: ExperimentConfig, path: str) -> None:
 
 def compare_strategies(config: ExperimentConfig,
                        strategies: list[tuple[str, float | None]],
-                       out_dir: str | None = None) -> list[RunSummary]:
+                       out_dir: str) -> list[RunSummary]:
     """Run every strategy on identical datasets/seeds; emit CSVs and a table."""
     if len(strategies) < 2:
         raise UavFlError("compare needs at least 2 strategies")
-    if out_dir is not None:
-        make_out_dir(out_dir)
+    make_out_dir(out_dir)
     scenario = build_scenario(config)
     summaries = []
     for name, th in strategies:
         summaries.append(run_experiment(config, scenario=scenario,
                                         strategy=name, ssim_threshold=th))
-    if out_dir is not None:
-        for s in summaries:
-            emit_csv(s.records, os.path.join(out_dir, f"rounds_{s.label}.csv"))
-        emit_summary_csv(summaries, os.path.join(out_dir, "summary.csv"))
-        emit_metadata(config, os.path.join(out_dir, "metadata.json"))
+    for s in summaries:
+        emit_csv(s.records, os.path.join(out_dir, f"rounds_{s.label}.csv"))
+    emit_summary_csv(summaries, os.path.join(out_dir, "summary.csv"))
+    emit_metadata(config, os.path.join(out_dir, "metadata.json"))
 
     print(f"{'strategy':<14}{'lambda_t (s)':>14}{'chi_r':>8}{'rho_t (min)':>14}{'final acc':>12}")
     for s in summaries:

@@ -62,35 +62,9 @@ class Samples:
 
 @dataclass
 class Dataset:
-    """One UAV's ordered samples; round k trains on shard k of `count`.
-
-    Shard boundaries are a pure function of (len(samples), count): the first
-    `len % count` shards get one extra sample, so sizes differ by at most one.
-    Shards are 1-based (shard k is trained in round k).
-    """
+    """One UAV's ordered samples; dedup rebinds them to the ones it keeps."""
 
     samples: Samples
-
-    def __len__(self) -> int:
-        return len(self.samples)
-
-    def shard_bounds(self, k: int, count: int) -> tuple[int, int]:
-        if count < 1:
-            raise InvariantViolation("shard count must be positive")
-        if not 1 <= k <= count:
-            raise InvariantViolation(f"shard index {k} outside [1, {count}]")
-        base, rem = divmod(len(self.samples), count)
-        i = k - 1
-        start = i * base + min(i, rem)
-        return start, start + base + (1 if i < rem else 0)
-
-    def shard(self, k: int, count: int) -> Samples:
-        start, stop = self.shard_bounds(k, count)
-        return self.samples[start:stop]
-
-    def shard_size(self, k: int, count: int) -> int:
-        start, stop = self.shard_bounds(k, count)
-        return stop - start
 
 
 @dataclass

@@ -31,7 +31,7 @@ needs_openblas = pytest.mark.skipif(
 # the sha256 of the float.hex of every record's accuracy, loss, duration and
 # energy, then of each run's final battery total
 _HASH_RUN = """
-import contextlib, hashlib, json, os, sys
+import contextlib, hashlib, json, os, sys, tempfile
 sys.path.insert(0, {perfbench!r})
 from workloads import BASE_CONFIG, DEFAULT_SEED, WORKLOADS, merged
 from uavfl.config import config_from_dict
@@ -41,8 +41,8 @@ workload = WORKLOADS["compare_calibrated"]
 with open(os.path.join({root!r}, BASE_CONFIG), encoding="utf-8") as fh:
     base = json.load(fh)
 config = config_from_dict(merged(base, {{**workload.overrides, "master_seed": DEFAULT_SEED}}))
-with contextlib.redirect_stdout(sys.stderr):
-    summaries = compare_strategies(config, list(workload.strategies))
+with contextlib.redirect_stdout(sys.stderr), tempfile.TemporaryDirectory() as out:
+    summaries = compare_strategies(config, list(workload.strategies), out_dir=out)
 digest = hashlib.sha256()
 for s in summaries:
     for r in s.records:

@@ -33,6 +33,14 @@ class TestParser:
         args = build_parser().parse_args(["run", "--seed", "3", "--workers", "2"])
         assert _load(args) == ExperimentConfig(master_seed=3, workers=2)
 
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_subcommands_share_four_flags(self, command):
+        args = build_parser().parse_args([command])
+        assert (args.config, args.seed, args.out, args.workers) == (None, None, "out", None)
+        args = build_parser().parse_args([command, "--config", "c.json", "--seed", "4",
+                                          "--out", "o", "--workers", "2"])
+        assert (args.config, args.seed, args.out, args.workers) == ("c.json", 4, "o", 2)
+
     def test_module_help(self):
         env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src"),
                "PYTHONDONTWRITEBYTECODE": "1"}
@@ -57,6 +65,14 @@ class TestRun:
         assert "strategy=deeps_th0.5" in capsys.readouterr().out
         for name in ("rounds_deeps_th0.5.csv", "summary.csv", "metadata.json"):
             assert os.path.exists(os.path.join(out, name))
+
+    def test_out_is_not_part_of_the_config_hash(self, tiny_config_file, tmp_path, capsys):
+        hashes = []
+        for out in (tmp_path / "a", tmp_path / "b"):
+            assert main(["run", "--config", tiny_config_file, "--out", str(out)]) == 0
+            with open(out / "metadata.json", encoding="utf-8") as fh:
+                hashes.append(json.load(fh)["config_hash"])
+        assert hashes[0] == hashes[1]
 
     def test_cli_overrides(self, tiny_config_file, tmp_path, capsys):
         out = str(tmp_path / "out")
@@ -119,12 +135,12 @@ class TestRun:
         {"xi": 1.5}, {"ssim_threshold": 1.5}, {"n_rounds_max": 0},
         {"convergence_window": 0}, {"convergence_window": -2},
         {"battery": {"min_j": 20.0, "max_j": 10.0}}, {"convergence_tol": 0.0},
-        {"scenario": "scenario1"}, {"stop_on_convergence": True},
+        {"scenario": "scenario1"}, {"stop_on_convergence": True}, {"output_dir": "out"},
         {"master_seed": -1}, {"model": {"adam_eps": 0.0}},
         {"generator": {**TINY["generator"], "offset_span": -1}},
     ], ids=["fleet", "xi", "ssim_threshold", "n_rounds_max", "window-0", "window-neg",
             "battery", "convergence_tol", "scenario-key", "stop_on_convergence-key",
-            "master_seed", "adam_eps", "offset_span"])
+            "output_dir-key", "master_seed", "adam_eps", "offset_span"])
     def test_unusable_experiment_is_one_line_error(self, tmp_path, capsys, values):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({**TINY, **values}))

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import glob
 import json
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from uavfl import harness
 from uavfl.channel import capacity, channel_gain, link_geometry
+from uavfl.cli import build_parser
 from uavfl.config import ExperimentConfig, config_from_dict, load_config
 from uavfl.errors import ConfigError
 from uavfl.learning import ModelSpec
@@ -38,6 +40,7 @@ class TestPresets:
     @pytest.mark.parametrize("key,value", [
         ("scenario", "scenario1"), ("scenario", "scenario2"), ("scenario", "custom"),
         ("stop_on_convergence", False), ("stop_on_convergence", True),
+        ("output_dir", "out"),  # where a run writes is --out, not part of config_hash
     ])
     def test_removed_mode_key_fails_at_load(self, tmp_path, key, value):
         match = f"^unknown config keys \\['{key}'\\]$"
@@ -302,9 +305,9 @@ class TestLoadAndHash:
         # digests of the serialised defaults and of the calibrated config; a
         # change here means metadata.json no longer matches earlier runs
         assert ExperimentConfig().config_hash() == \
-            "e40a3d584905c9276ddc3537aefbaf7adf0f5f211065b8d5c2b06c8a4117838f"
+            "ca4ed18d9e8f57f945eff2fc9a37f68c4a9f3d179b520349128d56f7b75b4965"
         assert load_config(CALIBRATED).config_hash() == \
-            "b023feda65fc68fdb38ac9cf07159b917ab8b4560f7b8a328fafae35dd7b460e"
+            "3395e929d13cfc248893881380153e04129b4033481865d98095dd3f0ac4f6a4"
 
 
 def test_readme_names_every_config_key():
@@ -315,3 +318,16 @@ def test_readme_names_every_config_key():
     missing = [f.name for f in dataclasses.fields(ExperimentConfig)
                if f"`{f.name}`" not in section]
     assert missing == []
+
+
+def test_readme_names_every_cli_flag():
+    """README names each option of each subcommand in backticks, so it cannot
+    keep a removed flag or miss a new one."""
+    with open(README, encoding="utf-8") as fh:
+        readme = fh.read()
+    subparsers, = (a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+    flags = {flag for sub in subparsers.choices.values() for action in sub._actions
+             for flag in action.option_strings if flag.startswith("--") and flag != "--help"}
+    assert {"--config", "--strategy", "--out"} <= flags  # both subcommands were walked
+    assert [flag for flag in sorted(flags) if f"`{flag}`" not in readme] == []

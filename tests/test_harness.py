@@ -6,17 +6,19 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import const_image, make_samples, no_samples
 from uavfl import harness
 from uavfl.config import config_from_dict
 from uavfl.datagen import GenSpec
 from uavfl.cost import estimate_round_cost
-from uavfl.errors import ConfigError, UavFlError
+from uavfl.errors import ConfigError, InvariantViolation, UavFlError
 from uavfl.harness import (CSV_HEADER, RunSummary, _find_convergence, build_scenario,
                            compare_strategies, emit_csv, emit_metadata,
                            emit_summary_csv, run_experiment)
 from uavfl.learning import blas_info
-from uavfl.types import RoundRecord
+from uavfl.types import RoundRecord, Samples
 
 TINY = {
     "n_uavs": 4,
@@ -109,7 +111,7 @@ class TestScenarioBuild:
 
     def test_fresh_copy_isolates_mutation(self):
         sc = build_scenario(tiny_config())
-        sizes = [len(u.dataset) for u in sc.uavs]
+        sizes = [len(u.dataset.samples) for u in sc.uavs]
         s1 = run_experiment(tiny_config(), scenario=sc)
         s2 = run_experiment(tiny_config(), scenario=sc)
         assert [r.global_accuracy for r in s1.records] == \
@@ -117,7 +119,7 @@ class TestScenarioBuild:
         assert s1.final_battery_total_j == s2.final_battery_total_j
         # the copies share the read-only samples; dedup rebinds only its copy's
         assert s1.dedup_removed_total > 0
-        assert [len(u.dataset) for u in sc.uavs] == sizes
+        assert [len(u.dataset.samples) for u in sc.uavs] == sizes
 
 
 class TestRunExperiment:
@@ -217,6 +219,49 @@ class TestRunExperiment:
                 run_experiment(tiny_config(), scenario=scenario, **overrides)
 
 
+class TestShard:
+    """Round k trains shard k of n_rounds_max, the k-th of that many contiguous
+    slices of a UAV's samples."""
+
+    def test_shard_sizes_differ_by_at_most_one_and_cover_all(self):
+        for n, count in [(10, 3), (7, 7), (200, 200), (13, 5), (3, 8)]:
+            samples = make_samples([const_image(i) for i in range(n)])
+            shards = [harness._shard(samples, k, count) for k in range(1, count + 1)]
+            sizes = [len(part) for part in shards]
+            assert sum(sizes) == n
+            assert max(sizes) - min(sizes) <= 1
+            # the first n % count shards hold the extra samples
+            assert sizes == sorted(sizes, reverse=True)
+            # contiguous, in order, no overlap
+            seen = [int(part.images[i, 0, 0]) for part in shards for i in range(len(part))]
+            assert seen == list(range(n))
+
+    def test_shard_index_out_of_range(self):
+        samples = make_samples([const_image(0)])
+        for k in (0, 3):
+            with pytest.raises(InvariantViolation, match=rf"^shard index {k} outside \[1, 2\]$"):
+                harness._shard(samples, k, 2)
+
+    def test_rejects_nonpositive_shard_count(self):
+        for count in (0, -1):
+            with pytest.raises(InvariantViolation, match="shard count must be positive"):
+                harness._shard(no_samples(), 1, count)
+
+    def test_shard_is_a_view(self):
+        samples = make_samples([const_image(i) for i in range(10)])
+        part = harness._shard(samples, 2, 3)
+        assert len(part) == 3 and np.shares_memory(part.images, samples.images)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 300), st.integers(1, 300))
+    def test_shards_concatenate_to_the_samples(self, n, count):
+        samples = Samples((np.arange(n) % 256).astype(np.uint8).reshape(n, 1, 1),
+                          np.arange(n) % 2)
+        shards = [harness._shard(samples, k, count) for k in range(1, count + 1)]
+        assert np.array_equal(np.concatenate([part.images for part in shards]), samples.images)
+        assert np.array_equal(np.concatenate([part.labels for part in shards]), samples.labels)
+
+
 class TestRetire:
     """A UAV whose battery cannot fund its round-1 cost never flies."""
 
@@ -229,7 +274,8 @@ class TestRetire:
         param_count = config.model.param_count(config.generator.image_side ** 2)
         unfunded = {u.id for u in sc.uavs
                     if estimate_round_cost(config.cost, param_count,
-                                           u.dataset.shard_size(1, config.n_rounds_max),
+                                           len(harness._shard(u.dataset.samples, 1,
+                                                              config.n_rounds_max)),
                                            u.rate_up_bps, u.rate_down_bps
                                            ).total_energy_j > u.battery_j}
         assert 0 < len(unfunded) <= len(sc.uavs) - config.cohort_size
@@ -316,6 +362,8 @@ class TestCompare:
         summary_lines = open(os.path.join(out, "summary.csv")).read().splitlines()
         assert len(summary_lines) == 4
 
-    def test_needs_two_strategies(self):
+    def test_needs_two_strategies(self, tmp_path):
+        out = tmp_path / "cmp"
         with pytest.raises(UavFlError):
-            compare_strategies(tiny_config(), [("deeps", 0.5)])
+            compare_strategies(tiny_config(), [("deeps", 0.5)], out_dir=str(out))
+        assert not out.exists()

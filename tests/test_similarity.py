@@ -104,12 +104,12 @@ class TestDeduplicate:
     def test_identical_triplet(self):
         ds = Dataset(make_samples([const_image(3)] * 3))
         assert deduplicate(ds, 0.5) == 2
-        assert len(ds) == 1
+        assert len(ds.samples) == 1
 
     def test_dissimilar_pair_kept(self):
         ds = Dataset(make_samples([const_image(0), const_image(255)]))
         assert deduplicate(ds, 0.5) == 0
-        assert len(ds) == 2
+        assert len(ds.samples) == 2
 
     def test_threshold_bounds(self):
         ds = Dataset(make_samples([const_image(0)]))
@@ -120,7 +120,7 @@ class TestDeduplicate:
     def test_empty_dataset(self):
         ds = Dataset(no_samples())
         assert deduplicate(ds, 0.5) == 0
-        assert len(ds) == 0
+        assert len(ds.samples) == 0
 
     def test_matches_pairwise_oracle(self, rng):
         # correlated images so both keeps and removals occur

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import const_image, make_samples, make_uav, no_samples
 from uavfl.errors import InvariantViolation
-from uavfl.types import Dataset, RoundRecord, Samples
+from uavfl.types import RoundRecord, Samples
 
 
 class TestSamples:
@@ -53,34 +53,6 @@ class TestSamples:
         assert picked.images[:, 0, 0].tolist() == [4, 0]
         assert picked.labels.tolist() == [0, 0]
         assert s[s.labels == 1].images[:, 0, 0].tolist() == [1, 3]
-
-
-class TestDatasetSharding:
-    def test_shard_sizes_differ_by_at_most_one_and_cover_all(self):
-        for n, k in [(10, 3), (7, 7), (200, 200), (13, 5), (3, 8)]:
-            ds = Dataset(make_samples([const_image(0)] * n))
-            sizes = [ds.shard_size(i, k) for i in range(1, k + 1)]
-            assert sum(sizes) == n
-            assert max(sizes) - min(sizes) <= 1
-            # contiguous, in order, no overlap
-            seen = []
-            for i in range(1, k + 1):
-                start, stop = ds.shard_bounds(i, k)
-                seen.extend(range(start, stop))
-            assert seen == list(range(n))
-
-    def test_shard_index_out_of_range(self):
-        ds = Dataset(make_samples([const_image(0)]))
-        with pytest.raises(InvariantViolation):
-            ds.shard(0, 2)
-        with pytest.raises(InvariantViolation):
-            ds.shard(3, 2)
-
-    def test_rejects_nonpositive_shard_count(self):
-        ds = Dataset(no_samples())
-        for count in (0, -1):
-            with pytest.raises(InvariantViolation, match="shard count must be positive"):
-                ds.shard_bounds(1, count)
 
 
 class TestUavState:
