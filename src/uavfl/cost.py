@@ -112,6 +112,11 @@ def estimate_round_cost(params: CostParams, param_count: int, shard_size: int,
     )
 
 
+def is_feasible(uav: UavState, cost: RoundCost) -> bool:
+    """Battery feasibility: the round's training + transmit energy fits the battery."""
+    return cost.total_energy_j <= uav.battery_j
+
+
 def charge_round(uav: UavState, cost: RoundCost) -> float:
     """Debit one round's energy from the UAV battery; returns the new level.
 
@@ -119,10 +124,8 @@ def charge_round(uav: UavState, cost: RoundCost) -> float:
     drive the battery negative raises InvariantViolation and leaves the
     battery untouched.
     """
-    debit = cost.total_energy_j
-    if debit > uav.battery_j:
-        raise InvariantViolation(
-            f"UAV {uav.id}: round needs {debit} J, battery holds {uav.battery_j} J"
-        )
-    uav.battery_j -= debit
+    if not is_feasible(uav, cost):
+        raise InvariantViolation(f"UAV {uav.id}: round needs {cost.total_energy_j} J, "
+                                 f"battery holds {uav.battery_j} J")
+    uav.battery_j -= cost.total_energy_j
     return uav.battery_j

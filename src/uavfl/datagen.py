@@ -11,7 +11,6 @@ across sub-regions and partly sub-region specific.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
@@ -23,6 +22,8 @@ from .types import Samples
 
 BASE_LEVEL = 128.0  # grey level that a zero pixel field maps to
 _BLOCK = 32  # images per noise draw, and walk frames per normalisation step
+N_WAVES = 12  # cosine modes of the smooth class patterns
+FREQ_MAX = 6.0  # wave frequencies are drawn from [-FREQ_MAX, FREQ_MAX]
 
 
 @dataclass(frozen=True)
@@ -40,8 +41,6 @@ class GenSpec:
     block_min: int = 20           # label block lengths along the walk
     block_max: int = 40
     offset_span: int = 250        # max start offset of a UAV inside its sub-region walk
-    n_waves: int = 12             # cosine modes of the smooth class patterns
-    freq_max: float = 6.0         # spatial frequency band of the class patterns
     contrast: float = 40.0
     test_fraction: float = 0.2
 
@@ -58,10 +57,6 @@ class GenSpec:
             raise InvariantViolation("weights must lie in [0, 1]")
         if not 0 < self.block_min <= self.block_max:
             raise InvariantViolation("bad label block range")
-        # wave frequencies are drawn from [-freq_max, freq_max], a band of width 2 freq_max
-        if not (self.freq_max >= 0.0 and math.isfinite(2.0 * self.freq_max)):
-            raise InvariantViolation(f"freq_max must be >= 0 with 2 * freq_max finite, "
-                                     f"got {self.freq_max}")
         if self.offset_span < 0:
             raise InvariantViolation(f"offset_span must be >= 0, got {self.offset_span}")
         if not 0.0 < self.test_fraction < 1.0:
@@ -76,13 +71,13 @@ class UavData:
     test: Samples
 
 
-def _smooth_field(rng: np.random.Generator, side: int, n_waves: int,
-                  freq_max: float) -> np.ndarray:
-    """Zero-mean unit-variance sum of band-limited random 2D cosines."""
+def _smooth_field(entropy: list[int], side: int) -> np.ndarray:
+    """Zero-mean unit-variance sum of band-limited random 2D cosines, seeded by `entropy`."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy))
     yy, xx = np.meshgrid(np.arange(side) / side, np.arange(side) / side, indexing="ij")
     f = np.zeros((side, side))
-    for _ in range(n_waves):
-        fx, fy = rng.uniform(-freq_max, freq_max, size=2)
+    for _ in range(N_WAVES):
+        fx, fy = rng.uniform(-FREQ_MAX, FREQ_MAX, size=2)
         phase = rng.uniform(0.0, 2.0 * np.pi)
         amp = rng.normal()
         f += amp * np.cos(2.0 * np.pi * (fx * xx + fy * yy) + phase)
@@ -92,12 +87,8 @@ def _smooth_field(rng: np.random.Generator, side: int, n_waves: int,
 
 
 def _class_pattern(seed, cls: int, subregion_id: int, spec: GenSpec) -> np.ndarray:
-    shared = _smooth_field(
-        np.random.default_rng(np.random.SeedSequence([_entropy(seed), 101, cls])),
-        spec.image_side, spec.n_waves, spec.freq_max)
-    local = _smooth_field(
-        np.random.default_rng(np.random.SeedSequence([_entropy(seed), 102, subregion_id, cls])),
-        spec.image_side, spec.n_waves, spec.freq_max)
+    shared = _smooth_field([_entropy(seed), 101, cls], spec.image_side)
+    local = _smooth_field([_entropy(seed), 102, subregion_id, cls], spec.image_side)
     mu = spec.class_share
     return mu * shared + np.sqrt(1.0 - mu * mu) * local
 

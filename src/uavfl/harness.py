@@ -26,12 +26,12 @@ import numpy as np
 from . import __version__
 from .channel import capacity, channel_gain, link_geometry
 from .config import ExperimentConfig
-from .cost import RoundCost, charge_round, estimate_round_cost, round_duration
+from .cost import RoundCost, charge_round, estimate_round_cost, is_feasible, round_duration
 from .datagen import UavData, generate_uav_dataset, subregion_scenes
 from .errors import CohortInfeasible, ConfigError, InvariantViolation, UavFlError
 from .learning import (aggregate, blas_info, evaluate_matrix, local_train, model_init,
                        one_blas_thread, samples_to_matrix)
-from .selection import deeps_select, is_feasible, random_select
+from .selection import deeps_select, random_select
 from .similarity import DiversityScore, SsimParams, dataset_diversity, deduplicate
 from .types import Dataset, RoundRecord, Samples, UavState
 
@@ -77,9 +77,18 @@ class RunSummary:
 
     @property
     def label(self) -> str:
-        if self.strategy == "deeps":
-            return f"deeps_th{self.ssim_threshold:g}"
-        return self.strategy
+        return _label(self.strategy, self.ssim_threshold)
+
+
+def _label(strategy: str, ssim_threshold: float | None) -> str:
+    return f"deeps_th{ssim_threshold:g}" if strategy == "deeps" else strategy
+
+
+def _with_strategy(config: ExperimentConfig, strategy: str | None,
+                   ssim_threshold: float | None) -> ExperimentConfig:
+    """`config` with the strategy and threshold that are not None, validated."""
+    overrides = {"strategy": strategy, "ssim_threshold": ssim_threshold}
+    return dataclasses.replace(config, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def _pool(workers: int, tasks: int):
@@ -194,9 +203,7 @@ def run_experiment(config: ExperimentConfig, scenario: Scenario | None = None,
     With workers > 1, a round's training and its new participants' dedups run
     on one pool of min(workers, cohort_size) threads.
     """
-    overrides = {"strategy": strategy, "ssim_threshold": ssim_threshold}
-    config = dataclasses.replace(
-        config, **{key: value for key, value in overrides.items() if value is not None})
+    config = _with_strategy(config, strategy, ssim_threshold)
     with one_blas_thread(), _pool(config.workers, config.cohort_size) as pool:
         scenario = build_scenario(config) if scenario is None else scenario.fresh_copy()
         uavs = scenario.uavs
@@ -245,8 +252,8 @@ def run_experiment(config: ExperimentConfig, scenario: Scenario | None = None,
                 if sel.degraded_subregions:
                     degraded_rounds += 1
                 new = sorted(set(sel.ids) - deduped)
-                removed = _map(pool, lambda uid: deduplicate(
-                    by_id[uid].dataset, config.ssim_threshold, config.ssim), new)
+                removed = _map(pool, lambda uid: deduplicate(by_id[uid].dataset,
+                                                             config.ssim_threshold), new)
                 for uid, n_removed in zip(new, removed):
                     dedup_removed += n_removed
                     costs[uid] = round_cost(by_id[uid], k)
@@ -388,15 +395,17 @@ def emit_metadata(config: ExperimentConfig, path: str) -> None:
 def compare_strategies(config: ExperimentConfig,
                        strategies: list[tuple[str, float | None]],
                        out_dir: str) -> list[RunSummary]:
-    """Run every strategy on identical datasets/seeds; emit CSVs and a table."""
+    """Check every strategy, then run each on identical datasets/seeds; emit CSVs and a table."""
     if len(strategies) < 2:
         raise UavFlError("compare needs at least 2 strategies")
+    configs = [_with_strategy(config, name, th) for name, th in strategies]
+    labels = [_label(c.strategy, c.ssim_threshold) for c in configs]
+    for i, label in enumerate(labels):
+        if label in labels[:i]:
+            raise UavFlError(f"compare: two strategies share the run label {label}")
     make_out_dir(out_dir)
     scenario = build_scenario(config)
-    summaries = []
-    for name, th in strategies:
-        summaries.append(run_experiment(config, scenario=scenario,
-                                        strategy=name, ssim_threshold=th))
+    summaries = [run_experiment(c, scenario=scenario) for c in configs]
     for s in summaries:
         emit_csv(s.records, os.path.join(out_dir, f"rounds_{s.label}.csv"))
     emit_summary_csv(summaries, os.path.join(out_dir, "summary.csv"))

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cost import RoundCost
+from .cost import RoundCost, is_feasible
 from .errors import CohortInfeasible
 from .similarity import DiversityScore
 from .types import UavState
@@ -34,11 +34,6 @@ def deeps_score(uav: UavState, shard_diversity: DiversityScore,
     diversity = 1.0 - shard_diversity.mean_pairwise_ssim
     residual = (uav.battery_j - est_cost.train_energy_j - est_cost.tx_energy_j) / uav.battery_max_j
     return xi * diversity + (1.0 - xi) * residual
-
-
-def is_feasible(uav: UavState, est_cost: RoundCost) -> bool:
-    """Battery feasibility: the round's training + transmit energy fits the battery."""
-    return est_cost.total_energy_j <= uav.battery_j
 
 
 def deeps_select(uavs: list[UavState], quota: int, xi: float,

@@ -3,7 +3,9 @@
 The SSIM here is the global-statistics form: one window spanning the whole
 image, population (divisor N) variance and covariance. Values differ from
 sliding-window SSIM implementations on purpose; this is the form the
-selection score and dedup threshold are defined on.
+selection score and dedup threshold are defined on. Its stabilizers are the
+module constants C1 = (0.01 * 255)^2 and C2 = (0.03 * 255)^2 of Wang et al.
+(IEEE TIP 13(4), 2004); C1 > 0 holds by construction, as the dedup proof needs.
 
 Each call stacks its images once into centered float64 rows with per-image
 means and variances; covariances come from matrix products (a Gram matrix
@@ -39,8 +41,8 @@ Algorithms, 2nd ed., section 3.1):
   the product for every N < 2^24. Beyond that gamma_N is infinite, E is not
   finite, and every pair is recomputed.
 - Decision. The float64 test is num > ssim_th * den with num =
-  (2 mu_a mu_b + c1)(2 cov + c2) and cov = G / N. Since mu >= 0,
-  2 mu_a mu_b + c1 > 0, and rounding is monotone, so the computed num is a
+  (2 mu_a mu_b + C1)(2 cov + C2) and cov = G / N. Since mu >= 0,
+  2 mu_a mu_b + C1 > 0, and rounding is monotone, so the computed num is a
   non-decreasing function of G, its own rounding included. The same float64
   expressions, evaluated at g - E <= G and at g + E >= G (rounding either
   sum does not cross the float64 G), bracket the test: the pair trips if
@@ -62,40 +64,20 @@ from .types import Dataset, Samples
 
 
 DYNAMIC_RANGE = 255.0  # intensity range of uint8 pixels
+C1 = (0.01 * DYNAMIC_RANGE) ** 2  # SSIM stabilizers, K1 = 0.01 and K2 = 0.03
+C2 = (0.03 * DYNAMIC_RANGE) ** 2
 DEDUP_BLOCK = 64  # dedup candidates per GEMM against the kept rows and themselves
 
 
 @dataclass(frozen=True)
 class SsimParams:
-    """The `ssim` config section: SSIM stabilizers and the diversity pair cap."""
+    """The `ssim` config section: the diversity pair cap."""
 
-    k1: float = 0.01
-    k2: float = 0.03
     max_pairs: int = 1000  # most pairs one shard-diversity estimate evaluates
 
     def __post_init__(self):
-        if self.k1 <= 0 or self.k2 <= 0:
-            raise InvariantViolation("stabilizers must be positive")
         if self.max_pairs < 1:
             raise InvariantViolation("max_pairs must be >= 1")
-        # the largest SSIM term: a pixel mean is at most DYNAMIC_RANGE, a
-        # variance at most (DYNAMIC_RANGE / 2)^2
-        try:
-            largest = (2.0 * DYNAMIC_RANGE ** 2 + self.c1) * (DYNAMIC_RANGE ** 2 / 2.0 + self.c2)
-        except OverflowError:
-            largest = math.inf
-        if not math.isfinite(largest) or self.c1 <= 0 or self.c2 <= 0:
-            raise InvariantViolation(f"k1 {self.k1:g} and k2 {self.k2:g} must give c1 = "
-                                     f"(k1 * {DYNAMIC_RANGE:g})^2 and c2 = (k2 * "
-                                     f"{DYNAMIC_RANGE:g})^2 both > 0 and finite SSIM terms")
-
-    @property
-    def c1(self) -> float:
-        return (self.k1 * DYNAMIC_RANGE) ** 2
-
-    @property
-    def c2(self) -> float:
-        return (self.k2 * DYNAMIC_RANGE) ** 2
 
 
 @dataclass(frozen=True)
@@ -131,14 +113,14 @@ def _gemm_error_weight(size: int) -> float:
     return beta * (1.0 + 2.0 ** -20) * size
 
 
-def _ssim_terms(mu_a, var_a, mu_b, var_b, cov, p: SsimParams):
+def _ssim_terms(mu_a, var_a, mu_b, var_b, cov):
     """SSIM numerator and denominator; broadcasts over arrays, SSIM = num / den."""
-    num = (2.0 * mu_a * mu_b + p.c1) * (2.0 * cov + p.c2)
-    den = (mu_a * mu_a + mu_b * mu_b + p.c1) * (var_a + var_b + p.c2)
+    num = (2.0 * mu_a * mu_b + C1) * (2.0 * cov + C2)
+    den = (mu_a * mu_a + mu_b * mu_b + C1) * (var_a + var_b + C2)
     return num, den
 
 
-def ssim_pair(a: np.ndarray, b: np.ndarray, p: SsimParams = SsimParams()) -> float:
+def ssim_pair(a: np.ndarray, b: np.ndarray) -> float:
     """Global-statistics SSIM of two equally sized 2-D uint8 images, in [-1, 1].
 
     Exactly 1.0 when both images have identical means, variances and
@@ -150,7 +132,7 @@ def ssim_pair(a: np.ndarray, b: np.ndarray, p: SsimParams = SsimParams()) -> flo
     c, mu, var = _stack_moments(np.stack([a, b]))
     # the same einsum kernel as the variances, so a self-pair gives cov == var
     cov = np.einsum("i,i->", c[0], c[1]) / c.shape[1]
-    num, den = _ssim_terms(mu[0], var[0], mu[1], var[1], cov, p)
+    num, den = _ssim_terms(mu[0], var[0], mu[1], var[1], cov)
     return float(num / den)
 
 
@@ -172,13 +154,13 @@ def dataset_diversity(shard: Samples, p: SsimParams = SsimParams(),
         idx = np.sort(np.random.default_rng(rng_seed).choice(i.size, p.max_pairs, replace=False))
         i, j = i[idx], j[idx]
     cov = (c @ c.T)[i, j] / c.shape[1]
-    num, den = _ssim_terms(mu[i], var[i], mu[j], var[j], cov, p)
+    num, den = _ssim_terms(mu[i], var[i], mu[j], var[j], cov)
     # cumsum adds left to right; np.sum's pairwise order would change the bits
     total = float(np.cumsum(num / den)[-1])
     return DiversityScore(mean_pairwise_ssim=total / i.size, pairs_evaluated=i.size)
 
 
-def deduplicate(d: Dataset, ssim_th: float, p: SsimParams = SsimParams()) -> int:
+def deduplicate(d: Dataset, ssim_th: float) -> int:
     """Greedy forward near-duplicate removal; returns the number removed.
 
     Scans samples in order and keeps a sample iff its SSIM with every
@@ -203,7 +185,7 @@ def deduplicate(d: Dataset, ssim_th: float, p: SsimParams = SsimParams()) -> int
     def recheck(ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
         """Whether SSIM(ia[i], ib[i]) exceeds ssim_th, by the float64 kernel."""
         cov = np.einsum("ij,ij->i", pixels[ia] - mu[ia, None], pixels[ib] - mu[ib, None]) / size
-        num, den = _ssim_terms(mu[ia], var[ia], mu[ib], var[ib], cov, p)
+        num, den = _ssim_terms(mu[ia], var[ia], mu[ib], var[ib], cov)
         return num > ssim_th * den
 
     def trips(rows: slice, block: slice) -> np.ndarray:
@@ -211,13 +193,13 @@ def deduplicate(d: Dataset, ssim_th: float, p: SsimParams = SsimParams()) -> int
         ia, ib = ids[rows], ids[block]
         g = c[rows] @ c[block].T
         e = err[ia, None] * err[ib]  # bounds |g - G|
-        a = mu2[ia, None] * mu[ib] + p.c1
-        t = ssim_th * ((musq[ia, None] + musq[ib] + p.c1) * (var[ia, None] + var[ib] + p.c2))
+        a = mu2[ia, None] * mu[ib] + C1
+        t = ssim_th * ((musq[ia, None] + musq[ib] + C1) * (var[ia, None] + var[ib] + C2))
         lo, hi = g - e, g + e
         for end in (lo, hi):  # _ssim_terms' num at cov = end / size, in its order of operations
             end /= size
             end *= 2.0
-            end += p.c2
+            end += C2
             end *= a
         above = lo > t
         r, b = np.nonzero(~(above | (hi <= t)))

@@ -16,12 +16,12 @@ import itertools
 
 import numpy as np
 
-from uavfl.cost import RoundCost
+from uavfl.cost import RoundCost, is_feasible
 from uavfl.datagen import (BASE_LEVEL, GenSpec, UavData, _class_pattern, _entropy,
                            _label_track)
 from uavfl.errors import CohortInfeasible, UavFlError
 from uavfl.learning import ADAM_BETA1, ADAM_BETA2, ModelSpec, check_params, samples_to_matrix
-from uavfl.selection import Selection, deeps_score, is_feasible
+from uavfl.selection import Selection, deeps_score
 from uavfl.similarity import DiversityScore
 from uavfl.types import Samples, UavState
 

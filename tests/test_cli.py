@@ -138,9 +138,10 @@ class TestRun:
         {"scenario": "scenario1"}, {"stop_on_convergence": True}, {"output_dir": "out"},
         {"master_seed": -1}, {"model": {"adam_eps": 0.0}},
         {"generator": {**TINY["generator"], "offset_span": -1}},
+        {"ssim": {**TINY["ssim"], "k1": 0.01}},
     ], ids=["fleet", "xi", "ssim_threshold", "n_rounds_max", "window-0", "window-neg",
             "battery", "convergence_tol", "scenario-key", "stop_on_convergence-key",
-            "output_dir-key", "master_seed", "adam_eps", "offset_span"])
+            "output_dir-key", "master_seed", "adam_eps", "offset_span", "ssim.k1-key"])
     def test_unusable_experiment_is_one_line_error(self, tmp_path, capsys, values):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({**TINY, **values}))
@@ -157,16 +158,16 @@ class TestRun:
         ('"master_seed": 1', ["--ssim-th", "nan"]),
         ('"channel": {"a3": 1e12}', []),
         ('"cost": {"cpu_hz": 1e300}', []),
-        ('"generator": {"freq_max": -1.0}', []),
-        ('"ssim": {"k1": 1e300}', []),
-        ('"ssim": {"k2": 1e300}', []),
+        ('"cost": {"chip_coeff": 1e300}', []),
+        ('"battery": {"max_j": 1.7e308}', []),
+        ('"geometry": {"region_m": 5e-324, "uav_altitude_m": 30.0, "bs_altitude_m": 30.0}', []),
         ('"channel": {"a3": 1.7e308}', []),
         ('"channel": {"a2": -1e30}', []),
         ('"channel": {"bandwidth_hz": 5e-324}', []),
         ('"channel": {"beta0": 1e-300}', []),
     ], ids=["nan-constant", "infinity-constant", "tx_power_w-0", "nan-override",
-            "a3-overflow", "cpu_hz-overflow", "freq_max-negative", "k1-overflow",
-            "k2-overflow", "a3-inf-exponent", "a2-overflow", "noise-underflow", "dead-link"])
+            "a3-overflow", "cpu_hz-overflow", "cpu_power-overflow", "fleet_charge-overflow",
+            "corner-at-bs", "a3-inf-exponent", "a2-overflow", "noise-underflow", "dead-link"])
     def test_non_finite_or_silent_config_is_one_line_error(self, tmp_path, capsys, text,
                                                             flags):
         # each of these used to load and fail only after data was generated

@@ -41,13 +41,20 @@ class TestPresets:
         ("scenario", "scenario1"), ("scenario", "scenario2"), ("scenario", "custom"),
         ("stop_on_convergence", False), ("stop_on_convergence", True),
         ("output_dir", "out"),  # where a run writes is --out, not part of config_hash
+        # formula constants, now similarity.C1/C2 and datagen.N_WAVES/FREQ_MAX
+        ("ssim.k1", 0.01), ("ssim.k2", 0.03),
+        ("generator.n_waves", 12), ("generator.freq_max", 6.0),
     ])
     def test_removed_mode_key_fails_at_load(self, tmp_path, key, value):
-        match = f"^unknown config keys \\['{key}'\\]$"
+        section, _, name = key.rpartition(".")
+        if section:
+            data, match = {section: {name: value}}, f"^{section}: unknown keys \\['{name}'\\]$"
+        else:
+            data, match = {key: value}, f"^unknown config keys \\['{key}'\\]$"
         with pytest.raises(ConfigError, match=match):
-            config_from_dict({key: value})
+            config_from_dict(data)
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({key: value}))
+        path.write_text(json.dumps(data))
         with pytest.raises(ConfigError, match=match):
             load_config(str(path))
 
@@ -103,7 +110,7 @@ class TestFromDict:
     @pytest.mark.parametrize("section,values", [
         ("generator", {"redundancy": 2.0}),
         ("channel", {"beta0": 0}),
-        ("ssim", {"k1": 0}),
+        ("ssim", {"max_pairs": 0}),
         ("cost", {"cpu_hz": 0}),
         ("generator", {"redundancy": "x"}),  # wrong type, not out of range
         ("workers", "2"),  # a top-level value of the wrong type
@@ -131,12 +138,12 @@ class TestFromDict:
         ("channel", {"a3": float("-inf")}),
         ("channel", {"a3": 1e12}),  # before, math.exp overflowed with a bare OverflowError
         ("cost", {"cpu_hz": 1e300}),  # before, cpu_hz**3 overflowed after data generation
+        ("generator", {"walk_weight": 1.5}),
+        ("generator", {"block_min": 0}),
+        ("ssim", {"max_pairs": -1}),
+        ("ssim", {"max_pairs": True}),  # a JSON bool is no int
+        ("ssim", {"max_pairs": None}),  # nor is null
         # each of these used to load and then fail late, or with a traceback
-        ("generator", {"freq_max": -1.0}),  # before, ValueError in Generator.uniform
-        ("generator", {"freq_max": 1.7e308}),  # before, OverflowError: the band overflows
-        ("ssim", {"k1": 1e300}),  # before, OverflowError in SsimParams.c1 mid-run
-        ("ssim", {"k2": 1e300}),
-        ("ssim", {"k1": 1e-300}),  # c1 underflows to 0
         ("channel", {"a3": 1.7e308}),  # exp(inf) is inf, where exp(1e12) raised
         ("channel", {"a2": -1e30}),  # before, OverflowError in channel_gain
         ("channel", {"bandwidth_hz": 5e-324}),  # before, ZeroDivisionError in capacity
@@ -305,9 +312,9 @@ class TestLoadAndHash:
         # digests of the serialised defaults and of the calibrated config; a
         # change here means metadata.json no longer matches earlier runs
         assert ExperimentConfig().config_hash() == \
-            "ca4ed18d9e8f57f945eff2fc9a37f68c4a9f3d179b520349128d56f7b75b4965"
+            "440e0923fa05b30d1151285badc15b3dc121271d7436e77b5d9f78866f420c38"
         assert load_config(CALIBRATED).config_hash() == \
-            "3395e929d13cfc248893881380153e04129b4033481865d98095dd3f0ac4f6a4"
+            "f5a552647606495d8b76b6266b4c7bcd50224d69fd9ac904c3e9b76be8d9d2d8"
 
 
 def test_readme_names_every_config_key():

@@ -23,18 +23,17 @@ FLOATS = [0.0, -1.0, 5e-324, 1e-300, 1e300, 1.7e308, -1e300]
 INT_CAPS = {
     "n_uavs": 16, "cohort_size": 8, "subregion_count": 8, "per_subregion_quota": 8,
     "n_rounds_max": 8, "workers": 64, "image_side": 32, "samples_min": 200,
-    "samples_max": 200, "walk_window": 64, "offset_span": 500, "n_waves": 256,
-    "hidden_dim": 256, "epochs_per_round": 4,
+    "samples_max": 200, "walk_window": 64, "offset_span": 500, "hidden_dim": 256,
+    "epochs_per_round": 4,
 }
 LARGE_INT = 2**62  # for a field that does not size the run
 
 
 def _fields(cls, section=None):
-    """(section, name, kind) of every int, float and bool field of `cls`."""
+    """(section, name, kind) of every int and float field of `cls`."""
     for f in dataclasses.fields(cls):
-        kind = f.type.removesuffix(" | None")
-        if kind in ("int", "float", "bool"):
-            yield section, f.name, kind
+        if f.type in ("int", "float"):
+            yield section, f.name, f.type
 
 
 FIELDS = [*_fields(ExperimentConfig)] + [
@@ -42,8 +41,6 @@ FIELDS = [*_fields(ExperimentConfig)] + [
 
 
 def _values(name, kind):
-    if kind == "bool":
-        return st.booleans()
     if kind == "int":
         return st.sampled_from([0, -1, 1, INT_CAPS.get(name, LARGE_INT)])
     return st.sampled_from(FLOATS)

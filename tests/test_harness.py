@@ -367,3 +367,24 @@ class TestCompare:
         with pytest.raises(UavFlError):
             compare_strategies(tiny_config(), [("deeps", 0.5)], out_dir=str(out))
         assert not out.exists()
+
+    @staticmethod
+    def no_build(config):
+        raise AssertionError("the scenario was built before every strategy was checked")
+
+    def test_bad_strategy_fails_before_any_work(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "build_scenario", self.no_build)
+        out = tmp_path / "cmp"
+        with pytest.raises(ConfigError, match=r"ssim_threshold must lie in \(0, 1\), got 2.0"):
+            compare_strategies(tiny_config(), [("deeps", 0.1), ("random", None), ("deeps", 2.0)],
+                               out_dir=str(out))
+        assert not out.exists()
+
+    def test_strategies_sharing_a_label_fail_before_any_work(self, tmp_path, monkeypatch):
+        # both thresholds print as 0.1, so both runs would write rounds_deeps_th0.1.csv
+        monkeypatch.setattr(harness, "build_scenario", self.no_build)
+        out = tmp_path / "cmp"
+        with pytest.raises(UavFlError, match=r"share the run label deeps_th0\.1$"):
+            compare_strategies(tiny_config(), [("deeps", 0.1), ("deeps", 0.1000001)],
+                               out_dir=str(out))
+        assert not out.exists()

@@ -3,9 +3,9 @@ import pytest
 
 from conftest import make_uav
 from oracles import InstanceTooLarge, oracle_select
-from uavfl.cost import RoundCost
+from uavfl.cost import RoundCost, is_feasible
 from uavfl.errors import CohortInfeasible
-from uavfl.selection import deeps_score, deeps_select, is_feasible, random_select
+from uavfl.selection import deeps_score, deeps_select, random_select
 from uavfl.similarity import DiversityScore
 
 REL = 1e-12

@@ -5,24 +5,24 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import const_image, make_image, make_samples, no_samples, random_image
 from uavfl.errors import InvariantViolation
-from uavfl.similarity import (DEDUP_BLOCK, SsimParams, dataset_diversity, deduplicate,
-                              ssim_pair)
+from uavfl.similarity import (C1, C2, DEDUP_BLOCK, SsimParams, dataset_diversity,
+                              deduplicate, ssim_pair)
 from uavfl.types import Dataset
 
 # hand-evaluated extreme-contrast pair: zero variances and covariance reduce
-# SSIM to c1*c2 / ((255^2 + c1) * c2) = 6.5025 / 65031.5025
+# SSIM to C1*C2 / ((255^2 + C1) * C2) = 6.5025 / 65031.5025
 EXTREME_PAIR_SSIM = 6.5025 / 65031.5025
 
 
 class TestSsimParams:
     def test_stabilizers(self):
-        p = SsimParams()
-        assert p.c1 == pytest.approx((0.01 * 255) ** 2, rel=1e-15)
-        assert p.c2 == pytest.approx((0.03 * 255) ** 2, rel=1e-15)
+        # Wang et al.'s K1 = 0.01 and K2 = 0.03 at the uint8 range, bit for bit
+        assert C1.hex() == ((0.01 * 255.0) ** 2).hex() == "0x1.a028f5c28f5c4p+2"
+        assert C2.hex() == ((0.03 * 255.0) ** 2).hex() == "0x1.d42e147ae147ap+5"
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(InvariantViolation):
-            SsimParams(k1=0.0)
+        with pytest.raises(InvariantViolation, match="max_pairs must be >= 1"):
+            SsimParams(max_pairs=-1)
 
 
 class TestSsimPair:
@@ -84,12 +84,12 @@ class TestDatasetDiversity:
             SsimParams(max_pairs=0)
 
 
-def dedup_oracle(samples, th, p=SsimParams()):
+def dedup_oracle(samples, th):
     """Reference greedy keep-first dedup built directly on ssim_pair; returns
     the kept indices."""
     kept = []
     for i, image in enumerate(samples.images):
-        if all(ssim_pair(samples.images[k], image, p) <= th for k in kept):
+        if all(ssim_pair(samples.images[k], image) <= th for k in kept):
             kept.append(i)
     return kept
 
@@ -155,6 +155,9 @@ class TestDeduplicate:
 # Reference kernels: the per-pair and per-candidate loops the module used
 # before it stacked moments per call. The stacked kernels must match them bit
 # for bit on power-of-two image sizes (see the similarity module docstring).
+# They write out the SSIM stabilizers themselves rather than import C1 and C2.
+ORACLE_C1 = (0.01 * 255.0) ** 2
+ORACLE_C2 = (0.03 * 255.0) ** 2
 
 def moments_oracle(img):
     x = img.astype(np.float64).ravel()
@@ -163,12 +166,12 @@ def moments_oracle(img):
     return xc, mu, float(np.dot(xc, xc)) / x.size
 
 
-def ssim_oracle(a, b, p):
+def ssim_oracle(a, b):
     ac, mu_a, var_a = moments_oracle(a)
     bc, mu_b, var_b = moments_oracle(b)
     cov = float(np.dot(ac, bc)) / ac.size
-    num = (2.0 * mu_a * mu_b + p.c1) * (2.0 * cov + p.c2)
-    den = (mu_a * mu_a + mu_b * mu_b + p.c1) * (var_a + var_b + p.c2)
+    num = (2.0 * mu_a * mu_b + ORACLE_C1) * (2.0 * cov + ORACLE_C2)
+    den = (mu_a * mu_a + mu_b * mu_b + ORACLE_C1) * (var_a + var_b + ORACLE_C2)
     return num / den
 
 
@@ -181,11 +184,11 @@ def diversity_oracle(shard, p, rng_seed):
         pairs = [pairs[i] for i in np.sort(idx)]
     total = 0.0
     for i, j in pairs:
-        total += ssim_oracle(shard.images[i], shard.images[j], p)
+        total += ssim_oracle(shard.images[i], shard.images[j])
     return total / len(pairs), len(pairs)
 
 
-def gemv_dedup_oracle(samples, th, p):
+def gemv_dedup_oracle(samples, th):
     """Sequential greedy dedup: one matrix-vector product per candidate;
     returns the kept indices."""
     if not samples:
@@ -198,8 +201,8 @@ def gemv_dedup_oracle(samples, th, p):
     for i in range(len(samples)):
         if kept:
             cov = centered[kept] @ centered[i] / centered.shape[1]
-            num = (2.0 * mus[kept] * mus[i] + p.c1) * (2.0 * cov + p.c2)
-            den = (mus[kept] ** 2 + mus[i] ** 2 + p.c1) * (vars_[kept] + vars_[i] + p.c2)
+            num = (2.0 * mus[kept] * mus[i] + ORACLE_C1) * (2.0 * cov + ORACLE_C2)
+            den = (mus[kept] ** 2 + mus[i] ** 2 + ORACLE_C1) * (vars_[kept] + vars_[i] + ORACLE_C2)
             if np.any(num > th * den):
                 continue
         kept.append(i)
@@ -229,8 +232,7 @@ def image_set(seed, n, side):
 sides = st.sampled_from([8, 32])
 # 64 is the largest exact size (N = 4096); 12 has a pixel count that is not a power of two
 dedup_sides = st.sampled_from([8, 12, 32, 64])
-params = st.builds(SsimParams, k1=st.sampled_from([0.01, 0.05]),
-                   k2=st.sampled_from([0.03, 0.1]), max_pairs=st.integers(1, 300))
+params = st.builds(SsimParams, max_pairs=st.integers(1, 300))
 thresholds = st.floats(0.05, 0.95)
 
 
@@ -242,14 +244,14 @@ def image_pairs(draw):
 
 class TestStackedKernelsMatchOracle:
     @settings(max_examples=60, deadline=None)
-    @given(image_pairs(), params)
-    def test_ssim_pair(self, pair, p):
+    @given(image_pairs())
+    def test_ssim_pair(self, pair):
         a, b = pair
-        s = ssim_pair(a, b, p)
-        assert s == ssim_oracle(a, b, p)
-        assert s == ssim_pair(b, a, p)
+        s = ssim_pair(a, b)
+        assert s == ssim_oracle(a, b)
+        assert s == ssim_pair(b, a)
         assert -1.0 <= s <= 1.0
-        assert ssim_pair(a, a, p) == 1.0
+        assert ssim_pair(a, a) == 1.0
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(2, 40), sides, params,
@@ -265,29 +267,28 @@ class TestStackedKernelsMatchOracle:
     @given(st.integers(0, 2**32 - 1),
            st.sampled_from([0, 1, DEDUP_BLOCK - 1, DEDUP_BLOCK, DEDUP_BLOCK + 1,
                             3 * DEDUP_BLOCK + 5]),
-           dedup_sides, thresholds, params)
-    def test_deduplicate_and_idempotence(self, seed, n, side, th, p):
+           dedup_sides, thresholds)
+    def test_deduplicate_and_idempotence(self, seed, n, side, th):
         samples = image_set(seed, n, side)
         ds = Dataset(samples)
-        removed = deduplicate(ds, th, p)
-        expected = gemv_dedup_oracle(samples, th, p)
+        removed = deduplicate(ds, th)
+        expected = gemv_dedup_oracle(samples, th)
         assert kept_only(ds, samples, expected)
         assert removed == n - len(expected)
-        assert deduplicate(ds, th, p) == 0
+        assert deduplicate(ds, th) == 0
         assert kept_only(ds, samples, expected)
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.integers(2, DEDUP_BLOCK + 6), sides, params,
-           st.data())
-    def test_deduplicate_decides_pairs_on_the_threshold(self, seed, n, side, p, data):
+    @given(st.integers(0, 2**32 - 1), st.integers(2, DEDUP_BLOCK + 6), sides, st.data())
+    def test_deduplicate_decides_pairs_on_the_threshold(self, seed, n, side, data):
         # a threshold within one ulp of a pair's SSIM lies far inside the float32
         # error bound, so that pair is decided by the float64 recheck
         samples = image_set(seed, n, side)
         j = data.draw(st.integers(1, n - 1), label="j")
-        s = ssim_oracle(samples.images[0], samples.images[j], p)
+        s = ssim_oracle(samples.images[0], samples.images[j])
         th = data.draw(st.sampled_from([np.nextafter(s, 0.0), s, np.nextafter(s, 1.0)]),
                        label="th")
         assume(0.0 < th < 1.0)
         ds = Dataset(samples)
-        deduplicate(ds, th, p)
-        assert kept_only(ds, samples, gemv_dedup_oracle(samples, th, p))
+        deduplicate(ds, th)
+        assert kept_only(ds, samples, gemv_dedup_oracle(samples, th))
