@@ -86,13 +86,6 @@ def _smooth_field(entropy: list[int], side: int) -> np.ndarray:
     return f / std if std > 0 else f
 
 
-def _class_pattern(seed, cls: int, subregion_id: int, spec: GenSpec) -> np.ndarray:
-    shared = _smooth_field([_entropy(seed), 101, cls], spec.image_side)
-    local = _smooth_field([_entropy(seed), 102, subregion_id, cls], spec.image_side)
-    mu = spec.class_share
-    return mu * shared + np.sqrt(1.0 - mu * mu) * local
-
-
 def _entropy(seed) -> int:
     if isinstance(seed, (int, np.integer)):
         return int(seed)
@@ -122,6 +115,11 @@ def _walk_frames(seed, subregion_id: int, spec: GenSpec, buf: np.ndarray) -> np.
     keep distant-frame similarity tightly concentrated at zero, which makes
     near-duplicate removal behave the same at any dataset size. `buf` holds
     `window - 1` rows more than the walk has frames.
+
+    The running sum is taken one frame at a time: row t += row t - 1 makes
+    exactly `np.cumsum(buf, axis=0)`'s additions in its order, so the bits
+    are the same, but each step reads contiguous rows, where cumsum walks
+    every pixel column with a stride of one frame and is about 6x slower.
     """
     rng = np.random.default_rng(np.random.SeedSequence([_entropy(seed), 104, subregion_id]))
     w = spec.walk_window
@@ -132,7 +130,8 @@ def _walk_frames(seed, subregion_id: int, spec: GenSpec, buf: np.ndarray) -> np.
         std = innovations.std(axis=(1, 2), keepdims=True)
         std[std == 0] = 1.0
         innovations /= std
-    np.cumsum(buf, axis=0, out=buf)
+    for t in range(1, len(buf)):
+        np.add(buf[t - 1], buf[t], out=buf[t])
     # frame t is csum[t + w - 1] - csum[t - 1]; differencing from the end, each
     # block of w rows reads rows below it that still hold the cumulative sum
     for hi in range(len(buf), w, -w):
@@ -164,16 +163,24 @@ def subregion_scenes(spec: GenSpec, subregion_ids: Iterable[int],
     sub-region id and the seed. The walk and label track span
     `offset_span + samples_max` frames, so every UAV of a sub-region sees the
     identical scene sequence regardless of its own length.
+
+    Class c's pattern is class_share * shared_c + sqrt(1 - class_share^2) *
+    local_c, two zero-mean unit-variance smooth fields: shared_c is the same
+    in every sub-region, so a call builds both shared fields once, and each
+    sub-region adds its own local ones.
     """
+    seed = _entropy(rng_seed)
     span = spec.offset_span + spec.samples_max
     side = spec.image_side
+    mu = spec.class_share
+    shared = np.stack([mu * _smooth_field([seed, 101, c], side) for c in (0, 1)])
     buf = np.empty((span + spec.walk_window - 1, side, side))
     for subregion_id in subregion_ids:
+        local = np.stack([_smooth_field([seed, 102, subregion_id, c], side) for c in (0, 1)])
         yield Scene(subregion_id=subregion_id,
-                    frames=_walk_frames(rng_seed, subregion_id, spec, buf),
-                    labels=_label_track(rng_seed, subregion_id, span, spec),
-                    patterns=np.stack([_class_pattern(rng_seed, c, subregion_id, spec)
-                                       for c in (0, 1)]))
+                    frames=_walk_frames(seed, subregion_id, spec, buf),
+                    labels=_label_track(seed, subregion_id, span, spec),
+                    patterns=shared + np.sqrt(1.0 - mu * mu) * local)
 
 
 def generate_uav_dataset(spec: GenSpec, scene: Scene, uav_id: int,

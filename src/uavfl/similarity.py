@@ -54,6 +54,7 @@ Algorithms, 2nd ed., section 3.1):
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -136,6 +137,15 @@ def ssim_pair(a: np.ndarray, b: np.ndarray) -> float:
     return float(num / den)
 
 
+@functools.lru_cache(maxsize=128)
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """`np.triu_indices(n, 1)`, read-only: the (i, j) pairs, i < j, in
+    row-major order. Shard sizes repeat round after round, so each is built once."""
+    i, j = np.triu_indices(n, 1)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
+
+
 def dataset_diversity(shard: Samples, p: SsimParams = SsimParams(),
                       rng_seed=0) -> DiversityScore:
     """Mean SSIM over unordered sample pairs of one shard.
@@ -149,7 +159,7 @@ def dataset_diversity(shard: Samples, p: SsimParams = SsimParams(),
     if n < 2:
         raise InvariantViolation("diversity needs at least 2 samples")
     c, mu, var = _stack_moments(shard.images)
-    i, j = np.triu_indices(n, 1)
+    i, j = _pairs(n)
     if i.size > p.max_pairs:
         idx = np.sort(np.random.default_rng(rng_seed).choice(i.size, p.max_pairs, replace=False))
         i, j = i[idx], j[idx]

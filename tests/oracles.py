@@ -3,8 +3,9 @@
 `oracle_select` is the exhaustive selection oracle that the selection tests
 and acceptance criterion 4 check `deeps_select` against; combinatorial in the
 fleet size, so it is guarded to tiny instances. `oracle_uav_dataset` is the
-one-image-at-a-time generator, with a per-UAV walk, that `test_datagen` checks
-the blocked generator against byte for byte. `oracle_local_train` is the
+one-image-at-a-time generator, with a per-UAV walk summed by `np.cumsum` and
+class patterns built per UAV, that `test_datagen` checks the blocked
+generator against byte for byte. `oracle_local_train` is the
 textbook Adam loop over the whole parameter vector, with its own backward
 pass and a fresh array per operation, that `test_learning` checks the
 buffered, active-rows step of `local_train` against bit for bit.
@@ -17,8 +18,8 @@ import itertools
 import numpy as np
 
 from uavfl.cost import RoundCost, is_feasible
-from uavfl.datagen import (BASE_LEVEL, GenSpec, UavData, _class_pattern, _entropy,
-                           _label_track)
+from uavfl.datagen import (BASE_LEVEL, GenSpec, UavData, _entropy, _label_track,
+                           _smooth_field)
 from uavfl.errors import CohortInfeasible, UavFlError
 from uavfl.learning import ADAM_BETA1, ADAM_BETA2, ModelSpec, check_params, samples_to_matrix
 from uavfl.selection import Selection, deeps_score
@@ -86,6 +87,15 @@ def _oracle_walk_frames(seed, subregion_id: int, length: int, spec: GenSpec) -> 
     return frames / np.sqrt(w)
 
 
+def _oracle_class_pattern(seed, cls: int, subregion_id: int, spec: GenSpec) -> np.ndarray:
+    """Class `cls`'s pattern in one sub-region, its shared and local fields
+    built for this call alone."""
+    shared = _smooth_field([_entropy(seed), 101, cls], spec.image_side)
+    local = _smooth_field([_entropy(seed), 102, subregion_id, cls], spec.image_side)
+    mu = spec.class_share
+    return mu * shared + np.sqrt(1.0 - mu * mu) * local
+
+
 def oracle_uav_dataset(spec: GenSpec, subregion_id: int, uav_id: int,
                        rng_seed: int) -> UavData:
     """One UAV's dataset made one image at a time, with the sub-region's walk,
@@ -98,7 +108,7 @@ def oracle_uav_dataset(spec: GenSpec, subregion_id: int, uav_id: int,
     span = spec.offset_span + spec.samples_max
     frames = _oracle_walk_frames(rng_seed, subregion_id, span, spec)
     labels = _label_track(rng_seed, subregion_id, span, spec)
-    patterns = {c: _class_pattern(rng_seed, c, subregion_id, spec) for c in (0, 1)}
+    patterns = {c: _oracle_class_pattern(rng_seed, c, subregion_id, spec) for c in (0, 1)}
 
     rho = spec.redundancy
     wv = spec.walk_weight

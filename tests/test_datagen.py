@@ -1,12 +1,14 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import _oracle_walk_frames, oracle_uav_dataset
-from uavfl.datagen import (_BLOCK, GenSpec, _class_pattern, _label_track,
-                           generate_uav_dataset, subregion_scenes)
+from oracles import _oracle_class_pattern, _oracle_walk_frames, oracle_uav_dataset
+from uavfl import datagen
+from uavfl.datagen import (_BLOCK, GenSpec, _label_track, generate_uav_dataset,
+                           subregion_scenes)
 from uavfl.errors import InvariantViolation
 from uavfl.similarity import SsimParams, dataset_diversity
 
@@ -146,7 +148,8 @@ class TestBlockedGeneratorMatchesOracle:
             assert scene.frames.tobytes() == _oracle_walk_frames(9, sr, span, spec).tobytes()
             assert np.array_equal(scene.labels, _label_track(9, sr, span, spec))
             for c in (0, 1):
-                assert np.array_equal(scene.patterns[c], _class_pattern(9, c, sr, spec))
+                assert (scene.patterns[c].tobytes()
+                        == _oracle_class_pattern(9, c, sr, spec).tobytes())
             for uid in (sr, sr + 3):  # two UAVs per scene, as build_scenario numbers them
                 assert_same_data(generate_uav_dataset(spec, scene, uid, rng_seed=9),
                                  oracle_uav_dataset(spec, sr, uid, rng_seed=9))
@@ -165,3 +168,33 @@ class TestBlockedGeneratorMatchesOracle:
                              oracle_uav_dataset(spec, scene.subregion_id,
                                                 scene.subregion_id, seed))
 
+
+class TestSceneCost:
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_shared_class_fields_built_once_per_pass(self, k, monkeypatch):
+        calls = []
+
+        def spy(entropy, side):
+            calls.append(entropy[1])
+            return real(entropy, side)
+
+        real = datagen._smooth_field
+        monkeypatch.setattr(datagen, "_smooth_field", spy)
+        assert len(list(subregion_scenes(SMALL, range(1, k + 1), rng_seed=9))) == k
+        assert len(calls) == 2 + 2 * k
+        assert calls.count(101) == 2  # the shared fields; the rest are local
+
+    def test_scene_build_peak_stays_near_the_walk_buffer(self):
+        # compare_calibrated's scene size: a 1570-frame span of 32x32 images.
+        # A temporary the size of the walk (12.3 MiB) would break the bound.
+        spec = GenSpec(samples_min=1470, samples_max=1470, offset_span=100)
+        side = spec.image_side
+        walk_bytes = (spec.offset_span + spec.samples_max + spec.walk_window - 1) * side * side * 8
+        tracemalloc.start()
+        try:
+            scene = next(subregion_scenes(spec, [1], rng_seed=11))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert scene.frames.shape == (1570, side, side)
+        assert peak <= walk_bytes + 2 * 2**20

@@ -5,7 +5,7 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import const_image, make_image, make_samples, no_samples, random_image
 from uavfl.errors import InvariantViolation
-from uavfl.similarity import (C1, C2, DEDUP_BLOCK, SsimParams, dataset_diversity,
+from uavfl.similarity import (C1, C2, DEDUP_BLOCK, SsimParams, _pairs, dataset_diversity,
                               deduplicate, ssim_pair)
 from uavfl.types import Dataset
 
@@ -74,6 +74,15 @@ class TestDatasetDiversity:
         d2 = dataset_diversity(shard, SsimParams(max_pairs=50), rng_seed=3)
         assert d1 == d2
         assert d1.pairs_evaluated == 50
+
+    def test_pairs_are_cached_read_only(self, rng):
+        i, j = _pairs(9)
+        assert _pairs(9)[0] is i and _pairs(9)[1] is j
+        assert all(np.array_equal(a, b) for a, b in zip((i, j), np.triu_indices(9, 1)))
+        assert not i.flags.writeable and not j.flags.writeable
+        shard = make_samples([random_image(rng) for _ in range(9)])
+        assert dataset_diversity(shard, SsimParams(max_pairs=20)) == \
+            dataset_diversity(shard, SsimParams(max_pairs=20))
 
     def test_too_few_samples(self):
         with pytest.raises(InvariantViolation, match="diversity needs at least 2 samples"):
