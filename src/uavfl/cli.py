@@ -3,13 +3,11 @@
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .config import ExperimentConfig, config_from_dict, load_config
 from .errors import UavFlError
-from .harness import (compare_strategies, emit_csv, emit_metadata, emit_summary_csv,
-                      make_out_dir, run_experiment)
+from .harness import compare_strategies
 
 # CLI flag (argparse dest) -> the top-level config key it overrides
 _OVERRIDES = {"strategy": "strategy", "ssim_th": "ssim_threshold", "seed": "master_seed",
@@ -28,16 +26,7 @@ def _load(args) -> ExperimentConfig:
 
 def cmd_run(args) -> int:
     config = _load(args)
-    out = args.out
-    make_out_dir(out)
-    summary = run_experiment(config)
-    emit_csv(summary.records, os.path.join(out, f"rounds_{summary.label}.csv"))
-    emit_summary_csv([summary], os.path.join(out, "summary.csv"))
-    emit_metadata(config, os.path.join(out, "metadata.json"))
-    print(f"strategy={summary.label} rounds={len(summary.records)} "
-          f"final_accuracy={summary.final_accuracy:.4f} "
-          f"lambda_t={summary.avg_round_time_s:.2f}s chi_r={summary.rounds_to_convergence} "
-          f"rho_t={summary.time_to_convergence_min:.2f}min")
+    compare_strategies(config, [(config.strategy, config.ssim_threshold)], out_dir=args.out)
     return 0
 
 

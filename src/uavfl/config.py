@@ -6,7 +6,8 @@ are defined here; each section is validated once, when the config is built,
 and a bad value fails as a ConfigError naming it. The top-level fields are
 checked the same way, against each other too: a fleet that cannot fill its
 per-sub-region quota, or a link budget that gives some placement of the
-geometry a zero or infinite rate, fails here, before any data exists.
+geometry a zero or infinite rate, fails here, before any data exists. Every
+config type is frozen, so no value can change after its check.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .errors import ConfigError, InvariantViolation
 from .learning import ModelSpec
 from .similarity import SsimParams
 
-@dataclass
+@dataclass(frozen=True)
 class GeometryConfig:
     region_m: float = 1000.0       # square side; UAVs uniform on it
     uav_altitude_m: float = 100.0
@@ -38,7 +39,7 @@ class GeometryConfig:
             raise InvariantViolation("altitudes must be >= 0")
 
 
-@dataclass
+@dataclass(frozen=True)
 class BatteryConfig:
     min_j: float = 1e3             # each UAV's initial charge is uniform on [min_j, max_j]
     max_j: float = 1e4
@@ -68,7 +69,7 @@ def _check_types(cls, values: dict, where: str = "") -> None:
                 raise ConfigError(f"{where}{f.name}: must be finite, got {value}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     # the fleet: the paper's scenario 1 (configs/scenario2.json holds scenario 2)
     n_uavs: int = 40

@@ -286,7 +286,7 @@ def run_experiment(config: ExperimentConfig, scenario: Scenario | None = None,
                 cohort_energy += costs[uid].total_energy_j
 
             if results:
-                params = aggregate([(uid, vec, size) for uid, vec, size in results])
+                params = aggregate(results)
                 duration = round_duration([costs[uid] for uid, _, _ in results])
             else:
                 duration = 0.0
@@ -395,25 +395,28 @@ def emit_metadata(config: ExperimentConfig, path: str) -> None:
 def compare_strategies(config: ExperimentConfig,
                        strategies: list[tuple[str, float | None]],
                        out_dir: str) -> list[RunSummary]:
-    """Check every strategy, then run each on identical datasets/seeds; emit CSVs and a table."""
-    if len(strategies) < 2:
-        raise UavFlError("compare needs at least 2 strategies")
+    """Check one or more strategies, then run each on identical datasets/seeds;
+    emit CSVs, summary.csv and metadata.json, and print one table row per run.
+    Only more than one run shares a scenario: a copy would hold a single run's
+    pre-dedup samples next to its deduplicated ones."""
     configs = [_with_strategy(config, name, th) for name, th in strategies]
     labels = [_label(c.strategy, c.ssim_threshold) for c in configs]
     for i, label in enumerate(labels):
         if label in labels[:i]:
             raise UavFlError(f"compare: two strategies share the run label {label}")
     make_out_dir(out_dir)
-    scenario = build_scenario(config)
+    scenario = build_scenario(config) if len(configs) > 1 else None
     summaries = [run_experiment(c, scenario=scenario) for c in configs]
     for s in summaries:
         emit_csv(s.records, os.path.join(out_dir, f"rounds_{s.label}.csv"))
     emit_summary_csv(summaries, os.path.join(out_dir, "summary.csv"))
     emit_metadata(config, os.path.join(out_dir, "metadata.json"))
 
-    print(f"{'strategy':<14}{'lambda_t (s)':>14}{'chi_r':>8}{'rho_t (min)':>14}{'final acc':>12}")
+    print(f"{'strategy':<14}{'rounds':>8}{'lambda_t (s)':>14}{'chi_r':>8}{'rho_t (min)':>14}"
+          f"{'final acc':>12}")
     for s in summaries:
         name = s.strategy if s.ssim_threshold is None else f"deeps({s.ssim_threshold:g})"
-        print(f"{name:<14}{s.avg_round_time_s:>14.2f}{s.rounds_to_convergence:>8}"
-              f"{s.time_to_convergence_min:>14.2f}{s.final_accuracy:>12.4f}")
+        print(f"{name:<14}{len(s.records):>8}{s.avg_round_time_s:>14.2f}"
+              f"{s.rounds_to_convergence:>8}{s.time_to_convergence_min:>14.2f}"
+              f"{s.final_accuracy:>12.4f}")
     return summaries

@@ -235,8 +235,7 @@ def test_criterion_7_qualitative_ordering(capsys):
     lambdas = {"d1": [], "d5": [], "r": []}
     energy_rounds = {"d1": [], "d5": [], "r": []}
     for seed in (11, 12, 13, 14, 15):
-        config = load_config(CALIBRATED_CONFIG)
-        config.master_seed = seed
+        config = load_config(CALIBRATED_CONFIG, master_seed=seed)
         shared = build_scenario(config)
         for key, strategy, th in (("d1", "deeps", 0.1), ("d5", "deeps", 0.5),
                                   ("r", "random", None)):

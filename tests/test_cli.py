@@ -5,8 +5,8 @@ import sys
 
 import pytest
 
-from test_harness import TINY
-from uavfl import cli, harness
+from test_harness import TINY, table_rows, tiny_config
+from uavfl import harness
 from uavfl.cli import _load, build_parser, main
 from uavfl.config import ExperimentConfig
 
@@ -58,11 +58,29 @@ class TestParser:
 
 
 class TestRun:
+    @pytest.mark.parametrize("strategy", ["deeps", "random"])
+    def test_run_writes_what_one_experiment_emits(self, tiny_config_file, tmp_path, capsys,
+                                                  strategy):
+        want = tmp_path / "want"
+        want.mkdir()
+        config = tiny_config(strategy=strategy)
+        summary = harness.run_experiment(config)
+        harness.emit_csv(summary.records, str(want / f"rounds_{summary.label}.csv"))
+        harness.emit_summary_csv([summary], str(want / "summary.csv"))
+        harness.emit_metadata(config, str(want / "metadata.json"))
+
+        out = tmp_path / "out"
+        assert main(["run", "--config", tiny_config_file, "--strategy", strategy,
+                     "--out", str(out)]) == 0
+        assert sorted(os.listdir(out)) == sorted(os.listdir(want))
+        for name in os.listdir(want):
+            assert (out / name).read_bytes() == (want / name).read_bytes(), name
+
     def test_run_writes_artifacts(self, tiny_config_file, tmp_path, capsys):
         out = str(tmp_path / "out")
         code = main(["run", "--config", tiny_config_file, "--out", out])
         assert code == 0
-        assert "strategy=deeps_th0.5" in capsys.readouterr().out
+        assert table_rows(capsys) == [["deeps(0.5)", "3"]]
         for name in ("rounds_deeps_th0.5.csv", "summary.csv", "metadata.json"):
             assert os.path.exists(os.path.join(out, name))
 
@@ -79,7 +97,7 @@ class TestRun:
         code = main(["run", "--config", tiny_config_file, "--strategy", "random",
                      "--seed", "9", "--out", out])
         assert code == 0
-        assert "strategy=random" in capsys.readouterr().out
+        assert table_rows(capsys) == [["random", "3"]]
         meta = json.load(open(os.path.join(out, "metadata.json")))
         assert meta["master_seed"] == 9
 
@@ -201,9 +219,8 @@ def no_work(*args, **kwargs):
 def test_unusable_out_fails_before_any_work(tiny_config_file, tmp_path, capsys,
                                             monkeypatch, command, out):
     (tmp_path / "file").write_text("")
-    for module, name in ((cli, "run_experiment"), (harness, "build_scenario"),
-                         (harness, "run_experiment")):
-        monkeypatch.setattr(module, name, no_work)
+    for name in ("build_scenario", "run_experiment"):
+        monkeypatch.setattr(harness, name, no_work)
     code = main([command, "--config", tiny_config_file, "--out", str(tmp_path / out)])
     err = capsys.readouterr().err
     assert code == 1

@@ -107,6 +107,15 @@ class TestFromDict:
         with pytest.raises(ConfigError):
             config_from_dict([1, 2])
 
+    @pytest.mark.parametrize("section,name,value", [
+        (None, "workers", 0), ("battery", "min_j", 1e9), ("geometry", "region_m", -50.0)])
+    def test_loaded_config_cannot_change(self, section, name, value):
+        # an assignment after load would skip every check the value must pass
+        c = config_from_dict({})
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(c if section is None else getattr(c, section), name, value)
+        assert c == ExperimentConfig()
+
     @pytest.mark.parametrize("section,values", [
         ("generator", {"redundancy": 2.0}),
         ("channel", {"beta0": 0}),

@@ -63,6 +63,13 @@ def scenario_bytes(sc):
 THREE_SUBREGIONS = {"n_uavs": 7, "cohort_size": 3, "subregion_count": 3}
 
 
+def table_rows(capsys) -> list[list[str]]:
+    """The strategy and rounds columns of each row of the printed table."""
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split()[:2] == ["strategy", "rounds"]
+    return [row.split()[:2] for row in rows]
+
+
 def record(k=1, acc=0.5, energy=1.0):
     return RoundRecord(round_k=k, selected_ids=(1, 2), global_accuracy=acc,
                        global_loss=0.7, round_duration_s=2.5,
@@ -203,6 +210,22 @@ class TestRunExperiment:
         # reruns with the same config agree on the dedup total
         assert run_experiment(tiny_config(ssim_threshold=0.1)).dedup_removed_total \
             == s.dedup_removed_total
+
+    @pytest.mark.parametrize("strategy", ["deeps", "random"])
+    def test_full_cohorts_neither_degrade_nor_abort(self, strategy):
+        s = run_experiment(tiny_config(strategy=strategy))
+        assert (s.degraded_rounds, s.aborted_infeasible) == (0, False)
+
+    def test_drained_fleet_degrades_deeps_and_aborts_random(self):
+        # batteries below a few rounds' cost: the fleet dies within the run
+        drained = {"battery": {"min_j": 0.0, "max_j": 0.03}, "n_rounds_max": 6}
+        deeps = run_experiment(tiny_config(**drained))
+        short = sum(len(r.selected_ids) < TINY["cohort_size"] for r in deeps.records)
+        assert deeps.degraded_rounds == short > 0  # quota 1: a short cohort misses a sub-region
+        assert not deeps.aborted_infeasible
+        random = run_experiment(tiny_config(**drained, strategy="random"))
+        assert (len(random.records), random.aborted_infeasible) == (2, True)
+        assert random.degraded_rounds == 0
 
     def test_threshold_override_changes_label(self):
         s = run_experiment(tiny_config(), ssim_threshold=0.1)
@@ -362,11 +385,22 @@ class TestCompare:
         summary_lines = open(os.path.join(out, "summary.csv")).read().splitlines()
         assert len(summary_lines) == 4
 
-    def test_needs_two_strategies(self, tmp_path):
+    def test_one_strategy(self, tmp_path, capsys):
         out = tmp_path / "cmp"
-        with pytest.raises(UavFlError):
-            compare_strategies(tiny_config(), [("deeps", 0.5)], out_dir=str(out))
-        assert not out.exists()
+        summaries = compare_strategies(tiny_config(), [("random", None)], out_dir=str(out))
+        assert [s.label for s in summaries] == ["random"]
+        assert sorted(os.listdir(out)) == ["metadata.json", "rounds_random.csv", "summary.csv"]
+        assert table_rows(capsys) == [["random", "3"]]
+
+    def test_one_strategy_builds_its_own_scenario(self, tmp_path, monkeypatch, capsys):
+        # a shared scenario would hold every UAV's pre-dedup samples next to
+        # the run's deduplicated copies
+        def no_copy(self):
+            raise AssertionError("a single run copied a shared scenario")
+
+        monkeypatch.setattr(harness.Scenario, "fresh_copy", no_copy)
+        summaries = compare_strategies(tiny_config(), [("deeps", 0.5)], out_dir=str(tmp_path))
+        assert summaries[0].dedup_removed_total > 0
 
     @staticmethod
     def no_build(config):
