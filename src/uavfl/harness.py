@@ -290,6 +290,7 @@ def run_experiment(config: ExperimentConfig, scenario: Scenario | None = None,
                 duration = round_duration([costs[uid] for uid, _, _ in results])
             else:
                 duration = 0.0
+            del results  # the next round trains with only its own cohort's vectors alive
 
             acc, loss = evaluate_matrix(params, scenario.test_x, scenario.test_y, config.model)
             if k < config.n_rounds_max:
@@ -381,6 +382,16 @@ def emit_summary_csv(summaries: list[RunSummary], path: str) -> None:
     write_text(path, "\n".join(lines) + "\n")
 
 
+RUN_FIELDS = ("converged", "dedup_removed_total", "degraded_rounds", "aborted_infeasible",
+              "initial_battery_total_j", "final_battery_total_j")
+
+
+def emit_run_json(summary: RunSummary, path: str) -> None:
+    """The run's values that no CSV holds, floats at full precision."""
+    values = {name: getattr(summary, name) for name in RUN_FIELDS}
+    write_text(path, json.dumps(values, indent=2, sort_keys=True) + "\n")
+
+
 def emit_metadata(config: ExperimentConfig, path: str) -> None:
     meta = {
         "master_seed": config.master_seed,
@@ -396,7 +407,8 @@ def compare_strategies(config: ExperimentConfig,
                        strategies: list[tuple[str, float | None]],
                        out_dir: str) -> list[RunSummary]:
     """Check one or more strategies, then run each on identical datasets/seeds;
-    emit CSVs, summary.csv and metadata.json, and print one table row per run.
+    emit CSVs, run JSONs, summary.csv and metadata.json, and print one table
+    row per run.
     Only more than one run shares a scenario: a copy would hold a single run's
     pre-dedup samples next to its deduplicated ones."""
     configs = [_with_strategy(config, name, th) for name, th in strategies]
@@ -409,14 +421,17 @@ def compare_strategies(config: ExperimentConfig,
     summaries = [run_experiment(c, scenario=scenario) for c in configs]
     for s in summaries:
         emit_csv(s.records, os.path.join(out_dir, f"rounds_{s.label}.csv"))
+        emit_run_json(s, os.path.join(out_dir, f"run_{s.label}.json"))
     emit_summary_csv(summaries, os.path.join(out_dir, "summary.csv"))
     emit_metadata(config, os.path.join(out_dir, "metadata.json"))
 
     print(f"{'strategy':<14}{'rounds':>8}{'lambda_t (s)':>14}{'chi_r':>8}{'rho_t (min)':>14}"
-          f"{'final acc':>12}")
+          f"{'final acc':>12}{'converged':>11}")
     for s in summaries:
         name = s.strategy if s.ssim_threshold is None else f"deeps({s.ssim_threshold:g})"
-        print(f"{name:<14}{len(s.records):>8}{s.avg_round_time_s:>14.2f}"
-              f"{s.rounds_to_convergence:>8}{s.time_to_convergence_min:>14.2f}"
-              f"{s.final_accuracy:>12.4f}")
+        # a run that never converged has no chi_r or rho_t to rank by
+        chi_r, rho_t = ((s.rounds_to_convergence, f"{s.time_to_convergence_min:.2f}")
+                        if s.converged else ("—", "—"))
+        print(f"{name:<14}{len(s.records):>8}{s.avg_round_time_s:>14.2f}{chi_r:>8}{rho_t:>14}"
+              f"{s.final_accuracy:>12.4f}{str(s.converged).lower():>11}")
     return summaries

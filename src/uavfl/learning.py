@@ -341,7 +341,7 @@ def aggregate(updates: list[tuple[int, np.ndarray, int]]) -> np.ndarray:
         total += size
     # Anchored form: base + sum of weighted deviations. Identical inputs
     # aggregate to exactly that vector (all deviations are exactly zero).
-    base = ordered[0][1].astype(np.float64)
+    base = np.asarray(ordered[0][1], dtype=np.float64)
     out = base.copy()
     for _, vec, size in ordered:
         out += (size / total) * (vec - base)

@@ -66,6 +66,7 @@ class TestRun:
         config = tiny_config(strategy=strategy)
         summary = harness.run_experiment(config)
         harness.emit_csv(summary.records, str(want / f"rounds_{summary.label}.csv"))
+        harness.emit_run_json(summary, str(want / f"run_{summary.label}.json"))
         harness.emit_summary_csv([summary], str(want / "summary.csv"))
         harness.emit_metadata(config, str(want / "metadata.json"))
 

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -227,6 +228,31 @@ class TestRunExperiment:
         assert (len(random.records), random.aborted_infeasible) == (2, True)
         assert random.degraded_rounds == 0
 
+    @pytest.mark.parametrize("strategy", ["deeps", "random"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_round_updates_are_freed_before_the_next_round_trains(self, monkeypatch,
+                                                                  workers, strategy):
+        updates: dict[int, list] = {}  # round -> weak refs to its trained vectors
+        alive_at_next_round: dict[int, int] = {}
+
+        def spy(*args):
+            k = args[4].entropy[2]  # the training seed is [seed, tag, round, uav]
+            with lock:  # the round's first call, under workers 2 on a pool thread
+                if k not in updates:
+                    updates[k] = []
+                    alive_at_next_round[k - 1] = sum(
+                        ref() is not None for ref in updates.get(k - 1, []))
+            out = real(*args)
+            updates[k].append(weakref.ref(out))
+            return out
+
+        lock = threading.Lock()
+        real = harness.local_train
+        monkeypatch.setattr(harness, "local_train", spy)
+        run_experiment(tiny_config(strategy=strategy, workers=workers, n_rounds_max=3))
+        assert sorted(updates) == [1, 2, 3] and all(len(refs) == 2 for refs in updates.values())
+        assert alive_at_next_round == {0: 0, 1: 0, 2: 0}
+
     def test_threshold_override_changes_label(self):
         s = run_experiment(tiny_config(), ssim_threshold=0.1)
         assert s.label == "deeps_th0.1"
@@ -389,8 +415,42 @@ class TestCompare:
         out = tmp_path / "cmp"
         summaries = compare_strategies(tiny_config(), [("random", None)], out_dir=str(out))
         assert [s.label for s in summaries] == ["random"]
-        assert sorted(os.listdir(out)) == ["metadata.json", "rounds_random.csv", "summary.csv"]
+        assert sorted(os.listdir(out)) == ["metadata.json", "rounds_random.csv", "run_random.json",
+                                           "summary.csv"]
         assert table_rows(capsys) == [["random", "3"]]
+
+    @pytest.mark.parametrize("overrides,chi_r,rho_t,converged", [
+        # the drained fleet of test_drained_fleet_degrades_deeps_and_aborts_random:
+        # random aborts after 2 rounds, so chi_r would be the run's length
+        ({"battery": {"min_j": 0.0, "max_j": 0.03}, "n_rounds_max": 6}, "—", "—", "false"),
+        # a one-round window converges at round 1
+        ({"convergence_window": 1}, "1", None, "true"),
+    ], ids=["aborted", "converged"])
+    def test_table_ranks_only_converged_runs(self, tmp_path, capsys, overrides, chi_r, rho_t,
+                                             converged):
+        summary, = compare_strategies(tiny_config(**overrides),
+                                      [("random", None)], out_dir=str(tmp_path))
+        header, row = capsys.readouterr().out.splitlines()
+        assert header.split()[-1] == "converged"
+        # strategy, rounds, lambda_t, chi_r, rho_t, final acc, converged
+        cells = row.split()
+        assert len(cells) == 7 and (cells[3], cells[6]) == (chi_r, converged)
+        assert cells[4] == (rho_t or f"{summary.time_to_convergence_min:.2f}")
+        # summary.csv keeps the run's length as chi_r
+        assert open(tmp_path / "summary.csv").read().splitlines()[1].split(",")[3] \
+            == str(summary.rounds_to_convergence)
+
+    def test_run_json_holds_what_no_csv_holds(self, tmp_path, capsys):
+        drained = {"battery": {"min_j": 0.0, "max_j": 0.03}, "n_rounds_max": 6}
+        summaries = compare_strategies(tiny_config(**drained),
+                                       [("deeps", 0.5), ("random", None)], out_dir=str(tmp_path))
+        deeps, random = (json.loads((tmp_path / f"run_{s.label}.json").read_text())
+                         for s in summaries)
+        # float == compares bits, so the battery totals round-trip at full precision
+        assert [deeps, random] == [{name: getattr(s, name) for name in harness.RUN_FIELDS}
+                                   for s in summaries]
+        assert deeps["degraded_rounds"] > 0 and deeps["dedup_removed_total"] > 0
+        assert (random["aborted_infeasible"], random["converged"]) == (True, False)
 
     def test_one_strategy_builds_its_own_scenario(self, tmp_path, monkeypatch, capsys):
         # a shared scenario would hold every UAV's pre-dedup samples next to

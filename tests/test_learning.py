@@ -293,6 +293,13 @@ class TestAggregate:
         out = aggregate([(1, vec.copy(), 3), (2, vec.copy(), 9), (3, vec.copy(), 1)])
         assert np.array_equal(out, vec)
 
+    def test_inputs_untouched_and_unshared(self, rng):
+        updates = [(i, rng.normal(size=9), i + 1) for i in range(3)]
+        before = [vec.tobytes() for _, vec, _ in updates]
+        out = aggregate(updates)
+        assert [vec.tobytes() for _, vec, _ in updates] == before
+        assert not any(np.shares_memory(out, vec) for _, vec, _ in updates)
+
     def test_errors(self):
         with pytest.raises(InvariantViolation, match="no updates to aggregate"):
             aggregate([])
