@@ -45,12 +45,12 @@ _TAG_MODEL_INIT = 6
 
 @dataclass
 class Scenario:
-    """What `build_scenario` generates from a config: the fleet and the test
-    pool. Clone per run since batteries/datasets mutate."""
+    """What `build_scenario` generates from a config: the fleet and the pooled
+    test set, kept as uint8 `Samples` and scaled at each evaluation. Clone per
+    run since batteries/datasets mutate."""
 
     uavs: list[UavState]
-    test_x: np.ndarray
-    test_y: np.ndarray
+    test: Samples
 
     def fresh_copy(self) -> "Scenario":
         # samples are read-only, so the copies share them; dedup rebinds its own
@@ -78,6 +78,16 @@ class RunSummary:
     @property
     def label(self) -> str:
         return _label(self.strategy, self.ssim_threshold)
+
+    @property
+    def rounds_flown(self) -> int:
+        """Rounds with at least one participant."""
+        return sum(1 for r in self.records if r.selected_ids)
+
+    @property
+    def cohort_energy_total_j(self) -> float:
+        """The energy every round's cohort spent, summed in round order."""
+        return sum(r.cohort_energy_j for r in self.records)
 
 
 def _label(strategy: str, ssim_threshold: float | None) -> str:
@@ -157,21 +167,26 @@ def build_scenario(config: ExperimentConfig) -> Scenario:
     if not len(test_pool):
         raise ConfigError(f"generator.test_fraction {config.generator.test_fraction} "
                           "leaves every UAV without a test sample")
-    test_x, test_y = samples_to_matrix(test_pool)
-    return Scenario(uavs=uavs, test_x=test_x, test_y=test_y)
+    return Scenario(uavs=uavs, test=test_pool)
 
 
-def _shard(samples: Samples, k: int, count: int) -> Samples:
-    """The k-th (1-based) of `count` contiguous slices of `samples`, as a view;
-    the first `len % count` slices get one extra sample."""
+def _shard_bounds(n: int, k: int, count: int) -> tuple[int, int]:
+    """[start, stop) of the k-th (1-based) of `count` contiguous slices of n
+    samples; the first `n % count` slices get one extra sample."""
     if count < 1:
         raise InvariantViolation("shard count must be positive")
     if not 1 <= k <= count:
         raise InvariantViolation(f"shard index {k} outside [1, {count}]")
-    base, rem = divmod(len(samples), count)
+    base, rem = divmod(n, count)
     i = k - 1
     start = i * base + min(i, rem)
-    return samples[start:start + base + (1 if i < rem else 0)]
+    return start, start + base + (1 if i < rem else 0)
+
+
+def _shard(samples: Samples, k: int, count: int) -> Samples:
+    """The k-th (1-based) of `count` contiguous slices of `samples`, as a view."""
+    start, stop = _shard_bounds(len(samples), k, count)
+    return samples[start:stop]
 
 
 def _shard_diversity(shard: Samples, round_k: int, uav_id: int, params: SsimParams,
@@ -219,7 +234,8 @@ def run_experiment(config: ExperimentConfig, scenario: Scenario | None = None,
             return _shard(u.dataset.samples, k, config.n_rounds_max)
 
         def round_cost(u: UavState, k: int) -> RoundCost:
-            return estimate_round_cost(config.cost, param_count, len(shard(u, k)),
+            start, stop = _shard_bounds(len(u.dataset.samples), k, config.n_rounds_max)
+            return estimate_round_cost(config.cost, param_count, stop - start,
                                        u.rate_up_bps, u.rate_down_bps)
 
         initial_battery = sum(u.battery_j for u in uavs)
@@ -286,13 +302,14 @@ def run_experiment(config: ExperimentConfig, scenario: Scenario | None = None,
                 cohort_energy += costs[uid].total_energy_j
 
             if results:
+                del params  # the superseded global model is dead while aggregate runs
                 params = aggregate(results)
                 duration = round_duration([costs[uid] for uid, _, _ in results])
             else:
                 duration = 0.0
             del results  # the next round trains with only its own cohort's vectors alive
 
-            acc, loss = evaluate_matrix(params, scenario.test_x, scenario.test_y, config.model)
+            acc, loss = evaluate_matrix(params, *samples_to_matrix(scenario.test), config.model)
             if k < config.n_rounds_max:
                 dropouts += retire(k + 1)
             records.append(RoundRecord(
@@ -383,7 +400,8 @@ def emit_summary_csv(summaries: list[RunSummary], path: str) -> None:
 
 
 RUN_FIELDS = ("converged", "dedup_removed_total", "degraded_rounds", "aborted_infeasible",
-              "initial_battery_total_j", "final_battery_total_j")
+              "initial_battery_total_j", "final_battery_total_j", "rounds_flown",
+              "cohort_energy_total_j")
 
 
 def emit_run_json(summary: RunSummary, path: str) -> None:

@@ -27,6 +27,23 @@ its row to the end of the call, since its moments are no longer zero. The
 forward `X @ w1.T` and the backward `dz1.T @ X` keep their full shapes:
 a GEMM's bits can depend on its shape, so only the step is made smaller.
 
+To step those entries in place, `local_train` keeps W1's rows in working
+order: the k units fired so far hold W1's last k rows, so that they and the
+tail [b1, w2, b2] form one contiguous suffix of the parameter vector, and a
+unit that fires for the first time swaps into the rows just before that
+suffix. The reordering is bit-neutral. Each entry of `X @ w1.T` is the dot
+product of a row of X with a row of W1, and each entry of `dz1.T @ X` that
+of a column of dz1 with a column of X; the order in which the GEMM sums one
+does not depend on where that row or column sits in its matrix. So `X @
+w1.T` with W1 in working order is the unit-order result with its columns
+permuted, and feeding the GEMM dz1's columns in working order gives the
+rows of `dz1.T @ X` in working order, every entry with the same bits
+(tests/test_blas.py checks both on the running kernel). What sums over
+hidden units reads unit order: the forward puts `X @ w1.T`'s columns back
+into unit order before it adds b1, `a1 @ w2` and `a1.T @ dz2` read a1 in
+unit order, and b1 and w2 never move. Copies are exact and the Adam step is
+elementwise, so neither depends on where an entry sits.
+
 `one_blas_thread` pins numpy's bundled OpenBLAS to one thread for a block of
 work: a GEMM's summation order, and so its bits, can depend on the thread
 count, and on small matrices a second thread costs more than it gains.
@@ -164,8 +181,7 @@ def model_init(spec: ModelSpec, input_dim: int, rng_seed) -> np.ndarray:
 def samples_to_matrix(samples: Samples) -> tuple[np.ndarray, np.ndarray]:
     """(n, height*width) float64 inputs scaled to [0, 1] and float64 labels."""
     n, height, width = samples.images.shape
-    X = samples.images.reshape(n, height * width).astype(np.float64)
-    X /= 255.0
+    X = np.divide(samples.images.reshape(n, height * width), 255.0, dtype=np.float64)
     return X, samples.labels.astype(np.float64)
 
 
@@ -175,18 +191,24 @@ class _Workspace:
 
     def __init__(self, rows: int, hidden_dim: int):
         self.z1 = np.empty((rows, hidden_dim))  # z1, then da1 and dz1
-        self.a1 = np.empty((rows, hidden_dim))
+        self.a1 = np.empty((rows, hidden_dim))  # also z1 and dz1 in working order
         self.fired = np.empty((rows, hidden_dim), dtype=bool)  # z1 > 0
         self.p = np.empty(rows)                 # p, then dz2
 
 
-def _forward(params: np.ndarray, X: np.ndarray, spec: ModelSpec,
-             ws: _Workspace) -> np.ndarray:
-    """The model's outputs p on the rows of X, computed in ws."""
+def _forward(params: np.ndarray, X: np.ndarray, spec: ModelSpec, ws: _Workspace,
+             units: np.ndarray | None = None) -> np.ndarray:
+    """The model's outputs p on the rows of X, computed in ws. With `units`,
+    W1's row r holds unit units[r]'s weights (the module docstring's working
+    order); ws holds the pass in unit order either way."""
     n = X.shape[0]
     w1, b1, w2, b2 = _unpack(params, X.shape[1], spec)
     z1, a1, p = ws.z1[:n], ws.a1[:n], ws.p[:n]
-    np.matmul(X, w1.T, out=z1)          # z1 = X @ w1.T + b1
+    if units is None:
+        np.matmul(X, w1.T, out=z1)      # z1 = X @ w1.T + b1
+    else:
+        np.matmul(X, w1.T, out=a1)
+        z1[:, units] = a1               # its columns back in unit order
     np.add(z1, b1, out=z1)
     np.maximum(z1, 0.0, out=a1)
     np.matmul(a1, w2, out=p)            # p = 1 / (1 + exp(-(a1 @ w2 + b2)))
@@ -199,10 +221,12 @@ def _forward(params: np.ndarray, X: np.ndarray, spec: ModelSpec,
 
 
 def _backward(params: np.ndarray, X: np.ndarray, y: np.ndarray, spec: ModelSpec,
-              ws: _Workspace, grad: np.ndarray) -> None:
+              ws: _Workspace, grad: np.ndarray, units: np.ndarray | None = None) -> None:
     """Write the gradient of the mean BCE over the batch into `grad`, from
-    `_forward`'s pass over X in ws; leaves ws.fired as z1 > 0 and overwrites
-    the rest of ws. Raises if any entry of the gradient is not finite."""
+    `_forward`'s pass over X in ws; with `units`, its W1 rows are in the
+    params' working order. Leaves ws.fired as z1 > 0 in unit order and
+    overwrites the rest of ws. Raises if any entry of the gradient is not
+    finite."""
     n, d = X.shape
     h = spec.hidden_dim
     w2 = _unpack(params, d, spec)[2]
@@ -216,8 +240,10 @@ def _backward(params: np.ndarray, X: np.ndarray, y: np.ndarray, spec: ModelSpec,
     dz1 = z1
     np.multiply(dz2[:, None], w2, out=dz1)  # da1 = outer(dz2, w2)
     np.multiply(dz1, fired, out=dz1)        # dz1 = da1 * (z1 > 0)
-    np.matmul(dz1.T, X, out=gw1)
     np.sum(dz1, axis=0, out=gb1)
+    if units is not None:
+        dz1 = np.take(dz1, units, axis=1, out=a1, mode="clip")  # "clip" writes out unbuffered
+    np.matmul(dz1.T, X, out=gw1)
     # max and min propagate NaN, and an infinity is one of the two
     if not (np.isfinite(grad.max()) and np.isfinite(grad.min())):
         raise InvariantViolation("non-finite gradient encountered")
@@ -245,33 +271,29 @@ def local_train(params_in: np.ndarray, shard: Samples, spec: ModelSpec,
     Batch order is reshuffled deterministically each epoch from rng_seed.
     Adam state starts fresh at every call (each round is an independent
     local optimization). It covers the tail [b1, w2, b2] and the W1 rows of
-    the units fired so far, appended as they first fire; the module
-    docstring proves that this gives the textbook step's bits. The step
-    runs in place, in the textbook's operation order, on buffers made once
-    per call, so a batch allocates nothing.
+    the units fired so far, which the call's copy of the parameters keeps
+    next to the tail in W1's last rows; the module docstring proves that
+    this gives the textbook step's bits. The step runs in place, in the
+    textbook's operation order, on that suffix of buffers made once per
+    call, so a batch allocates nothing.
     """
     if not shard:
         raise InvariantViolation("local_train on empty shard")
     X, y = samples_to_matrix(shard)
-    params = check_params(params_in, X.shape[1], spec).copy()
-    rng = np.random.default_rng(rng_seed)
-
     n, d = X.shape
     h = spec.hidden_dim
+    w = check_params(params_in, d, spec).copy()
+    rng = np.random.default_rng(rng_seed)
+
     batch = min(n, spec.batch_size)
     ws = _Workspace(batch, h)
     X_rows, y_rows = np.empty((batch, d)), np.empty(batch)
-    grad = np.empty_like(params)
-    w1, gw1 = params[:d * h].reshape(h, d), grad[:d * h].reshape(h, d)
-    tail = 2 * h + 1
-    # Adam over the compact vector [tail, W1 rows of units[:k]]: its
-    # parameters w, moments m and v, gradient g (then the step's
-    # denominator) and scratch step; an entry is set when it joins
-    w, m, v, g, step = np.empty((5, len(params)))
-    w[:tail] = params[d * h:]
-    m[:tail] = v[:tail] = 0.0
-    units = np.empty(h, dtype=np.intp)
-    k = 0
+    # the gradient (then the step's denominator), Adam's moments and the
+    # step's scratch, laid out like w; m and v stay +0 outside the suffix
+    grad, m, v, step = np.empty_like(w), np.zeros_like(w), np.zeros_like(w), np.empty_like(w)
+    w1, gw1 = w[:d * h].reshape(h, d), grad[:d * h].reshape(h, d)
+    units = np.arange(h)                # the unit whose weights each W1 row holds
+    k = 0                               # units fired so far, in W1's last k rows
     ever = np.zeros(h, dtype=bool)      # fired in this call
     new = np.empty(h, dtype=bool)
     t = 0
@@ -282,23 +304,29 @@ def local_train(params_in: np.ndarray, shard: Samples, spec: ModelSpec,
             Xb, yb = X_rows[:len(sel)], y_rows[:len(sel)]
             np.take(X, sel, axis=0, out=Xb, mode="clip")  # "clip" writes out unbuffered
             np.take(y, sel, out=yb, mode="clip")
-            _forward(params, Xb, spec, ws)
-            _backward(params, Xb, yb, spec, ws, grad)
+            _forward(w, Xb, spec, ws, units)
+            _backward(w, Xb, yb, spec, ws, grad, units)
             np.any(ws.fired[:len(sel)], axis=0, out=new)
             np.greater(new, ever, out=new)  # fired for the first time
             if new.any():
-                fresh = np.flatnonzero(new)
-                ever[fresh] = True
-                units[k:k + len(fresh)] = fresh
-                joined = slice(tail + k * d, tail + (k + len(fresh)) * d)
-                np.take(w1, fresh, axis=0, out=w[joined].reshape(-1, d))
-                m[joined] = v[joined] = 0.0
-                k += len(fresh)
-            size = tail + k * d
-            g[:tail] = grad[d * h:]
-            np.take(gw1, units[:k], axis=0, out=g[tail:size].reshape(k, d), mode="clip")
+                ever |= new
+                lo, hi = h - k - np.count_nonzero(new), h - k
+                # the fresh units take rows [lo, hi): those below lo swap, with
+                # their gradient, for the unfired units there, through step
+                rows = np.flatnonzero(new[units[:hi]])
+                joining = rows[rows < lo]
+                leaving = lo + np.flatnonzero(~new[units[lo:hi]])
+                a, b = step[:2 * len(joining) * d].reshape(2, len(joining), d)
+                np.take(w1, joining, axis=0, out=a, mode="clip")
+                np.take(w1, leaving, axis=0, out=b, mode="clip")
+                w1[leaving], w1[joining] = a, b
+                np.take(gw1, joining, axis=0, out=a, mode="clip")
+                gw1[leaving] = a
+                units[joining], units[leaving] = units[leaving], units[joining]
+                k = h - lo
             t += 1
-            wc, mc, vc, gc, sc = w[:size], m[:size], v[:size], g[:size], step[:size]
+            active = (h - k) * d
+            wc, mc, vc, gc, sc = w[active:], m[active:], v[active:], grad[active:], step[active:]
             # m = b1*m + (1-b1)*g
             np.multiply(mc, ADAM_BETA1, out=mc)
             np.multiply(gc, 1.0 - ADAM_BETA1, out=sc)
@@ -316,9 +344,10 @@ def local_train(params_in: np.ndarray, shard: Samples, spec: ModelSpec,
             np.add(gc, spec.adam_eps, out=gc)
             np.divide(sc, gc, out=sc)
             np.subtract(wc, sc, out=wc)
-            params[d * h:] = w[:tail]
-            w1[units[:k]] = w[tail:size].reshape(k, d)
-    return params
+    # W1's rows back in unit order, through step
+    np.take(w1, np.argsort(units), axis=0, out=step[:d * h].reshape(h, d), mode="clip")
+    w[:d * h] = step[:d * h]
+    return w
 
 
 def aggregate(updates: list[tuple[int, np.ndarray, int]]) -> np.ndarray:

@@ -111,6 +111,29 @@ def test_run_experiment_pins_one_thread_and_restores_the_callers(monkeypatch):
         lib.scipy_openblas_set_num_threads64_(before)
 
 
+@pytest.mark.parametrize("batch", [1, 8, 32, 33])
+def test_unit_reordering_is_bit_neutral(batch):
+    """`local_train` keeps W1's rows in working order and reorders the GEMMs'
+    columns and rows between that and unit order; the `learning` module
+    docstring argues that this moves no bit, because each entry of
+    `X @ w1.T` and `dz1.T @ X` is one dot product whose summation order does
+    not depend on where its row sits. This checks it on the running kernel,
+    at the calibrated model's sizes, on one BLAS thread as a run has."""
+    d, h = 1024, 64
+    rng = np.random.default_rng(batch)
+    X = rng.integers(0, 256, (batch, d)) / 255.0
+    w1 = rng.uniform(-0.07, 0.07, (h, d))
+    dz1 = rng.normal(0.0, 1e-3, (batch, h)) * (rng.random((batch, h)) < 0.6)
+    with learning.one_blas_thread():
+        forward, backward = X @ w1.T, dz1.T @ X
+        for _ in range(20):
+            perm = rng.permutation(h)
+            assert np.array_equal((X @ w1[perm].T).view(np.uint64),
+                                  forward[:, perm].view(np.uint64))
+            assert np.array_equal((dz1[:, perm].T @ X).view(np.uint64),
+                                  backward[perm].view(np.uint64))
+
+
 def test_blas_info_names_the_pinned_kernel():
     info = learning.blas_info()
     assert set(info) == {"openblas", "core", "threads", "numpy"}

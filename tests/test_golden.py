@@ -20,6 +20,7 @@ import pytest
 
 from uavfl.config import config_from_dict
 from uavfl.harness import build_scenario
+from uavfl.learning import samples_to_matrix
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
@@ -29,7 +30,8 @@ with open(os.path.join(PERFBENCH, "golden.json"), encoding="utf-8") as _fh:
     GOLDEN = json.load(_fh)
 
 # sha256 of each workload's build_scenario data at the default seed: every
-# UAV's training images and labels in id order, then test_x and test_y
+# UAV's training images and labels in id order, then the pooled test set as
+# the float64 inputs and labels that each evaluation reads
 SCENARIO_DIGESTS = {
     "tiny": "f992d42bb5c4aa9dbdcd0f3a8066d507637b7aefa52566b75b76ea0a5c028554",
     "compare_calibrated": "7669f53fb3ec571e21800f39d15aec57a2eeb279213b6521e1d639e8f7b87185",
@@ -67,6 +69,6 @@ def test_workload_data_matches_digest(workload):
         for uav in scenario.uavs:
             digest.update(uav.dataset.samples.images.tobytes())
             digest.update(uav.dataset.samples.labels.tobytes())
-        digest.update(scenario.test_x.tobytes())
-        digest.update(scenario.test_y.tobytes())
+        for column in samples_to_matrix(scenario.test):
+            digest.update(column.tobytes())
         assert digest.hexdigest() == SCENARIO_DIGESTS[workload], f"workers {workers}"

@@ -18,7 +18,7 @@ from uavfl.errors import ConfigError, InvariantViolation, UavFlError
 from uavfl.harness import (CSV_HEADER, RunSummary, _find_convergence, build_scenario,
                            compare_strategies, emit_csv, emit_metadata,
                            emit_summary_csv, run_experiment)
-from uavfl.learning import blas_info
+from uavfl.learning import blas_info, samples_to_matrix
 from uavfl.types import RoundRecord, Samples
 
 TINY = {
@@ -52,7 +52,7 @@ def exact(value):
 
 def scenario_bytes(sc):
     """Every byte and float a scenario holds, in UAV-id order."""
-    out = [sc.test_x.tobytes(), sc.test_y.tobytes()]
+    out = [a.tobytes() for a in samples_to_matrix(sc.test)]
     for u in sc.uavs:
         out += [u.dataset.samples.images.tobytes(), u.dataset.samples.labels.tobytes(),
                 exact(dataclasses.replace(u, dataset=None))]
@@ -87,8 +87,8 @@ class TestScenarioBuild:
     def test_build(self):
         sc = build_scenario(tiny_config())
         assert len(sc.uavs) == 4
-        assert sc.test_x.shape[1] == 64  # image_side 8, flattened
-        assert sc.test_x.shape[0] == len(sc.test_y) > 0
+        assert sc.test.images.shape[1:] == (8, 8) and len(sc.test) > 0
+        assert sc.test.images.dtype == np.uint8  # scaled at each evaluation
         assert [u.id for u in sc.uavs] == [1, 2, 3, 4]
         assert all(u.rate_up_bps > 0 and u.rate_down_bps > 0 for u in sc.uavs)
 
@@ -227,6 +227,13 @@ class TestRunExperiment:
         random = run_experiment(tiny_config(**drained, strategy="random"))
         assert (len(random.records), random.aborted_infeasible) == (2, True)
         assert random.degraded_rounds == 0
+        # deeps flies on with an empty cohort once its last UAV is retired
+        assert deeps.records[-1].selected_ids == ()
+        assert (deeps.rounds_flown, random.rounds_flown) == (len(deeps.records) - 1, 2)
+        for s in (deeps, random):
+            drawdown = s.initial_battery_total_j - s.final_battery_total_j
+            assert s.cohort_energy_total_j > 0.0
+            assert abs(s.cohort_energy_total_j - drawdown) <= 1e-9 * drawdown
 
     @pytest.mark.parametrize("strategy", ["deeps", "random"])
     @pytest.mark.parametrize("workers", [1, 2])
@@ -252,6 +259,29 @@ class TestRunExperiment:
         run_experiment(tiny_config(strategy=strategy, workers=workers, n_rounds_max=3))
         assert sorted(updates) == [1, 2, 3] and all(len(refs) == 2 for refs in updates.values())
         assert alive_at_next_round == {0: 0, 1: 0, 2: 0}
+
+    @pytest.mark.parametrize("strategy", ["deeps", "random"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_previous_global_model_is_freed_before_aggregate(self, monkeypatch,
+                                                             workers, strategy):
+        models: dict[int, weakref.ref] = {}  # round -> the global model it trained from
+        alive_at_aggregate = []
+
+        def train(*args):
+            k = args[4].entropy[2]  # the training seed is [seed, tag, round, uav]
+            models.setdefault(k, weakref.ref(args[0]))
+            return real_train(*args)
+
+        def merge(updates):
+            alive_at_aggregate.append(models[len(alive_at_aggregate) + 1]() is not None)
+            return real_aggregate(updates)
+
+        real_train, real_aggregate = harness.local_train, harness.aggregate
+        monkeypatch.setattr(harness, "local_train", train)
+        monkeypatch.setattr(harness, "aggregate", merge)
+        run_experiment(tiny_config(strategy=strategy, workers=workers, n_rounds_max=3))
+        assert sorted(models) == [1, 2, 3]
+        assert alive_at_aggregate == [False, False, False]
 
     def test_threshold_override_changes_label(self):
         s = run_experiment(tiny_config(), ssim_threshold=0.1)
@@ -290,11 +320,24 @@ class TestShard:
         for k in (0, 3):
             with pytest.raises(InvariantViolation, match=rf"^shard index {k} outside \[1, 2\]$"):
                 harness._shard(samples, k, 2)
+            with pytest.raises(InvariantViolation, match=rf"^shard index {k} outside \[1, 2\]$"):
+                harness._shard_bounds(1, k, 2)
 
     def test_rejects_nonpositive_shard_count(self):
         for count in (0, -1):
             with pytest.raises(InvariantViolation, match="shard count must be positive"):
                 harness._shard(no_samples(), 1, count)
+            with pytest.raises(InvariantViolation, match="shard count must be positive"):
+                harness._shard_bounds(0, 1, count)
+
+    def test_bounds_give_the_shard_length(self):
+        # the cost estimates read a shard's length from its bounds alone
+        for n in range(301):
+            samples = Samples(np.zeros((n, 1, 1), dtype=np.uint8), np.zeros(n))
+            for count in range(1, 21):
+                for k in range(1, count + 1):
+                    start, stop = harness._shard_bounds(n, k, count)
+                    assert stop - start == len(harness._shard(samples, k, count))
 
     def test_shard_is_a_view(self):
         samples = make_samples([const_image(i) for i in range(10)])

@@ -1,5 +1,6 @@
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -204,6 +205,18 @@ def training_runs(draw):
     return params, Samples(images, labels), spec, draw(st.integers(2, 4))
 
 
+def calibrated_call(n):
+    """(spec, epochs, shard, params): the calibrated model and an n-sample
+    shard of 32x32 images."""
+    config = load_config(CALIBRATED)
+    spec, epochs = config.model, config.cost.epochs_per_round
+    assert (spec.hidden_dim, spec.batch_size) == (64, 32)
+    rng = np.random.default_rng(n)
+    images = np.clip(rng.normal(128.0, 60.0, (n, 32, 32)), 0, 255).astype(np.uint8)
+    shard = Samples(images, rng.integers(0, 2, n))
+    return spec, epochs, shard, model_init(spec, 1024, np.random.SeedSequence(n))
+
+
 def same_bits(a, b):
     """Equal bit for bit: tells -0.0 from 0.0, which np.array_equal does not."""
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
@@ -222,13 +235,7 @@ class TestLocalTrainMatchesOracle:
     def test_calibrated_size(self, n):
         # the calibrated model on 32x32 images: a part batch, one batch and
         # two and three batches an epoch
-        config = load_config(CALIBRATED)
-        spec, epochs = config.model, config.cost.epochs_per_round
-        assert (spec.hidden_dim, spec.batch_size) == (64, 32)
-        rng = np.random.default_rng(n)
-        images = np.clip(rng.normal(128.0, 60.0, (n, 32, 32)), 0, 255).astype(np.uint8)
-        shard = Samples(images, rng.integers(0, 2, n))
-        params = model_init(spec, 1024, np.random.SeedSequence(n))
+        spec, epochs, shard, params = calibrated_call(n)
         seed = np.random.SeedSequence([n, 1])
         assert same_bits(local_train(params, shard, spec, epochs, seed),
                          oracle_local_train(params, shard, spec, epochs, seed))
@@ -263,6 +270,25 @@ class TestLocalTrainMatchesOracle:
         out = local_train(params, shard, spec, 2, seed)
         assert same_bits(out, expected)
         assert same_bits(out[d:2 * d], params[d:2 * d])  # the never-fired row keeps its -0.0
+
+
+class TestLocalTrainMemory:
+    @pytest.mark.parametrize("n", [8, 71])
+    def test_one_working_copy_of_the_model(self, n):
+        # the returned copy, the gradient, Adam's m and v and the step's
+        # scratch: five parameter vectors, next to the shard's float64 matrix
+        # and the batch's rows and activations
+        spec, epochs, shard, params = calibrated_call(n)
+        d, batch = 1024, min(n, spec.batch_size)
+        local_train(params, shard, spec, epochs, 0)  # numpy's first-call caches
+        tracemalloc.start()
+        try:
+            local_train(params, shard, spec, epochs, np.random.SeedSequence(n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        shard_matrix = n * (d + 1) * 8
+        assert peak <= 5 * params.nbytes + shard_matrix + 2 * batch * (d + spec.hidden_dim) * 8
 
 
 class TestAggregate:
