@@ -72,10 +72,7 @@ def link_geometry(dx: float, dy: float, dz: float) -> LinkGeometry:
     dist = math.sqrt(dx * dx + dy * dy + dz * dz)
     if dist == 0.0:
         raise InvariantViolation("UAV and BS positions coincide")
-    if horiz == 0.0:
-        elev = 90.0
-    else:
-        elev = math.degrees(math.atan2(abs(dz), horiz))
+    elev = math.degrees(math.atan2(abs(dz), horiz))  # exactly 90.0 when horiz == 0
     return LinkGeometry(distance_m=dist, elevation_deg=elev)
 
 

@@ -19,7 +19,7 @@ def _load(args) -> ExperimentConfig:
     validation, so a bad override fails like a bad file value."""
     overrides = {key: getattr(args, dest) for dest, key in _OVERRIDES.items()
                  if getattr(args, dest, None) is not None}
-    if args.config:
+    if args.config is not None:
         return load_config(args.config, **overrides)
     return config_from_dict(overrides)
 

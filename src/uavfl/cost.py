@@ -73,8 +73,6 @@ def local_training_time(params: CostParams, shard_size: int) -> float:
 
 def tx_time(params: CostParams, param_count: int, rate_bps: float) -> float:
     """Seconds to send `param_count` model parameters at the given rate, either way."""
-    if param_count == 0:
-        return 0.0
     if rate_bps <= 0:
         raise InvariantViolation("link rate must be > 0")
     return param_count * params.param_size_bits / rate_bps

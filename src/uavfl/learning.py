@@ -42,7 +42,10 @@ rows of `dz1.T @ X` in working order, every entry with the same bits
 hidden units reads unit order: the forward puts `X @ w1.T`'s columns back
 into unit order before it adds b1, `a1 @ w2` and `a1.T @ dz2` read a1 in
 unit order, and b1 and w2 never move. Copies are exact and the Adam step is
-elementwise, so neither depends on where an entry sits.
+elementwise, so neither depends on where an entry sits. Unit order is the
+working order under the identity permutation, so `evaluate_matrix` and
+`loss_and_grad` run this same pass with `_Workspace.units` left at
+`np.arange(h)`: the GEMMs keep their shapes, and the results their bits.
 
 `one_blas_thread` pins numpy's bundled OpenBLAS to one thread for a block of
 work: a GEMM's summation order, and so its bits, can depend on the thread
@@ -145,14 +148,12 @@ class ModelSpec:
         return input_dim * self.hidden_dim + 2 * self.hidden_dim + 1
 
 
-def _unpack(params: np.ndarray, input_dim: int, spec: ModelSpec):
+def _unpack(vec: np.ndarray, input_dim: int, spec: ModelSpec):
+    """Views (w1, b1, w2, b2) of any vector laid out like the parameters, W1
+    as (hidden x in) and b2 as one element: the one place that knows the layout."""
     d, h = input_dim, spec.hidden_dim
-    i = 0
-    w1 = params[i:i + d * h].reshape(h, d); i += d * h
-    b1 = params[i:i + h]; i += h
-    w2 = params[i:i + h]; i += h
-    b2 = params[i]
-    return w1, b1, w2, b2
+    return (vec[:d * h].reshape(h, d), vec[d * h:d * h + h],
+            vec[d * h + h:d * h + 2 * h], vec[d * h + 2 * h:])
 
 
 def check_params(params: np.ndarray, input_dim: int, spec: ModelSpec) -> np.ndarray:
@@ -171,10 +172,11 @@ def model_init(spec: ModelSpec, input_dim: int, rng_seed) -> np.ndarray:
     rng = np.random.default_rng(rng_seed)
     d, h = input_dim, spec.hidden_dim
     params = np.zeros(spec.param_count(d))
+    w1, _, w2, _ = _unpack(params, d, spec)
     bound1 = np.sqrt(6.0 / (d + h))
     bound2 = np.sqrt(6.0 / (h + 1))
-    params[:d * h] = rng.uniform(-bound1, bound1, size=d * h)
-    params[d * h + h:d * h + 2 * h] = rng.uniform(-bound2, bound2, size=h)
+    w1[...] = rng.uniform(-bound1, bound1, size=(h, d))
+    w2[...] = rng.uniform(-bound2, bound2, size=h)
     return params
 
 
@@ -187,28 +189,27 @@ def samples_to_matrix(samples: Samples) -> tuple[np.ndarray, np.ndarray]:
 
 class _Workspace:
     """The arrays that one forward and backward pass over up to `rows`
-    samples write into; a pass over fewer samples uses their leading rows."""
+    samples write into; a pass over fewer samples uses their leading rows.
+    W1's row r holds unit units[r]'s weights: unit order, until
+    `local_train` permutes it into the module docstring's working order."""
 
     def __init__(self, rows: int, hidden_dim: int):
+        self.units = np.arange(hidden_dim)
         self.z1 = np.empty((rows, hidden_dim))  # z1, then da1 and dz1
         self.a1 = np.empty((rows, hidden_dim))  # also z1 and dz1 in working order
         self.fired = np.empty((rows, hidden_dim), dtype=bool)  # z1 > 0
         self.p = np.empty(rows)                 # p, then dz2
 
 
-def _forward(params: np.ndarray, X: np.ndarray, spec: ModelSpec, ws: _Workspace,
-             units: np.ndarray | None = None) -> np.ndarray:
-    """The model's outputs p on the rows of X, computed in ws. With `units`,
-    W1's row r holds unit units[r]'s weights (the module docstring's working
-    order); ws holds the pass in unit order either way."""
+def _forward(params: np.ndarray, X: np.ndarray, spec: ModelSpec, ws: _Workspace) -> np.ndarray:
+    """The model's outputs p on the rows of X, computed in ws, with W1's rows
+    in ws.units' order; ws holds the pass in unit order. The one forward pass:
+    training, evaluation and the gradient check all run it."""
     n = X.shape[0]
     w1, b1, w2, b2 = _unpack(params, X.shape[1], spec)
     z1, a1, p = ws.z1[:n], ws.a1[:n], ws.p[:n]
-    if units is None:
-        np.matmul(X, w1.T, out=z1)      # z1 = X @ w1.T + b1
-    else:
-        np.matmul(X, w1.T, out=a1)
-        z1[:, units] = a1               # its columns back in unit order
+    np.matmul(X, w1.T, out=a1)          # z1 = X @ w1.T + b1,
+    z1[:, ws.units] = a1                # its columns back in unit order
     np.add(z1, b1, out=z1)
     np.maximum(z1, 0.0, out=a1)
     np.matmul(a1, w2, out=p)            # p = 1 / (1 + exp(-(a1 @ w2 + b2)))
@@ -221,28 +222,25 @@ def _forward(params: np.ndarray, X: np.ndarray, spec: ModelSpec, ws: _Workspace,
 
 
 def _backward(params: np.ndarray, X: np.ndarray, y: np.ndarray, spec: ModelSpec,
-              ws: _Workspace, grad: np.ndarray, units: np.ndarray | None = None) -> None:
+              ws: _Workspace, grad: np.ndarray) -> None:
     """Write the gradient of the mean BCE over the batch into `grad`, from
-    `_forward`'s pass over X in ws; with `units`, its W1 rows are in the
-    params' working order. Leaves ws.fired as z1 > 0 in unit order and
-    overwrites the rest of ws. Raises if any entry of the gradient is not
-    finite."""
+    `_forward`'s pass over X in ws; its W1 rows are in ws.units' order, like
+    the params'. Leaves ws.fired as z1 > 0 in unit order and overwrites the
+    rest of ws. Raises if any entry of the gradient is not finite."""
     n, d = X.shape
-    h = spec.hidden_dim
     w2 = _unpack(params, d, spec)[2]
-    gw1, gb1, gw2 = grad[:d * h].reshape(h, d), grad[d * h:d * h + h], grad[d * h + h:-1]
+    gw1, gb1, gw2, gb2 = _unpack(grad, d, spec)
     z1, a1, fired, dz2 = ws.z1[:n], ws.a1[:n], ws.fired[:n], ws.p[:n]
     np.subtract(dz2, y, out=dz2)        # dz2 = (p - y) / n: sigmoid + BCE shortcut
     np.divide(dz2, n, out=dz2)
     np.matmul(a1.T, dz2, out=gw2)
-    np.sum(dz2, keepdims=True, out=grad[-1:])
+    np.sum(dz2, keepdims=True, out=gb2)
     np.greater(z1, 0.0, out=fired)
     dz1 = z1
     np.multiply(dz2[:, None], w2, out=dz1)  # da1 = outer(dz2, w2)
     np.multiply(dz1, fired, out=dz1)        # dz1 = da1 * (z1 > 0)
     np.sum(dz1, axis=0, out=gb1)
-    if units is not None:
-        dz1 = np.take(dz1, units, axis=1, out=a1, mode="clip")  # "clip" writes out unbuffered
+    dz1 = np.take(dz1, ws.units, axis=1, out=a1, mode="clip")  # "clip" writes out unbuffered
     np.matmul(dz1.T, X, out=gw1)
     # max and min propagate NaN, and an infinity is one of the two
     if not (np.isfinite(grad.max()) and np.isfinite(grad.min())):
@@ -291,8 +289,8 @@ def local_train(params_in: np.ndarray, shard: Samples, spec: ModelSpec,
     # the gradient (then the step's denominator), Adam's moments and the
     # step's scratch, laid out like w; m and v stay +0 outside the suffix
     grad, m, v, step = np.empty_like(w), np.zeros_like(w), np.zeros_like(w), np.empty_like(w)
-    w1, gw1 = w[:d * h].reshape(h, d), grad[:d * h].reshape(h, d)
-    units = np.arange(h)                # the unit whose weights each W1 row holds
+    w1, gw1, step_w1 = (_unpack(vec, d, spec)[0] for vec in (w, grad, step))
+    units = ws.units                    # the unit whose weights each W1 row holds
     k = 0                               # units fired so far, in W1's last k rows
     ever = np.zeros(h, dtype=bool)      # fired in this call
     new = np.empty(h, dtype=bool)
@@ -304,8 +302,8 @@ def local_train(params_in: np.ndarray, shard: Samples, spec: ModelSpec,
             Xb, yb = X_rows[:len(sel)], y_rows[:len(sel)]
             np.take(X, sel, axis=0, out=Xb, mode="clip")  # "clip" writes out unbuffered
             np.take(y, sel, out=yb, mode="clip")
-            _forward(w, Xb, spec, ws, units)
-            _backward(w, Xb, yb, spec, ws, grad, units)
+            _forward(w, Xb, spec, ws)
+            _backward(w, Xb, yb, spec, ws, grad)
             np.any(ws.fired[:len(sel)], axis=0, out=new)
             np.greater(new, ever, out=new)  # fired for the first time
             if new.any():
@@ -345,8 +343,8 @@ def local_train(params_in: np.ndarray, shard: Samples, spec: ModelSpec,
             np.divide(sc, gc, out=sc)
             np.subtract(wc, sc, out=wc)
     # W1's rows back in unit order, through step
-    np.take(w1, np.argsort(units), axis=0, out=step[:d * h].reshape(h, d), mode="clip")
-    w[:d * h] = step[:d * h]
+    np.take(w1, np.argsort(units), axis=0, out=step_w1, mode="clip")
+    w1[...] = step_w1
     return w
 
 

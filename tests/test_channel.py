@@ -25,6 +25,11 @@ class TestLinkGeometry:
         assert g.distance_m == 100.0
         assert g.elevation_deg == 90.0
 
+    @pytest.mark.parametrize("dz", [-70, 1e-150])
+    def test_vertical_link_is_exactly_90_degrees(self, dz):
+        # atan2(|dz|, 0.0) is pi/2 for any dz != 0, and degrees() of it is 90.0
+        assert link_geometry(0, 0, dz).elevation_deg == 90.0
+
     def test_right_triangle(self):
         g = link_geometry(100, 0, 100)
         assert rel_err(g.distance_m, math.sqrt(2) * 100.0) <= REL

@@ -210,6 +210,18 @@ class TestRun:
         assert err.startswith("uavfl: error: ") and err.count("\n") == 1
         assert str(path) in err
 
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_empty_config_path_is_unreadable(self, tmp_path, capsys, monkeypatch, command):
+        # an empty path names no file; it must not fall back to the defaults
+        for name in ("build_scenario", "run_experiment"):
+            monkeypatch.setattr(harness, name, no_work)
+        out = tmp_path / "out"
+        code = main([command, "--config", "", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("uavfl: error: cannot read config ") and err.count("\n") == 1
+        assert not os.path.exists(out)
+
 
 def no_work(*args, **kwargs):
     raise AssertionError("work started before the command's inputs were checked")

@@ -58,6 +58,10 @@ class TestTransmissionTime:
         with pytest.raises(InvariantViolation, match="link rate must be > 0"):
             tx_time(CostParams(), 1000, 0.0)
 
+    def test_zero_rate_is_rejected_with_nothing_to_send(self):
+        with pytest.raises(InvariantViolation, match="link rate must be > 0"):
+            tx_time(CostParams(), 0, 0.0)
+
 
 class TestRoundDuration:
     def test_singleton(self):

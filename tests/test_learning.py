@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import make_image, make_samples, no_samples
-from oracles import oracle_local_train
+from oracles import _oracle_grad, oracle_local_train
 from uavfl.config import load_config
 from uavfl.errors import InvariantViolation
 from uavfl.learning import (ModelSpec, aggregate, evaluate_matrix, local_train,
@@ -270,6 +270,54 @@ class TestLocalTrainMatchesOracle:
         out = local_train(params, shard, spec, 2, seed)
         assert same_bits(out, expected)
         assert same_bits(out[d:2 * d], params[d:2 * d])  # the never-fired row keeps its -0.0
+
+
+def textbook_forward(params, X, spec):
+    """The model's outputs p, written out from the layout [W1, b1, w2, b2]."""
+    d, h = X.shape[1], spec.hidden_dim
+    w1, b1 = params[:d * h].reshape(h, d), params[d * h:d * h + h]
+    w2, b2 = params[d * h + h:d * h + 2 * h], params[-1]
+    a1 = np.maximum(X @ w1.T + b1, 0.0)
+    return 1.0 / (1.0 + np.exp(-(a1 @ w2 + b2)))
+
+
+def textbook_loss(p, y):
+    pc = np.clip(p, 1e-12, 1.0 - 1e-12)
+    return np.mean(-(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc)))
+
+
+class TestEvaluationPassMatchesTextbook:
+    """`evaluate_matrix` and `loss_and_grad` run `local_train`'s pass with
+    W1's rows in unit order; their results must be the textbook's bits."""
+
+    @staticmethod
+    def cases():
+        # the calibrated model on trained parameters (nonzero biases), and
+        # SMALL on random ones, each over a part batch and several batches
+        for n in (7, 70):
+            spec, epochs, shard, params = calibrated_call(n)
+            trained = local_train(params, shard, spec, epochs, np.random.SeedSequence([n, 2]))
+            yield (spec, trained, *samples_to_matrix(shard))
+        rng = np.random.default_rng(5)
+        for n in (3, 50):
+            images = rng.integers(0, 256, (n, 4, 4)).astype(np.uint8)
+            shard = Samples(images, rng.integers(0, 2, n))
+            yield (SMALL, rng.normal(0, 0.5, P), *samples_to_matrix(shard))
+
+    def test_evaluate_matrix(self):
+        for spec, params, X, y in self.cases():
+            p = textbook_forward(params, X, spec)
+            acc, loss = evaluate_matrix(params, X, y, spec)
+            assert same_bits(np.array([acc]), np.array([np.mean((p >= 0.5) == (y == 1.0))]))
+            assert same_bits(np.array([loss]), np.array([textbook_loss(p, y)]))
+
+    def test_loss_and_grad(self):
+        for spec, params, X, y in self.cases():
+            loss, grad = loss_and_grad(params, X, y, spec)
+            expected, _ = _oracle_grad(params, X, y, spec)
+            assert same_bits(grad, expected)
+            p = textbook_forward(params, X, spec)
+            assert same_bits(np.array([loss]), np.array([textbook_loss(p, y)]))
 
 
 class TestLocalTrainMemory:
