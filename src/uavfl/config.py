@@ -115,6 +115,12 @@ class ExperimentConfig:
             raise ConfigError(f"ssim_threshold must lie in (0, 1), got {self.ssim_threshold}")
         if not self.convergence_tol > 0.0:
             raise ConfigError(f"convergence_tol must be > 0, got {self.convergence_tol}")
+        # no UAV holds more than samples_max samples, so if those round to no
+        # test sample, no UAV's do
+        gen = self.generator
+        if round(gen.test_fraction * gen.samples_max) == 0:
+            raise ConfigError(f"generator.test_fraction {gen.test_fraction} "
+                              "leaves every UAV without a test sample")
         if not math.isfinite(self.n_uavs * self.battery.max_j):
             raise ConfigError(f"battery: the fleet's charge n_uavs * max_j overflows, got "
                               f"{self.n_uavs} UAVs of max_j {self.battery.max_j:g}")

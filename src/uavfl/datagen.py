@@ -192,7 +192,10 @@ def generate_uav_dataset(spec: GenSpec, scene: Scene, uav_id: int,
     its scene (identical images); rho=0 yields effectively independent
     images. All randomness derives from (rng_seed, subregion_id, uav_id).
     Images are made `_BLOCK` at a time; each pixel takes the same
-    floating-point operations as when made one image at a time.
+    floating-point operations as when made one image at a time. The array
+    they are made in becomes the train split: the test rows are copied out
+    and `_drop_rows` closes the gaps they leave, so the train split is
+    never copied.
     """
     rng_u = np.random.default_rng(np.random.SeedSequence([_entropy(rng_seed), 105,
                                                           scene.subregion_id, uav_id]))
@@ -217,8 +220,28 @@ def generate_uav_dataset(spec: GenSpec, scene: Scene, uav_id: int,
         np.rint(field, out=field)
         np.clip(field, 0, 255, out=field)
         images[lo:lo + len(field)] = field
-    samples = Samples(images, scene.labels[offset:offset + n])
+    labels = scene.labels[offset:offset + n]
 
     test = np.zeros(n, dtype=bool)
     test[rng_u.permutation(n)[:int(round(spec.test_fraction * n))]] = True
-    return UavData(train=samples[~test], test=samples[test])
+    test_rows = Samples(images[test], labels[test])
+    kept = _drop_rows(images, np.flatnonzero(test))
+    return UavData(train=Samples(kept, labels[~test]), test=test_rows)
+
+
+def _drop_rows(images: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """`images` without the ascending `rows`, the others in order, made in place.
+
+    Each run of kept rows moves down over the dropped rows below it, `_BLOCK`
+    rows at a time: numpy copies an overlapping source before it writes, so
+    a bounded move keeps that copy small, where `images[keep]` would copy
+    every kept row. The array then shrinks to the kept rows; it must own its
+    memory, and no view of it may be alive.
+    """
+    ends = np.append(rows[1:], len(images))
+    for shift, (start, stop) in enumerate(zip((rows + 1).tolist(), ends.tolist()), start=1):
+        for lo in range(start, stop, _BLOCK):
+            hi = min(lo + _BLOCK, stop)
+            images[lo - shift:hi - shift] = images[lo:hi]
+    images.resize((len(images) - len(rows), *images.shape[1:]), refcheck=False)
+    return images

@@ -18,8 +18,8 @@ import contextlib
 import dataclasses
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -34,6 +34,9 @@ from .learning import (aggregate, blas_info, evaluate_matrix, local_train, model
 from .selection import deeps_select, random_select
 from .similarity import DiversityScore, SsimParams, dataset_diversity, deduplicate
 from .types import Dataset, RoundRecord, Samples, UavState
+
+if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
 
 _TAG_PLACEMENT = 1
 _TAG_BATTERY = 2
@@ -103,9 +106,13 @@ def _with_strategy(config: ExperimentConfig, strategy: str | None,
 
 def _pool(workers: int, tasks: int):
     """A `with` context holding a pool of min(workers, tasks) threads, or None
-    when that is one thread, so the work runs inline."""
+    when that is one thread, so the work runs inline. Only a pool loads
+    `concurrent.futures` (and `logging` with it)."""
     size = min(workers, tasks)
-    return ThreadPoolExecutor(max_workers=size) if size > 1 else contextlib.nullcontext()
+    if size < 2:
+        return contextlib.nullcontext()
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(max_workers=size)
 
 
 def _map(pool: ThreadPoolExecutor | None, fn, items) -> list:

@@ -295,53 +295,57 @@ def local_train(params_in: np.ndarray, shard: Samples, spec: ModelSpec,
     ever = np.zeros(h, dtype=bool)      # fired in this call
     new = np.empty(h, dtype=bool)
     t = 0
-    for _ in range(epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, spec.batch_size):
-            sel = order[start:start + spec.batch_size]
-            Xb, yb = X_rows[:len(sel)], y_rows[:len(sel)]
-            np.take(X, sel, axis=0, out=Xb, mode="clip")  # "clip" writes out unbuffered
-            np.take(y, sel, out=yb, mode="clip")
-            _forward(w, Xb, spec, ws)
-            _backward(w, Xb, yb, spec, ws, grad)
-            np.any(ws.fired[:len(sel)], axis=0, out=new)
-            np.greater(new, ever, out=new)  # fired for the first time
-            if new.any():
-                ever |= new
-                lo, hi = h - k - np.count_nonzero(new), h - k
-                # the fresh units take rows [lo, hi): those below lo swap, with
-                # their gradient, for the unfired units there, through step
-                rows = np.flatnonzero(new[units[:hi]])
-                joining = rows[rows < lo]
-                leaving = lo + np.flatnonzero(~new[units[lo:hi]])
-                a, b = step[:2 * len(joining) * d].reshape(2, len(joining), d)
-                np.take(w1, joining, axis=0, out=a, mode="clip")
-                np.take(w1, leaving, axis=0, out=b, mode="clip")
-                w1[leaving], w1[joining] = a, b
-                np.take(gw1, joining, axis=0, out=a, mode="clip")
-                gw1[leaving] = a
-                units[joining], units[leaving] = units[leaving], units[joining]
-                k = h - lo
-            t += 1
-            active = (h - k) * d
-            wc, mc, vc, gc, sc = w[active:], m[active:], v[active:], grad[active:], step[active:]
-            # m = b1*m + (1-b1)*g
-            np.multiply(mc, ADAM_BETA1, out=mc)
-            np.multiply(gc, 1.0 - ADAM_BETA1, out=sc)
-            np.add(mc, sc, out=mc)
-            # v = b2*v + ((1-b2)*g)*g
-            np.multiply(vc, ADAM_BETA2, out=vc)
-            np.multiply(gc, 1.0 - ADAM_BETA2, out=sc)
-            np.multiply(sc, gc, out=sc)
-            np.add(vc, sc, out=vc)
-            # w -= (lr * (m / (1-b1**t))) / (sqrt(v / (1-b2**t)) + eps)
-            np.divide(mc, 1.0 - ADAM_BETA1 ** t, out=sc)
-            np.multiply(sc, spec.learning_rate, out=sc)
-            np.divide(vc, 1.0 - ADAM_BETA2 ** t, out=gc)
-            np.sqrt(gc, out=gc)
-            np.add(gc, spec.adam_eps, out=gc)
-            np.divide(sc, gc, out=sc)
-            np.subtract(wc, sc, out=wc)
+    # no floating-point warnings: _backward checks every gradient, and
+    # aggregate the result; set per call, as pool threads start with numpy's default
+    with np.errstate(all="ignore"):
+        for _ in range(epochs):
+            order = rng.permutation(n)
+            for start in range(0, n, spec.batch_size):
+                sel = order[start:start + spec.batch_size]
+                Xb, yb = X_rows[:len(sel)], y_rows[:len(sel)]
+                np.take(X, sel, axis=0, out=Xb, mode="clip")  # "clip" writes out unbuffered
+                np.take(y, sel, out=yb, mode="clip")
+                _forward(w, Xb, spec, ws)
+                _backward(w, Xb, yb, spec, ws, grad)
+                np.any(ws.fired[:len(sel)], axis=0, out=new)
+                np.greater(new, ever, out=new)  # fired for the first time
+                if new.any():
+                    ever |= new
+                    lo, hi = h - k - np.count_nonzero(new), h - k
+                    # the fresh units take rows [lo, hi): those below lo swap, with
+                    # their gradient, for the unfired units there, through step
+                    rows = np.flatnonzero(new[units[:hi]])
+                    joining = rows[rows < lo]
+                    leaving = lo + np.flatnonzero(~new[units[lo:hi]])
+                    a, b = step[:2 * len(joining) * d].reshape(2, len(joining), d)
+                    np.take(w1, joining, axis=0, out=a, mode="clip")
+                    np.take(w1, leaving, axis=0, out=b, mode="clip")
+                    w1[leaving], w1[joining] = a, b
+                    np.take(gw1, joining, axis=0, out=a, mode="clip")
+                    gw1[leaving] = a
+                    units[joining], units[leaving] = units[leaving], units[joining]
+                    k = h - lo
+                t += 1
+                active = (h - k) * d
+                wc, mc, vc = w[active:], m[active:], v[active:]
+                gc, sc = grad[active:], step[active:]
+                # m = b1*m + (1-b1)*g
+                np.multiply(mc, ADAM_BETA1, out=mc)
+                np.multiply(gc, 1.0 - ADAM_BETA1, out=sc)
+                np.add(mc, sc, out=mc)
+                # v = b2*v + ((1-b2)*g)*g
+                np.multiply(vc, ADAM_BETA2, out=vc)
+                np.multiply(gc, 1.0 - ADAM_BETA2, out=sc)
+                np.multiply(sc, gc, out=sc)
+                np.add(vc, sc, out=vc)
+                # w -= (lr * (m / (1-b1**t))) / (sqrt(v / (1-b2**t)) + eps)
+                np.divide(mc, 1.0 - ADAM_BETA1 ** t, out=sc)
+                np.multiply(sc, spec.learning_rate, out=sc)
+                np.divide(vc, 1.0 - ADAM_BETA2 ** t, out=gc)
+                np.sqrt(gc, out=gc)
+                np.add(gc, spec.adam_eps, out=gc)
+                np.divide(sc, gc, out=sc)
+                np.subtract(wc, sc, out=wc)
     # W1's rows back in unit order, through step
     np.take(w1, np.argsort(units), axis=0, out=step_w1, mode="clip")
     w1[...] = step_w1
@@ -353,7 +357,8 @@ def aggregate(updates: list[tuple[int, np.ndarray, int]]) -> np.ndarray:
 
     `updates` holds (submission_id, params, shard_size) triples; accumulation
     runs in ascending submission id order so the result is bitwise identical
-    under any permutation of the input list.
+    under any permutation of the input list. Raises if the mean overflows or
+    holds a NaN.
     """
     if not updates:
         raise InvariantViolation("no updates to aggregate")
@@ -370,8 +375,11 @@ def aggregate(updates: list[tuple[int, np.ndarray, int]]) -> np.ndarray:
     # aggregate to exactly that vector (all deviations are exactly zero).
     base = np.asarray(ordered[0][1], dtype=np.float64)
     out = base.copy()
-    for _, vec, size in ordered:
-        out += (size / total) * (vec - base)
+    with np.errstate(all="ignore"):  # checked below
+        for _, vec, size in ordered:
+            out += (size / total) * (vec - base)
+    if not (np.isfinite(out.max()) and np.isfinite(out.min())):
+        raise InvariantViolation("aggregated parameter vector contains NaN/Inf")
     return out
 
 
@@ -380,8 +388,9 @@ def evaluate_matrix(params: np.ndarray, X: np.ndarray, y: np.ndarray,
     """(accuracy, mean loss) on a test matrix; threshold at 0.5."""
     if X.shape[0] == 0:
         raise InvariantViolation("evaluate on empty test set")
-    p = _forward(check_params(params, X.shape[1], spec), X, spec,
-                 _Workspace(X.shape[0], spec.hidden_dim))
+    params = check_params(params, X.shape[1], spec)
+    with np.errstate(all="ignore"):  # checked below
+        p = _forward(params, X, spec, _Workspace(X.shape[0], spec.hidden_dim))
     if np.isnan(p).any():  # finite parameters can still overflow the activations
         raise InvariantViolation("model output contains NaN")
     acc = float(np.mean((p >= 0.5) == (y == 1.0)))

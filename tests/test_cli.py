@@ -137,6 +137,32 @@ class TestRun:
         assert err.startswith("uavfl: error: generator.test_fraction 0.01 ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("learning_rate", [1.7e308, 1e300])
+    def test_overflowing_model_is_one_line_error(self, tmp_path, learning_rate):
+        # the first overflows aggregate's mean, the second the evaluation's
+        # activations; a fresh process, because pytest records warnings
+        # instead of printing them
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**TINY, "strategy": "deeps",
+                                    "model": {"learning_rate": learning_rate}}))
+        env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src"),
+               "PYTHONDONTWRITEBYTECODE": "1"}
+        proc = subprocess.run([sys.executable, "-m", "uavfl", "run", "--config", str(path),
+                               "--out", str(tmp_path / "out")],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("uavfl: error: ") and proc.stderr.count("\n") == 1
+
+    def test_empty_test_pool_fails_before_any_data_is_made(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness, "generate_uav_dataset",
+                            lambda *args: calls.append(args))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**TINY, "generator": {**TINY["generator"], "samples_max": 45,
+                                                          "test_fraction": 0.01}}))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert calls == []
+
     @pytest.mark.parametrize("values", [{"workers": "2"}, {"model": {"hidden_dim": "x"}},
                                         {"generator": {"image_side": 8.5}}],
                              ids=["workers", "model", "float-for-int"])

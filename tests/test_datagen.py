@@ -168,6 +168,22 @@ class TestBlockedGeneratorMatchesOracle:
                              oracle_uav_dataset(spec, scene.subregion_id,
                                                 scene.subregion_id, seed))
 
+    # 69 samples, so a test row at 0 or 17 moves runs longer than _BLOCK;
+    # the test rows are the first 1 (or 2) of the seed's permutation
+    @pytest.mark.parametrize("test_fraction, seed, rows", [
+        (0.015, 83, [0]), (0.015, 53, [68]), (0.03, 80, [39, 40]), (0.015, 0, [17]),
+    ], ids=["test_row_first", "test_row_last", "adjacent_test_rows", "single_test_row"])
+    def test_partition_edge_cases(self, test_fraction, seed, rows):
+        n = 2 * _BLOCK + 5
+        spec = dataclasses.replace(SMALL, samples_min=n, samples_max=n,
+                                   test_fraction=test_fraction)
+        # at this fraction no image is held out, so the train split is every image in order
+        every = oracle_uav_dataset(dataclasses.replace(spec, test_fraction=0.001), 1, 1, seed)
+        order = [image.tobytes() for image in every.train.images]
+        want = oracle_uav_dataset(spec, 1, 1, seed)
+        assert sorted(order.index(image.tobytes()) for image in want.test.images) == rows
+        assert_same_data(generate(spec, 1, 1, seed), want)
+
 
 class TestSceneCost:
     @pytest.mark.parametrize("k", [1, 4])
@@ -198,3 +214,23 @@ class TestSceneCost:
             tracemalloc.stop()
         assert scene.frames.shape == (1570, side, side)
         assert peak <= walk_bytes + 2 * 2**20
+
+    def test_dataset_peak_stays_near_the_kept_images(self):
+        # compare_calibrated's UAV size. A copy of the train split beside the
+        # generated array (1.4 MiB) would break the bound.
+        spec = GenSpec(samples_min=1400, samples_max=1470, offset_span=100,
+                       test_fraction=0.02)
+        side = spec.image_side
+        scene = next(subregion_scenes(spec, [1], rng_seed=11))
+        tracemalloc.start()
+        try:
+            data = generate_uav_dataset(spec, scene, 1, rng_seed=11)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        kept = data.train.images
+        assert len(data.test) > 0
+        assert kept.base.shape == kept.shape  # the generated array holds no test row
+        block = _BLOCK * side * side * 8  # one float64 block of images
+        # the slack: the block's one temporary of its size and the test rows
+        assert peak <= kept.nbytes + block + block + data.test.images.nbytes + 2**16

@@ -1,6 +1,9 @@
+import concurrent.futures
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 import threading
 import weakref
 from concurrent.futures import ThreadPoolExecutor
@@ -110,9 +113,10 @@ class TestScenarioBuild:
         assert sorted(calls) == strides
 
     def test_empty_test_pool_fails_at_build(self):
-        # 40-45 samples at 1% round every UAV's test split to 0
-        config = tiny_config(generator={**TINY["generator"], "samples_max": 45,
-                                        "test_fraction": 0.01})
+        # 60 samples at 1% would give one test sample, but seed 8 draws 47,
+        # 41, 42 and 49, which all round to none
+        config = tiny_config(master_seed=8, generator={**TINY["generator"],
+                                                       "test_fraction": 0.01})
         for run in (build_scenario, run_experiment):
             with pytest.raises(ConfigError, match="generator.test_fraction 0.01"):
                 run(config)
@@ -191,12 +195,26 @@ class TestRunExperiment:
                 sizes.append(max_workers)
                 super().__init__(max_workers)
 
-        monkeypatch.setattr(harness, "ThreadPoolExecutor", Recorder)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorder)
         s = run_experiment(tiny_config(**THREE_SUBREGIONS, workers=64))
         assert len(s.records) == 3
         # the run's pool and its build's, none per round; each is capped by its
         # tasks (3 sub-regions, a cohort of 3), not by workers
         assert sizes == [3, 3]
+
+    def test_a_run_on_one_worker_never_loads_the_pool(self):
+        code = ("import sys\n"
+                "from uavfl.config import config_from_dict\n"
+                "from uavfl.harness import run_experiment\n"
+                f"run_experiment(config_from_dict({dict(TINY, workers=1)!r}))\n"
+                "print('concurrent.futures' in sys.modules)\n")
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = {**os.environ, "PYTHONPATH": os.path.join(root, "src"),
+               "PYTHONDONTWRITEBYTECODE": "1"}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False"]
 
     def test_energy_closure(self):
         s = run_experiment(tiny_config())
