@@ -24,15 +24,10 @@ def _load(args) -> ExperimentConfig:
     return config_from_dict(overrides)
 
 
-def cmd_run(args) -> int:
+def cmd(args) -> int:
+    """Run `compare`'s three strategies, or `run`'s one from the config."""
     config = _load(args)
-    compare_strategies(config, [(config.strategy, config.ssim_threshold)], out_dir=args.out)
-    return 0
-
-
-def cmd_compare(args) -> int:
-    config = _load(args)
-    strategies = [("deeps", 0.1), ("deeps", 0.5), ("random", None)]
+    strategies = args.strategies or [(config.strategy, config.ssim_threshold)]
     compare_strategies(config, strategies, out_dir=args.out)
     return 0
 
@@ -51,13 +46,13 @@ def build_parser() -> argparse.ArgumentParser:
                              "(results do not depend on it; default 1)")
 
     run = sub.add_parser("run", parents=[shared], help="run one strategy")
-    run.add_argument("--strategy", choices=["deeps", "random"])
+    run.add_argument("--strategy")
     run.add_argument("--ssim-th", type=float, dest="ssim_th")
-    run.set_defaults(func=cmd_run)
+    run.set_defaults(strategies=None)
 
     comp = sub.add_parser("compare", parents=[shared],
                           help="run deeps(0.1)/deeps(0.5)/random on shared data")
-    comp.set_defaults(func=cmd_compare)
+    comp.set_defaults(strategies=[("deeps", 0.1), ("deeps", 0.5), ("random", None)])
 
     return parser
 
@@ -65,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return cmd(args)
     except UavFlError as exc:
         print(f"uavfl: error: {exc}", file=sys.stderr)
         return 1

@@ -32,7 +32,7 @@ from .errors import CohortInfeasible, ConfigError, InvariantViolation, UavFlErro
 from .learning import (aggregate, blas_info, evaluate_matrix, local_train, model_init,
                        one_blas_thread, samples_to_matrix)
 from .selection import deeps_select, random_select
-from .similarity import DiversityScore, SsimParams, dataset_diversity, deduplicate
+from .similarity import dataset_diversity, deduplicate
 from .types import Dataset, RoundRecord, Samples, UavState
 
 if TYPE_CHECKING:
@@ -196,15 +196,6 @@ def _shard(samples: Samples, k: int, count: int) -> Samples:
     return samples[start:stop]
 
 
-def _shard_diversity(shard: Samples, round_k: int, uav_id: int, params: SsimParams,
-                     master_seed: int) -> DiversityScore:
-    if len(shard) < 2:
-        # a 0/1-sample shard carries no evidence of redundancy
-        return DiversityScore(mean_pairwise_ssim=0.0, pairs_evaluated=0)
-    seed = np.random.SeedSequence([master_seed, _TAG_DIVERSITY, round_k, uav_id])
-    return dataset_diversity(shard, params, rng_seed=seed)
-
-
 def _find_convergence(accuracies: list[float], window: int, tol: float) -> int | None:
     """Earliest 1-based round whose trailing window of accuracies has spread < tol."""
     for k in range(window, len(accuracies) + 1):
@@ -269,7 +260,9 @@ def run_experiment(config: ExperimentConfig, scenario: Scenario | None = None,
         dropouts = retire(1)  # round 1's record counts the UAVs that never fly
         for k in range(1, config.n_rounds_max + 1):
             if config.strategy == "deeps":
-                diversity = {u.id: _shard_diversity(shard(u, k), k, u.id, config.ssim, seed)
+                diversity = {u.id: dataset_diversity(
+                                 shard(u, k), config.ssim,
+                                 np.random.SeedSequence([seed, _TAG_DIVERSITY, k, u.id]))
                              for u in uavs if u.alive}
                 sel = deeps_select(uavs, config.per_subregion_quota, config.xi, diversity, costs)
                 if sel.degraded_subregions:

@@ -153,11 +153,13 @@ def dataset_diversity(shard: Samples, p: SsimParams = SsimParams(),
     Exhaustive when the shard has at most `p.max_pairs` pairs; otherwise a
     seeded without-replacement sample of `p.max_pairs` distinct pairs. Pairs
     are taken in (i, j) row-major order and their mean is accumulated
-    sequentially in that order, so results are deterministic.
+    sequentially in that order, so results are deterministic. A shard with
+    0 or 1 samples has no pair and carries no evidence of redundancy: its
+    diversity is 0.0 over 0 pairs.
     """
     n = len(shard)
     if n < 2:
-        raise InvariantViolation("diversity needs at least 2 samples")
+        return DiversityScore(mean_pairwise_ssim=0.0, pairs_evaluated=0)
     c, mu, var = _stack_moments(shard.images)
     i, j = _pairs(n)
     if i.size > p.max_pairs:

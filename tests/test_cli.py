@@ -114,6 +114,14 @@ class TestRun:
         assert "Traceback" not in err
         assert not os.path.exists(os.path.join(out, "metadata.json"))
 
+    def test_unknown_strategy_is_one_line_error(self, tiny_config_file, tmp_path, capsys):
+        # the config, not the parser, owns the strategy names
+        out = tmp_path / "out"
+        code = main(["run", "--config", tiny_config_file, "--strategy", "foo", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "uavfl: error: unknown strategy 'foo'\n"
+        assert not os.path.exists(out)
+
     def test_random_without_a_round_one_cohort_is_one_line_error(self, tmp_path, capsys):
         # three of TINY's four UAVs start below their round-1 cost: one cannot
         # make a cohort of two

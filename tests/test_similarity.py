@@ -5,8 +5,8 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import const_image, make_image, make_samples, no_samples, random_image
 from uavfl.errors import InvariantViolation
-from uavfl.similarity import (C1, C2, DEDUP_BLOCK, SsimParams, _pairs, dataset_diversity,
-                              deduplicate, ssim_pair)
+from uavfl.similarity import (C1, C2, DEDUP_BLOCK, DiversityScore, SsimParams, _pairs,
+                              dataset_diversity, deduplicate, ssim_pair)
 from uavfl.types import Dataset
 
 # hand-evaluated extreme-contrast pair: zero variances and covariance reduce
@@ -85,8 +85,10 @@ class TestDatasetDiversity:
             dataset_diversity(shard, SsimParams(max_pairs=20))
 
     def test_too_few_samples(self):
-        with pytest.raises(InvariantViolation, match="diversity needs at least 2 samples"):
-            dataset_diversity(make_samples([const_image(0)]))
+        # a shard with no pair carries no evidence of redundancy
+        for shard in (no_samples(), make_samples([const_image(0)])):
+            assert dataset_diversity(shard) == DiversityScore(mean_pairwise_ssim=0.0,
+                                                              pairs_evaluated=0)
 
     def test_bad_max_pairs(self):
         with pytest.raises(InvariantViolation):

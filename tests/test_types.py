@@ -19,9 +19,11 @@ class TestSamples:
         with pytest.raises(InvariantViolation):
             Samples(np.zeros((1, 0, 4), dtype=np.uint8), [0])
 
-    def test_rejects_bad_label(self):
-        with pytest.raises(InvariantViolation):
-            Samples(np.zeros((2, 4, 4), dtype=np.uint8), [0, 2])
+    @pytest.mark.parametrize("label", [2, -1, 0.5, np.nan, "0"],
+                             ids=["2", "-1", "0.5", "nan", "str-0"])
+    def test_rejects_bad_label(self, label):
+        with pytest.raises(InvariantViolation, match="labels must be 0 or 1"):
+            Samples(np.zeros((2, 4, 4), dtype=np.uint8), [0, label])
 
     @pytest.mark.parametrize("labels", [[0], [0, 1, 0]])
     def test_rejects_mismatched_columns(self, labels):
@@ -33,8 +35,10 @@ class TestSamples:
         assert len(s) == 2 and s.images.shape == (2, 3, 5)
         assert len(no_samples()) == 0 and no_samples().labels.shape == (0,)
 
-    def test_accepts_binary_labels(self):
-        s = Samples(np.zeros((3, 4, 4), dtype=np.uint8), np.array([0, 1, 1]))
+    @pytest.mark.parametrize("labels", [np.array([0, 1, 1]), np.array([False, True, True])],
+                             ids=["int", "bool"])
+    def test_accepts_binary_labels(self, labels):
+        s = Samples(np.zeros((3, 4, 4), dtype=np.uint8), labels)
         assert s.labels.dtype == np.int8 and s.labels.tolist() == [0, 1, 1]
 
     def test_read_only(self):
