@@ -69,6 +69,10 @@ def _check_types(cls, values: dict, where: str = "") -> None:
                 raise ConfigError(f"{where}{f.name}: must be finite, got {value}")
 
 
+# the values only the deeps strategy reads: its threshold, its xi and its SSIM
+_DEEPS_ONLY = ("ssim_threshold", "xi", "ssim")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     # the fleet: the paper's scenario 1 (configs/scenario2.json holds scenario 2)
@@ -163,9 +167,14 @@ class ExperimentConfig:
         return dataclasses.asdict(self)
 
     def config_hash(self) -> str:
-        return hashlib.sha256(
-            json.dumps(self.to_dict(), sort_keys=True).encode()
-        ).hexdigest()
+        """SHA-256 of the sorted JSON of `to_dict()`, less what the strategy
+        never reads: a random run's hash leaves out the deeps-only values, so
+        two runs that differ only there, with equal artifacts, share it."""
+        values = self.to_dict()
+        if self.strategy == "random":
+            for name in _DEEPS_ONLY:
+                del values[name]
+        return hashlib.sha256(json.dumps(values, sort_keys=True).encode()).hexdigest()
 
 
 # section name -> its type, in field order

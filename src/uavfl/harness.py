@@ -10,12 +10,17 @@ count and of `workers`: `run_experiment` runs OpenBLAS on one thread and gives
 the caller's thread count back when it returns. `workers` threads share data
 generation, dedup and training; every UAV's work draws only on its own
 streams and writes only its own results, which are merged in UAV-id order.
+A round's training is handed to `aggregate` as one callable per UAV, which
+it calls in UAV-id order as it folds each update into the mean: with one
+worker a UAV trains when its turn comes, with a pool the cohort trains at
+once and the fold waits for each result in turn.
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import json
 import os
 from dataclasses import dataclass
@@ -121,6 +126,18 @@ def _map(pool: ThreadPoolExecutor | None, fn, items) -> list:
     if pool is None or len(items) < 2:
         return [fn(x) for x in items]
     return list(pool.map(fn, items))
+
+
+def _later(pool: ThreadPoolExecutor | None, fn, *args):
+    """A zero-argument callable, to be called once, that gives fn(*args):
+    without a pool, fn runs when it is called; with one, fn starts on the
+    pool now and the call waits for its result. The call lets go of the
+    future, which would otherwise hold the result as long as the callable
+    lives."""
+    if pool is None:
+        return functools.partial(fn, *args)
+    pending = [pool.submit(fn, *args)]
+    return lambda: pending.pop().result()
 
 
 def build_scenario(config: ExperimentConfig) -> Scenario:
@@ -288,26 +305,22 @@ def run_experiment(config: ExperimentConfig, scenario: Scenario | None = None,
             # has nothing to train and spends no time or energy
             jobs = [(uid, part) for uid in sorted(sel.ids) if len(part := shard(by_id[uid], k))]
 
-            def _train(job):
-                uid, part = job
+            def _train(uid: int, part: Samples) -> np.ndarray:
                 train_seed = np.random.SeedSequence([seed, _TAG_TRAINING, k, uid])
-                return uid, local_train(params, part, config.model,
-                                        config.cost.epochs_per_round, train_seed), len(part)
+                return local_train(params, part, config.model,
+                                   config.cost.epochs_per_round, train_seed)
 
-            results = _map(pool, _train, jobs)
+            # aggregate takes each update when it adds it, so a round holds the
+            # mean, its anchor and one trained vector, not the whole cohort's
+            if jobs:
+                params = aggregate([(uid, _later(pool, _train, uid, part), len(part))
+                                    for uid, part in jobs])
 
             cohort_energy = 0.0
-            for uid, _, _ in results:
+            for uid, _ in jobs:
                 charge_round(by_id[uid], costs[uid])
                 cohort_energy += costs[uid].total_energy_j
-
-            if results:
-                del params  # the superseded global model is dead while aggregate runs
-                params = aggregate(results)
-                duration = round_duration([costs[uid] for uid, _, _ in results])
-            else:
-                duration = 0.0
-            del results  # the next round trains with only its own cohort's vectors alive
+            duration = round_duration([costs[uid] for uid, _ in jobs]) if jobs else 0.0
 
             acc, loss = evaluate_matrix(params, *samples_to_matrix(scenario.test), config.model)
             if k < config.n_rounds_max:

@@ -59,6 +59,7 @@ import ctypes
 import functools
 import glob
 import os
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -352,31 +353,38 @@ def local_train(params_in: np.ndarray, shard: Samples, spec: ModelSpec,
     return w
 
 
-def aggregate(updates: list[tuple[int, np.ndarray, int]]) -> np.ndarray:
-    """Shard-size-weighted mean of parameter vectors.
+def aggregate(updates: list[tuple[int, np.ndarray | Callable[[], np.ndarray], int]]
+              ) -> np.ndarray:
+    """Shard-size-weighted mean of parameter vectors, folded one update at a time.
 
-    `updates` holds (submission_id, params, shard_size) triples; accumulation
-    runs in ascending submission id order so the result is bitwise identical
-    under any permutation of the input list. Raises if the mean overflows or
-    holds a NaN.
+    `updates` holds (submission_id, params, shard_size) triples, where params
+    is a vector or a zero-argument callable that returns one. Every size is
+    checked before any vector is touched. The updates are then taken in
+    ascending submission id order, so the result is bitwise identical under
+    any permutation of the input list: each callable is called exactly once,
+    in that order, and each vector is held only until it has been added.
+    Raises if the mean overflows or holds a NaN.
     """
     if not updates:
         raise InvariantViolation("no updates to aggregate")
-    ordered = sorted(updates, key=lambda u: u[0])
-    length = ordered[0][1].shape
-    total = 0
-    for _, vec, size in ordered:
-        if vec.shape != length:
+    pending = sorted(updates, key=lambda u: u[0])
+    if any(size <= 0 for _, _, size in pending):
+        raise InvariantViolation("shard sizes must be positive")
+    total = sum(size for _, _, size in pending)
+    pending.reverse()  # pop() takes the lowest id, and drops what it took
+    base = out = None
+    while pending:
+        _, vec, size = pending.pop()
+        if callable(vec):
+            vec = vec()
+        if base is None:
+            # Anchored form: base + sum of weighted deviations. Identical inputs
+            # aggregate to exactly that vector (all deviations are exactly zero).
+            base = np.asarray(vec, dtype=np.float64)
+            out = base.copy()
+        elif vec.shape != base.shape:
             raise InvariantViolation("parameter vectors differ in length")
-        if size <= 0:
-            raise InvariantViolation("shard sizes must be positive")
-        total += size
-    # Anchored form: base + sum of weighted deviations. Identical inputs
-    # aggregate to exactly that vector (all deviations are exactly zero).
-    base = np.asarray(ordered[0][1], dtype=np.float64)
-    out = base.copy()
-    with np.errstate(all="ignore"):  # checked below
-        for _, vec, size in ordered:
+        with np.errstate(all="ignore"):  # checked below
             out += (size / total) * (vec - base)
     if not (np.isfinite(out.max()) and np.isfinite(out.min())):
         raise InvariantViolation("aggregated parameter vector contains NaN/Inf")

@@ -93,6 +93,20 @@ class TestRun:
                 hashes.append(json.load(fh)["config_hash"])
         assert hashes[0] == hashes[1]
 
+    def test_random_run_hash_ignores_the_ssim_threshold(self, tiny_config_file, tmp_path,
+                                                         capsys):
+        runs = []
+        for out, extra in ((tmp_path / "a", []), (tmp_path / "b", ["--ssim-th", "0.3"])):
+            assert main(["run", "--config", tiny_config_file, "--strategy", "random",
+                         "--out", str(out), *extra]) == 0
+            with open(out / "metadata.json", encoding="utf-8") as fh:
+                meta = json.load(fh)
+            runs.append((meta["config_hash"], meta["config"]["ssim_threshold"],
+                         (out / "rounds_random.csv").read_bytes()))
+        (hash_a, th_a, csv_a), (hash_b, th_b, csv_b) = runs
+        assert csv_a == csv_b and hash_a == hash_b
+        assert (th_a, th_b) == (0.5, 0.3)  # the config block keeps every field
+
     def test_cli_overrides(self, tiny_config_file, tmp_path, capsys):
         out = str(tmp_path / "out")
         code = main(["run", "--config", tiny_config_file, "--strategy", "random",
@@ -145,13 +159,16 @@ class TestRun:
         assert err.startswith("uavfl: error: generator.test_fraction 0.01 ")
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("learning_rate", [1.7e308, 1e300])
-    def test_overflowing_model_is_one_line_error(self, tmp_path, learning_rate):
+    @pytest.mark.parametrize("learning_rate,workers",
+                             [(1.7e308, 1), (1e300, 1), (1.7e308, 2), (1e300, 2)],
+                             ids=["1.7e+308", "1e+300", "1.7e+308-pool", "1e+300-pool"])
+    def test_overflowing_model_is_one_line_error(self, tmp_path, learning_rate, workers):
         # the first overflows aggregate's mean, the second the evaluation's
-        # activations; a fresh process, because pytest records warnings
-        # instead of printing them
+        # activations; training runs inside aggregate, at workers 2 on pool
+        # threads whose errors come back through Future.result(); a fresh
+        # process, because pytest records warnings instead of printing them
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({**TINY, "strategy": "deeps",
+        path.write_text(json.dumps({**TINY, "strategy": "deeps", "workers": workers,
                                     "model": {"learning_rate": learning_rate}}))
         env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src"),
                "PYTHONDONTWRITEBYTECODE": "1"}

@@ -14,6 +14,7 @@ from uavfl.cli import build_parser
 from uavfl.config import ExperimentConfig, config_from_dict, load_config
 from uavfl.errors import ConfigError
 from uavfl.learning import ModelSpec
+from uavfl.similarity import SsimParams
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 CALIBRATED = os.path.join(CONFIGS, "scenario1_calibrated.json")
@@ -311,6 +312,17 @@ class TestLoadAndHash:
         c = ExperimentConfig(master_seed=2)
         assert a.config_hash() == b.config_hash()
         assert a.config_hash() != c.config_hash()
+
+    def test_random_hash_leaves_out_what_only_deeps_reads(self):
+        random = ExperimentConfig(strategy="random")
+        for changes in ({"ssim_threshold": 0.3}, {"xi": 0.2},
+                        {"ssim": SsimParams(max_pairs=7)}):
+            assert dataclasses.replace(random, **changes).config_hash() == random.config_hash()
+            assert dataclasses.replace(random, **changes).to_dict() != random.to_dict()
+            deeps = ExperimentConfig()
+            assert dataclasses.replace(deeps, **changes).config_hash() != deeps.config_hash()
+        assert random.config_hash() != ExperimentConfig().config_hash()
+        assert dataclasses.replace(random, master_seed=1).config_hash() != random.config_hash()
 
     def test_model_section_is_the_modelspec(self):
         c = config_from_dict({"model": {"hidden_dim": 5}})

@@ -279,27 +279,93 @@ class TestRunExperiment:
         assert alive_at_next_round == {0: 0, 1: 0, 2: 0}
 
     @pytest.mark.parametrize("strategy", ["deeps", "random"])
+    def test_a_round_holds_one_earlier_update_while_the_next_trains(self, monkeypatch,
+                                                                    strategy):
+        updates: dict[int, list] = {}  # round -> weak refs to its trained vectors
+        alive_at_call: dict[int, list[int]] = {}  # round -> its earlier vectors alive per call
+
+        def spy(*args):
+            k = args[4].entropy[2]  # the training seed is [seed, tag, round, uav]
+            refs = updates.setdefault(k, [])
+            alive_at_call.setdefault(k, []).append(sum(ref() is not None for ref in refs))
+            out = real(*args)
+            refs.append(weakref.ref(out))
+            return out
+
+        real = harness.local_train
+        monkeypatch.setattr(harness, "local_train", spy)
+        run_experiment(tiny_config(**THREE_SUBREGIONS, strategy=strategy, workers=1))
+        # the round's first vector is aggregate's anchor; each later one is
+        # freed once it has been added
+        assert alive_at_call == {k: [0, 1, 1] for k in (1, 2, 3)}
+
+    @pytest.mark.parametrize("strategy", ["deeps", "random"])
+    def test_a_pooled_round_drops_each_update_once_added(self, monkeypatch, strategy):
+        alive_at_take: list[list[int]] = []  # per round: earlier vectors alive per take
+
+        def merge(updates):
+            made, alive = [], []
+
+            def spy(take):
+                def call():
+                    alive.append(sum(ref() is not None for ref in made))
+                    out = take()
+                    made.append(weakref.ref(out))
+                    return out
+                return call
+
+            alive_at_take.append(alive)
+            return real([(uid, spy(take), size) for uid, take, size in updates])
+
+        real = harness.aggregate
+        monkeypatch.setattr(harness, "aggregate", merge)
+        run_experiment(tiny_config(**THREE_SUBREGIONS, strategy=strategy, workers=2))
+        # the pool trains ahead, but once taken and added a vector is dropped,
+        # though the caller's list still holds its callable
+        assert alive_at_take == [[0, 1, 1]] * 3
+
+    @pytest.mark.parametrize("strategy", ["deeps", "random"])
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_previous_global_model_is_freed_before_aggregate(self, monkeypatch,
-                                                             workers, strategy):
+    def test_previous_global_model_is_freed_before_evaluation(self, monkeypatch,
+                                                              workers, strategy):
         models: dict[int, weakref.ref] = {}  # round -> the global model it trained from
-        alive_at_aggregate = []
+        alive_at_evaluation = []
 
         def train(*args):
             k = args[4].entropy[2]  # the training seed is [seed, tag, round, uav]
             models.setdefault(k, weakref.ref(args[0]))
             return real_train(*args)
 
-        def merge(updates):
-            alive_at_aggregate.append(models[len(alive_at_aggregate) + 1]() is not None)
-            return real_aggregate(updates)
+        def evaluate(*args):
+            alive_at_evaluation.append(models[len(alive_at_evaluation) + 1]() is not None)
+            return real_evaluate(*args)
 
-        real_train, real_aggregate = harness.local_train, harness.aggregate
+        real_train, real_evaluate = harness.local_train, harness.evaluate_matrix
         monkeypatch.setattr(harness, "local_train", train)
-        monkeypatch.setattr(harness, "aggregate", merge)
-        run_experiment(tiny_config(strategy=strategy, workers=workers, n_rounds_max=3))
+        monkeypatch.setattr(harness, "evaluate_matrix", evaluate)
+        run_experiment(tiny_config(**THREE_SUBREGIONS, strategy=strategy, workers=workers))
         assert sorted(models) == [1, 2, 3]
-        assert alive_at_aggregate == [False, False, False]
+        assert alive_at_evaluation == [False, False, False]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_training_error_propagates_and_leaves_no_thread(self, monkeypatch, workers):
+        calls = []
+
+        def train(*args):
+            with lock:
+                calls.append(None)
+                failing = len(calls) == 2
+            if failing:  # raised inside aggregate, at workers 2 through Future.result()
+                raise InvariantViolation("training failed")
+            return real(*args)
+
+        lock = threading.Lock()
+        real = harness.local_train
+        monkeypatch.setattr(harness, "local_train", train)
+        before = threading.active_count()
+        with pytest.raises(InvariantViolation, match="training failed"):
+            run_experiment(tiny_config(**THREE_SUBREGIONS, workers=workers))
+        assert threading.active_count() == before
 
     def test_threshold_override_changes_label(self):
         s = run_experiment(tiny_config(), ssim_threshold=0.1)

@@ -1,6 +1,7 @@
 import math
 import os
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -361,6 +362,37 @@ class TestAggregate:
             ref = aggregate(updates)
             perm = [updates[i] for i in rng.permutation(k)]
             assert np.array_equal(aggregate(perm), ref)
+            lazy = [(i, lambda vec=vec: vec, size) for i, vec, size in perm]
+            assert np.array_equal(aggregate(lazy), ref)
+
+    def test_callables_are_called_once_each_in_id_order(self, rng):
+        calls, alive_at_call, made = [], [], []
+
+        def later(i):
+            def train():
+                calls.append(i)
+                alive_at_call.append(sum(ref() is not None for ref in made))
+                vec = rng.normal(size=6)
+                made.append(weakref.ref(vec))
+                return vec
+            return train
+
+        aggregate([(i, later(i), i + 1) for i in (3, 1, 4, 2)])
+        assert calls == [1, 2, 3, 4]
+        # the first vector is the anchor; each later one is dropped once added
+        assert alive_at_call == [0, 1, 1, 1]
+
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_bad_size_raises_before_any_callable_runs(self, size):
+        calls = []
+
+        def train():
+            calls.append(None)
+            return np.zeros(3)
+
+        with pytest.raises(InvariantViolation, match="shard sizes must be positive"):
+            aggregate([(1, train, 2), (2, train, size), (3, train, 4)])
+        assert calls == []
 
     def test_identical_inputs_exact(self, rng):
         vec = rng.normal(size=8)
@@ -379,6 +411,8 @@ class TestAggregate:
             aggregate([])
         with pytest.raises(InvariantViolation, match="parameter vectors differ in length"):
             aggregate([(1, np.zeros(3), 1), (2, np.zeros(4), 1)])
+        with pytest.raises(InvariantViolation, match="parameter vectors differ in length"):
+            aggregate([(1, lambda: np.zeros(3), 1), (2, lambda: np.zeros(4), 1)])
         with pytest.raises(InvariantViolation):
             aggregate([(1, np.zeros(3), 0)])
 
