@@ -10,10 +10,12 @@ count and of `workers`: `run_experiment` runs OpenBLAS on one thread and gives
 the caller's thread count back when it returns. `workers` threads share data
 generation, dedup and training; every UAV's work draws only on its own
 streams and writes only its own results, which are merged in UAV-id order.
-A round's training is handed to `aggregate` as one callable per UAV, which
-it calls in UAV-id order as it folds each update into the mean: with one
-worker a UAV trains when its turn comes, with a pool the cohort trains at
-once and the fold waits for each result in turn.
+Each such piece of work is a `later(fn, *args)` callable from `_pool`: with
+one worker it runs when it is called, with a pool it starts at once and the
+call waits for its result. A round's training is handed to `aggregate` as
+one such callable per UAV, which it calls in UAV-id order as it folds each
+update into the mean. When one raises, the work that has not started is
+cancelled, so a failed round does not train the rest of its cohort.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ import functools
 import json
 import os
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -39,9 +40,6 @@ from .learning import (aggregate, blas_info, evaluate_matrix, local_train, model
 from .selection import deeps_select, random_select
 from .similarity import dataset_diversity, deduplicate
 from .types import Dataset, RoundRecord, Samples, UavState
-
-if TYPE_CHECKING:
-    from concurrent.futures import ThreadPoolExecutor
 
 _TAG_PLACEMENT = 1
 _TAG_BATTERY = 2
@@ -109,35 +107,31 @@ def _with_strategy(config: ExperimentConfig, strategy: str | None,
     return dataclasses.replace(config, **{k: v for k, v in overrides.items() if v is not None})
 
 
+@contextlib.contextmanager
 def _pool(workers: int, tasks: int):
-    """A `with` context holding a pool of min(workers, tasks) threads, or None
-    when that is one thread, so the work runs inline. Only a pool loads
-    `concurrent.futures` (and `logging` with it)."""
+    """A block that runs work on min(workers, tasks) threads. Its value is
+    `later(fn, *args)`, which gives a zero-argument callable, to be called
+    once, that returns fn(*args). On one thread fn runs when the callable is
+    called; on more, fn starts on the pool at once and the call waits for its
+    result, and lets go of the future, which would otherwise hold the result
+    as long as the callable lives. Leaving the block cancels the work that has
+    not started, so an error does not wait for the rest of it. Only a pool
+    loads `concurrent.futures` (and `logging` with it)."""
     size = min(workers, tasks)
     if size < 2:
-        return contextlib.nullcontext()
+        yield functools.partial
+        return
     from concurrent.futures import ThreadPoolExecutor
-    return ThreadPoolExecutor(max_workers=size)
+    pool = ThreadPoolExecutor(max_workers=size)
 
+    def later(fn, *args):
+        pending = [pool.submit(fn, *args)]
+        return lambda: pending.pop().result()
 
-def _map(pool: ThreadPoolExecutor | None, fn, items) -> list:
-    """[fn(x) for x in items], through the pool when there is one and more
-    than one item."""
-    if pool is None or len(items) < 2:
-        return [fn(x) for x in items]
-    return list(pool.map(fn, items))
-
-
-def _later(pool: ThreadPoolExecutor | None, fn, *args):
-    """A zero-argument callable, to be called once, that gives fn(*args):
-    without a pool, fn runs when it is called; with one, fn starts on the
-    pool now and the call waits for its result. The call lets go of the
-    future, which would otherwise hold the result as long as the callable
-    lives."""
-    if pool is None:
-        return functools.partial(fn, *args)
-    pending = [pool.submit(fn, *args)]
-    return lambda: pending.pop().result()
+    try:
+        yield later
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def build_scenario(config: ExperimentConfig) -> Scenario:
@@ -168,9 +162,9 @@ def build_scenario(config: ExperimentConfig) -> Scenario:
         return out
 
     data: dict[int, UavData] = {}
-    with _pool(config.workers, strides) as pool:
-        for part in _map(pool, build_stride, range(1, strides + 1)):
-            data.update(part)
+    with _pool(config.workers, strides) as later:
+        for stride in [later(build_stride, first) for first in range(1, strides + 1)]:
+            data.update(stride())
 
     uavs: list[UavState] = []
     for uid in range(1, config.n_uavs + 1):
@@ -234,7 +228,7 @@ def run_experiment(config: ExperimentConfig, scenario: Scenario | None = None,
     on one pool of min(workers, cohort_size) threads.
     """
     config = _with_strategy(config, strategy, ssim_threshold)
-    with one_blas_thread(), _pool(config.workers, config.cohort_size) as pool:
+    with one_blas_thread(), _pool(config.workers, config.cohort_size) as later:
         scenario = build_scenario(config) if scenario is None else scenario.fresh_copy()
         uavs = scenario.uavs
         by_id = {u.id: u for u in uavs}
@@ -285,10 +279,10 @@ def run_experiment(config: ExperimentConfig, scenario: Scenario | None = None,
                 if sel.degraded_subregions:
                     degraded_rounds += 1
                 new = sorted(set(sel.ids) - deduped)
-                removed = _map(pool, lambda uid: deduplicate(by_id[uid].dataset,
-                                                             config.ssim_threshold), new)
+                removed = [later(deduplicate, by_id[uid].dataset, config.ssim_threshold)
+                           for uid in new]
                 for uid, n_removed in zip(new, removed):
-                    dedup_removed += n_removed
+                    dedup_removed += n_removed()
                     costs[uid] = round_cost(by_id[uid], k)
                 deduped.update(sel.ids)
             else:
@@ -313,7 +307,7 @@ def run_experiment(config: ExperimentConfig, scenario: Scenario | None = None,
             # aggregate takes each update when it adds it, so a round holds the
             # mean, its anchor and one trained vector, not the whole cohort's
             if jobs:
-                params = aggregate([(uid, _later(pool, _train, uid, part), len(part))
+                params = aggregate([(uid, later(_train, uid, part), len(part))
                                     for uid, part in jobs])
 
             cohort_energy = 0.0

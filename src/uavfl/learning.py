@@ -23,29 +23,20 @@ the row, as at the start. With a gradient g = ±0, step t gives
 as lr >= 0 and eps > 0, and w - (+0) is w in every bit, -0.0 included.
 So the row's m and v stay +0 and its weights stay unchanged until the unit
 fires, which is what leaving the row out does. A unit that has fired keeps
-its row to the end of the call, since its moments are no longer zero. The
-forward `X @ w1.T` and the backward `dz1.T @ X` keep their full shapes:
-a GEMM's bits can depend on its shape, so only the step is made smaller.
+its row to the end of the call, since its moments are no longer zero.
 
-To step those entries in place, `local_train` keeps W1's rows in working
-order: the k units fired so far hold W1's last k rows, so that they and the
-tail [b1, w2, b2] form one contiguous suffix of the parameter vector, and a
-unit that fires for the first time swaps into the rows just before that
-suffix. The reordering is bit-neutral. Each entry of `X @ w1.T` is the dot
-product of a row of X with a row of W1, and each entry of `dz1.T @ X` that
-of a column of dz1 with a column of X; the order in which the GEMM sums one
-does not depend on where that row or column sits in its matrix. So `X @
-w1.T` with W1 in working order is the unit-order result with its columns
-permuted, and feeding the GEMM dz1's columns in working order gives the
-rows of `dz1.T @ X` in working order, every entry with the same bits
-(tests/test_blas.py checks both on the running kernel). What sums over
-hidden units reads unit order: the forward puts `X @ w1.T`'s columns back
-into unit order before it adds b1, `a1 @ w2` and `a1.T @ dz2` read a1 in
-unit order, and b1 and w2 never move. Copies are exact and the Adam step is
-elementwise, so neither depends on where an entry sits. Unit order is the
-working order under the identity permutation, so `evaluate_matrix` and
-`loss_and_grad` run this same pass with `_Workspace.units` left at
-`np.arange(h)`: the GEMMs keep their shapes, and the results their bits.
+Only the step is made smaller. The forward `X @ w1.T` and the backward
+`dz1.T @ X` are the textbook pass's GEMMs, with their full shapes and W1 in
+unit order: a GEMM's bits can depend on its shape, and also on where a row
+sits in its operand (OpenBLAS's single-row and edge kernels sum some dot
+products in another order), so no GEMM ever sees a permuted or shrunken W1.
+The step's entries are laid out compactly instead, in buffers made once per
+call: [b1, w2, b2, then the W1 rows of the fired units in the order they
+first fired], so a joining row takes the next entries, whose m and v are
+still +0. Each batch gathers its gradient into that layout, steps there,
+and subtracts the step from the weights, scattering W1's rows back. Copies
+are exact and every operation of the step is elementwise and correctly
+rounded, so no entry's bits depend on where it sits.
 
 `one_blas_thread` pins numpy's bundled OpenBLAS to one thread for a block of
 work: a GEMM's summation order, and so its bits, can depend on the thread
@@ -190,27 +181,22 @@ def samples_to_matrix(samples: Samples) -> tuple[np.ndarray, np.ndarray]:
 
 class _Workspace:
     """The arrays that one forward and backward pass over up to `rows`
-    samples write into; a pass over fewer samples uses their leading rows.
-    W1's row r holds unit units[r]'s weights: unit order, until
-    `local_train` permutes it into the module docstring's working order."""
+    samples write into; a pass over fewer samples uses their leading rows."""
 
     def __init__(self, rows: int, hidden_dim: int):
-        self.units = np.arange(hidden_dim)
         self.z1 = np.empty((rows, hidden_dim))  # z1, then da1 and dz1
-        self.a1 = np.empty((rows, hidden_dim))  # also z1 and dz1 in working order
+        self.a1 = np.empty((rows, hidden_dim))
         self.fired = np.empty((rows, hidden_dim), dtype=bool)  # z1 > 0
         self.p = np.empty(rows)                 # p, then dz2
 
 
 def _forward(params: np.ndarray, X: np.ndarray, spec: ModelSpec, ws: _Workspace) -> np.ndarray:
-    """The model's outputs p on the rows of X, computed in ws, with W1's rows
-    in ws.units' order; ws holds the pass in unit order. The one forward pass:
-    training, evaluation and the gradient check all run it."""
+    """The model's outputs p on the rows of X, computed in ws. The one forward
+    pass: training, evaluation and the gradient check all run it."""
     n = X.shape[0]
     w1, b1, w2, b2 = _unpack(params, X.shape[1], spec)
     z1, a1, p = ws.z1[:n], ws.a1[:n], ws.p[:n]
-    np.matmul(X, w1.T, out=a1)          # z1 = X @ w1.T + b1,
-    z1[:, ws.units] = a1                # its columns back in unit order
+    np.matmul(X, w1.T, out=z1)          # z1 = X @ w1.T + b1
     np.add(z1, b1, out=z1)
     np.maximum(z1, 0.0, out=a1)
     np.matmul(a1, w2, out=p)            # p = 1 / (1 + exp(-(a1 @ w2 + b2)))
@@ -225,9 +211,8 @@ def _forward(params: np.ndarray, X: np.ndarray, spec: ModelSpec, ws: _Workspace)
 def _backward(params: np.ndarray, X: np.ndarray, y: np.ndarray, spec: ModelSpec,
               ws: _Workspace, grad: np.ndarray) -> None:
     """Write the gradient of the mean BCE over the batch into `grad`, from
-    `_forward`'s pass over X in ws; its W1 rows are in ws.units' order, like
-    the params'. Leaves ws.fired as z1 > 0 in unit order and overwrites the
-    rest of ws. Raises if any entry of the gradient is not finite."""
+    `_forward`'s pass over X in ws. Leaves ws.fired as z1 > 0 and overwrites
+    the rest of ws. Raises if any entry of the gradient is not finite."""
     n, d = X.shape
     w2 = _unpack(params, d, spec)[2]
     gw1, gb1, gw2, gb2 = _unpack(grad, d, spec)
@@ -241,7 +226,6 @@ def _backward(params: np.ndarray, X: np.ndarray, y: np.ndarray, spec: ModelSpec,
     np.multiply(dz2[:, None], w2, out=dz1)  # da1 = outer(dz2, w2)
     np.multiply(dz1, fired, out=dz1)        # dz1 = da1 * (z1 > 0)
     np.sum(dz1, axis=0, out=gb1)
-    dz1 = np.take(dz1, ws.units, axis=1, out=a1, mode="clip")  # "clip" writes out unbuffered
     np.matmul(dz1.T, X, out=gw1)
     # max and min propagate NaN, and an infinity is one of the two
     if not (np.isfinite(grad.max()) and np.isfinite(grad.min())):
@@ -270,11 +254,10 @@ def local_train(params_in: np.ndarray, shard: Samples, spec: ModelSpec,
     Batch order is reshuffled deterministically each epoch from rng_seed.
     Adam state starts fresh at every call (each round is an independent
     local optimization). It covers the tail [b1, w2, b2] and the W1 rows of
-    the units fired so far, which the call's copy of the parameters keeps
-    next to the tail in W1's last rows; the module docstring proves that
-    this gives the textbook step's bits. The step runs in place, in the
-    textbook's operation order, on that suffix of buffers made once per
-    call, so a batch allocates nothing.
+    the units fired so far, in the compact layout of the module docstring,
+    which proves that this gives the textbook step's bits. The step runs in
+    the textbook's operation order on buffers made once per call, so a
+    batch allocates nothing.
     """
     if not shard:
         raise InvariantViolation("local_train on empty shard")
@@ -287,12 +270,15 @@ def local_train(params_in: np.ndarray, shard: Samples, spec: ModelSpec,
     batch = min(n, spec.batch_size)
     ws = _Workspace(batch, h)
     X_rows, y_rows = np.empty((batch, d)), np.empty(batch)
-    # the gradient (then the step's denominator), Adam's moments and the
-    # step's scratch, laid out like w; m and v stay +0 outside the suffix
-    grad, m, v, step = np.empty_like(w), np.zeros_like(w), np.zeros_like(w), np.empty_like(w)
-    w1, gw1, step_w1 = (_unpack(vec, d, spec)[0] for vec in (w, grad, step))
-    units = ws.units                    # the unit whose weights each W1 row holds
-    k = 0                               # units fired so far, in W1's last k rows
+    # the gradient, whose leading entries are then the step's scratch; Adam's
+    # moments and the gathered gradient (then the step's denominator, then
+    # the fired rows' weights) in the compact layout, m and v +0 past its end
+    grad, m, v, g = np.empty_like(w), np.zeros_like(w), np.zeros_like(w), np.empty_like(w)
+    w1, gw1 = _unpack(w, d, spec)[0], _unpack(grad, d, spec)[0]
+    tail, gtail = w[d * h:], grad[d * h:]  # [b1, w2, b2], the layout's first entries
+    lead = len(tail)
+    joined = np.empty(h, dtype=np.intp)  # the fired units, in the order they first fired
+    k = 0                               # how many have fired
     ever = np.zeros(h, dtype=bool)      # fired in this call
     new = np.empty(h, dtype=bool)
     t = 0
@@ -312,24 +298,16 @@ def local_train(params_in: np.ndarray, shard: Samples, spec: ModelSpec,
                 np.greater(new, ever, out=new)  # fired for the first time
                 if new.any():
                     ever |= new
-                    lo, hi = h - k - np.count_nonzero(new), h - k
-                    # the fresh units take rows [lo, hi): those below lo swap, with
-                    # their gradient, for the unfired units there, through step
-                    rows = np.flatnonzero(new[units[:hi]])
-                    joining = rows[rows < lo]
-                    leaving = lo + np.flatnonzero(~new[units[lo:hi]])
-                    a, b = step[:2 * len(joining) * d].reshape(2, len(joining), d)
-                    np.take(w1, joining, axis=0, out=a, mode="clip")
-                    np.take(w1, leaving, axis=0, out=b, mode="clip")
-                    w1[leaving], w1[joining] = a, b
-                    np.take(gw1, joining, axis=0, out=a, mode="clip")
-                    gw1[leaving] = a
-                    units[joining], units[leaving] = units[leaving], units[joining]
-                    k = h - lo
+                    joining = np.flatnonzero(new)
+                    joined[k:k + len(joining)] = joining
+                    k += len(joining)
                 t += 1
-                active = (h - k) * d
-                wc, mc, vc = w[active:], m[active:], v[active:]
-                gc, sc = grad[active:], step[active:]
+                size = lead + k * d
+                units = joined[:k]
+                gc, mc, vc, sc = g[:size], m[:size], v[:size], grad[:size]
+                rows = gc[lead:].reshape(k, d)
+                gc[:lead] = gtail
+                np.take(gw1, units, axis=0, out=rows, mode="clip")
                 # m = b1*m + (1-b1)*g
                 np.multiply(mc, ADAM_BETA1, out=mc)
                 np.multiply(gc, 1.0 - ADAM_BETA1, out=sc)
@@ -346,10 +324,10 @@ def local_train(params_in: np.ndarray, shard: Samples, spec: ModelSpec,
                 np.sqrt(gc, out=gc)
                 np.add(gc, spec.adam_eps, out=gc)
                 np.divide(sc, gc, out=sc)
-                np.subtract(wc, sc, out=wc)
-    # W1's rows back in unit order, through step
-    np.take(w1, np.argsort(units), axis=0, out=step_w1, mode="clip")
-    w1[...] = step_w1
+                np.subtract(tail, sc[:lead], out=tail)
+                np.take(w1, units, axis=0, out=rows, mode="clip")
+                np.subtract(rows, sc[lead:].reshape(k, d), out=rows)
+                w1[units] = rows
     return w
 
 

@@ -5,9 +5,12 @@ OpenBLAS may split a GEMM's sums across threads in a different order, so
 under some kernels (Haswell on x86-64) a run's full-precision results used to
 change with `OPENBLAS_NUM_THREADS`. The printed CSVs round to 6 digits and
 cannot see that, so the check here hashes `float.hex` of every round record.
+Each kernel also has its own bits, so `local_train` is checked against the
+textbook oracle under two more kernels than the one this process runs.
 """
 
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -16,6 +19,7 @@ import numpy as np
 import pytest
 
 from test_harness import tiny_config
+from test_learning import KERNEL_SHAPES
 from uavfl import harness, learning
 from uavfl.errors import CohortInfeasible
 
@@ -111,27 +115,29 @@ def test_run_experiment_pins_one_thread_and_restores_the_callers(monkeypatch):
         lib.scipy_openblas_set_num_threads64_(before)
 
 
-@pytest.mark.parametrize("batch", [1, 8, 32, 33])
-def test_unit_reordering_is_bit_neutral(batch):
-    """`local_train` keeps W1's rows in working order and reorders the GEMMs'
-    columns and rows between that and unit order; the `learning` module
-    docstring argues that this moves no bit, because each entry of
-    `X @ w1.T` and `dz1.T @ X` is one dot product whose summation order does
-    not depend on where its row sits. This checks it on the running kernel,
-    at the calibrated model's sizes, on one BLAS thread as a run has."""
-    d, h = 1024, 64
-    rng = np.random.default_rng(batch)
-    X = rng.integers(0, 256, (batch, d)) / 255.0
-    w1 = rng.uniform(-0.07, 0.07, (h, d))
-    dz1 = rng.normal(0.0, 1e-3, (batch, h)) * (rng.random((batch, h)) < 0.6)
-    with learning.one_blas_thread():
-        forward, backward = X @ w1.T, dz1.T @ X
-        for _ in range(20):
-            perm = rng.permutation(h)
-            assert np.array_equal((X @ w1[perm].T).view(np.uint64),
-                                  forward[:, perm].view(np.uint64))
-            assert np.array_equal((dz1[:, perm].T @ X).view(np.uint64),
-                                  backward[perm].view(np.uint64))
+# runs `local_train` against the oracle on test_learning's KERNEL_SHAPES and
+# prints the kernel it ran under, then one verdict per shape
+_KERNEL_CHECK = """
+from test_learning import KERNEL_SHAPES, kernel_case, matches_oracle
+from uavfl.learning import blas_info
+print(blas_info()["core"], *(matches_oracle(*kernel_case(*s)) for s in KERNEL_SHAPES))
+"""
+
+
+@needs_openblas
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="Katmai and Nehalem are x86-64 kernels")
+@pytest.mark.parametrize("core", ["Katmai", "Nehalem"])
+def test_local_train_matches_the_oracle_under_other_kernels(core):
+    """Each kernel has its own bits, so `local_train` must give the oracle's
+    under more than the one this process runs; every x86-64 CPU can run these two."""
+    path = os.pathsep.join(os.path.join(ROOT, part) for part in ("src", "tests"))
+    env = {**os.environ, "OPENBLAS_CORETYPE": core, "PYTHONPATH": path,
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run([sys.executable, "-c", _KERNEL_CHECK], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [core] + ["True"] * len(KERNEL_SHAPES)
 
 
 def test_blas_info_names_the_pinned_kernel():

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 
@@ -366,6 +367,29 @@ class TestRunExperiment:
         with pytest.raises(InvariantViolation, match="training failed"):
             run_experiment(tiny_config(**THREE_SUBREGIONS, workers=workers))
         assert threading.active_count() == before
+
+    def test_a_pooled_training_error_cancels_the_rest_of_the_round(self, monkeypatch):
+        calls = []
+
+        def train(*args):
+            with lock:
+                calls.append(None)
+                failing = len(calls) == 1
+            if failing:
+                raise InvariantViolation("training failed")
+            time.sleep(0.2)
+            return real(*args)
+
+        lock = threading.Lock()
+        real = harness.local_train
+        monkeypatch.setattr(harness, "local_train", train)
+        with pytest.raises(InvariantViolation, match="training failed"):
+            run_experiment(tiny_config(n_uavs=12, cohort_size=6, per_subregion_quota=3,
+                                       workers=2))
+        # the failing call and the one beside it, and at most one more: the
+        # thread the failure frees can take the next job before the error
+        # reaches the caller, who then cancels the other three of the six
+        assert len(calls) <= 3
 
     def test_threshold_override_changes_label(self):
         s = run_experiment(tiny_config(), ssim_threshold=0.1)

@@ -5,7 +5,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import make_image, make_samples, no_samples
@@ -223,14 +223,53 @@ def same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
+# hidden width 5, one 3x3 sample, batches of 2, 3 epochs, seed 0: with W1's
+# rows kept out of unit order, OpenBLAS summed X @ w1.T's single row in
+# another order and the step missed the textbook's under SkylakeX and Haswell
+FIVE_UNITS = (2.0 * np.sin(np.arange(56.0)),
+              Samples(np.arange(0, 252, 28, dtype=np.uint8).reshape(1, 3, 3), [0]),
+              ModelSpec(hidden_dim=5, batch_size=2, learning_rate=1e-2), 3)
+
+# (hidden, image side, n, batch, seed): hidden widths that are not a multiple
+# of 4, each with a seed on which a W1 in permuted row order missed the
+# textbook step under the SkylakeX, Haswell, Sandybridge, Katmai and Nehalem kernels
+KERNEL_SHAPES = [(7, 32, 9, 2, 7), (10, 3, 1, 8, 12), (10, 32, 3, 2, 3)]
+
+
+def kernel_case(hidden, side, n, batch, seed):
+    """(params, shard, spec, epochs, seed): `model_init` weights with N(0, 0.5)
+    biases, lr 1e-2, eps 1e-3, 3 epochs, on n random side x side images."""
+    spec = ModelSpec(hidden_dim=hidden, batch_size=batch, learning_rate=1e-2, adam_eps=1e-3)
+    d = side * side
+    rng = np.random.default_rng(seed)
+    params = model_init(spec, d, seed)
+    params[d * hidden:d * hidden + hidden] = rng.normal(0.0, 0.5, hidden)  # b1
+    params[-1] = rng.normal(0.0, 0.5)                                       # b2
+    images = rng.integers(0, 256, (n, side, side)).astype(np.uint8)
+    return params, Samples(images, rng.integers(0, 2, n)), spec, 3, seed
+
+
+def matches_oracle(params, shard, spec, epochs, seed) -> bool:
+    """`local_train` gives `oracle_local_train`'s bits."""
+    return same_bits(local_train(params, shard, spec, epochs, np.random.SeedSequence(seed)),
+                     oracle_local_train(params, shard, spec, epochs,
+                                        np.random.SeedSequence(seed)))
+
+
 class TestLocalTrainMatchesOracle:
     @settings(max_examples=60, deadline=None)
     @given(run=training_runs(), seed=st.integers(0, 2**32 - 1))
+    @example(run=FIVE_UNITS, seed=0)
     def test_in_place_step_is_the_textbook_step(self, run, seed):
         params, shard, spec, epochs = run
         out = local_train(params, shard, spec, epochs, np.random.SeedSequence(seed))
         expected = oracle_local_train(params, shard, spec, epochs, np.random.SeedSequence(seed))
         assert np.array_equal(out, expected)
+
+    @pytest.mark.parametrize("shape", KERNEL_SHAPES,
+                             ids=lambda s: f"h{s[0]}-{s[1]}x{s[1]}-n{s[2]}-batch{s[3]}")
+    def test_hidden_width_not_a_multiple_of_4(self, shape):
+        assert matches_oracle(*kernel_case(*shape))
 
     @pytest.mark.parametrize("n", [7, 15, 33, 70])
     def test_calibrated_size(self, n):
