@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvariantViolation
-from .types import UavState
 
 
 @dataclass(frozen=True)
@@ -110,20 +109,18 @@ def estimate_round_cost(params: CostParams, param_count: int, shard_size: int,
     )
 
 
-def is_feasible(uav: UavState, cost: RoundCost) -> bool:
-    """Battery feasibility: the round's training + transmit energy fits the battery."""
-    return cost.total_energy_j <= uav.battery_j
+def is_feasible(battery_j: float, cost: RoundCost) -> bool:
+    """Battery feasibility: the round's training + transmit energy fits the charge."""
+    return cost.total_energy_j <= battery_j
 
 
-def charge_round(uav: UavState, cost: RoundCost) -> float:
-    """Debit one round's energy from the UAV battery; returns the new level.
+def charge_round(battery_j: float, cost: RoundCost) -> float:
+    """The charge left after one round's energy is debited from `battery_j`.
 
     The caller must have verified feasibility first; a debit that would
-    drive the battery negative raises InvariantViolation and leaves the
-    battery untouched.
+    drive the charge negative raises InvariantViolation.
     """
-    if not is_feasible(uav, cost):
-        raise InvariantViolation(f"UAV {uav.id}: round needs {cost.total_energy_j} J, "
-                                 f"battery holds {uav.battery_j} J")
-    uav.battery_j -= cost.total_energy_j
-    return uav.battery_j
+    if not is_feasible(battery_j, cost):
+        raise InvariantViolation(f"round needs {cost.total_energy_j} J, "
+                                 f"battery holds {battery_j} J")
+    return battery_j - cost.total_energy_j

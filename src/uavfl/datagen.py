@@ -63,7 +63,7 @@ class GenSpec:
             raise InvariantViolation("test_fraction must lie in (0, 1)")
 
 
-@dataclass
+@dataclass(frozen=True)
 class UavData:
     """One UAV's samples: a random `test_fraction` of them, and the rest in order."""
 

@@ -49,11 +49,11 @@ _TAG_DIVERSITY = 5
 _TAG_MODEL_INIT = 6
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
     """What `build_scenario` generates from a config: the fleet and the pooled
-    test set, kept as uint8 `Samples` and scaled at each evaluation. Clone per
-    run since batteries/datasets mutate."""
+    test set, kept as uint8 `Samples` and scaled at each evaluation. Copied
+    per run only because dedup rebinds each UAV's dataset."""
 
     uavs: list[UavState]
     test: Samples
@@ -65,7 +65,7 @@ class Scenario:
         return dataclasses.replace(self, uavs=uavs)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunSummary:
     strategy: str
     ssim_threshold: float | None
@@ -230,8 +230,7 @@ def run_experiment(config: ExperimentConfig, scenario: Scenario | None = None,
     config = _with_strategy(config, strategy, ssim_threshold)
     with one_blas_thread(), _pool(config.workers, config.cohort_size) as later:
         scenario = build_scenario(config) if scenario is None else scenario.fresh_copy()
-        uavs = scenario.uavs
-        by_id = {u.id: u for u in uavs}
+        by_id = {u.id: u for u in scenario.uavs}
         seed = config.master_seed
         # the model reads each image flattened; local_train and evaluate_matrix
         # reject images that do not fit these parameters
@@ -247,20 +246,22 @@ def run_experiment(config: ExperimentConfig, scenario: Scenario | None = None,
             return estimate_round_cost(config.cost, param_count, stop - start,
                                        u.rate_up_bps, u.rate_down_bps)
 
-        initial_battery = sum(u.battery_j for u in uavs)
+        battery = {u.id: u.battery_j for u in scenario.uavs}  # the run's own charges
+        alive = list(scenario.uavs)
+        initial_battery = sum(battery.values())
 
         # each alive UAV's cost of the coming round; dedup re-estimates the UAV it shrank
         costs: dict[int, RoundCost] = {}
 
         def retire(k: int) -> int:
-            """Estimate each alive UAV's round-k cost and retire the UAVs it does not
-            fit (link rates are static, so the estimate is exact); returns how many."""
+            """The one feasibility gate: estimate each alive UAV's round-k cost and
+            retire the UAVs it does not fit (link rates are static, so the estimate
+            is exact); returns how many."""
             costs.clear()
-            costs.update((u.id, round_cost(u, k)) for u in uavs if u.alive)
-            unfunded = [u for u in uavs if u.alive and not is_feasible(u, costs[u.id])]
-            for u in unfunded:
-                u.alive = False
-            return len(unfunded)
+            costs.update((u.id, round_cost(u, k)) for u in alive)
+            flying = len(alive)
+            alive[:] = [u for u in alive if is_feasible(battery[u.id], costs[u.id])]
+            return flying - len(alive)
 
         records: list[RoundRecord] = []
         deduped: set[int] = set()  # UAVs whose dataset this run has deduplicated
@@ -274,8 +275,9 @@ def run_experiment(config: ExperimentConfig, scenario: Scenario | None = None,
                 diversity = {u.id: dataset_diversity(
                                  shard(u, k), config.ssim,
                                  np.random.SeedSequence([seed, _TAG_DIVERSITY, k, u.id]))
-                             for u in uavs if u.alive}
-                sel = deeps_select(uavs, config.per_subregion_quota, config.xi, diversity, costs)
+                             for u in alive}
+                sel = deeps_select(alive, battery, config.subregion_count,
+                                   config.per_subregion_quota, config.xi, diversity, costs)
                 if sel.degraded_subregions:
                     degraded_rounds += 1
                 new = sorted(set(sel.ids) - deduped)
@@ -287,7 +289,7 @@ def run_experiment(config: ExperimentConfig, scenario: Scenario | None = None,
                 deduped.update(sel.ids)
             else:
                 try:
-                    sel = random_select(uavs, config.cohort_size,
+                    sel = random_select(alive, config.cohort_size,
                                         np.random.SeedSequence([seed, _TAG_SELECTION, k]))
                 except CohortInfeasible:
                     if not records:  # retiring left no round-1 cohort: nothing can run
@@ -312,7 +314,7 @@ def run_experiment(config: ExperimentConfig, scenario: Scenario | None = None,
 
             cohort_energy = 0.0
             for uid, _ in jobs:
-                charge_round(by_id[uid], costs[uid])
+                battery[uid] = charge_round(battery[uid], costs[uid])
                 cohort_energy += costs[uid].total_energy_j
             duration = round_duration([costs[uid] for uid, _ in jobs]) if jobs else 0.0
 
@@ -323,7 +325,7 @@ def run_experiment(config: ExperimentConfig, scenario: Scenario | None = None,
                 round_k=k, selected_ids=tuple(sorted(sel.ids)),
                 global_accuracy=acc, global_loss=loss,
                 round_duration_s=duration, cohort_energy_j=cohort_energy,
-                dropouts=dropouts, alive_uavs=sum(u.alive for u in uavs),
+                dropouts=dropouts, alive_uavs=len(alive),
             ))
             dropouts = 0
 
@@ -341,7 +343,7 @@ def run_experiment(config: ExperimentConfig, scenario: Scenario | None = None,
             converged=conv is not None,
             records=records,
             initial_battery_total_j=initial_battery,
-            final_battery_total_j=sum(u.battery_j for u in uavs),
+            final_battery_total_j=sum(battery.values()),
             dedup_removed_total=dedup_removed,
             degraded_rounds=degraded_rounds,
             aborted_infeasible=aborted,
@@ -442,13 +444,13 @@ def compare_strategies(config: ExperimentConfig,
         if label in labels[:i]:
             raise UavFlError(f"compare: two strategies share the run label {label}")
     make_out_dir(out_dir)
+    emit_metadata(config, os.path.join(out_dir, "metadata.json"))
     scenario = build_scenario(config) if len(configs) > 1 else None
     summaries = [run_experiment(c, scenario=scenario) for c in configs]
     for s in summaries:
         emit_csv(s.records, os.path.join(out_dir, f"rounds_{s.label}.csv"))
         emit_run_json(s, os.path.join(out_dir, f"run_{s.label}.json"))
     emit_summary_csv(summaries, os.path.join(out_dir, "summary.csv"))
-    emit_metadata(config, os.path.join(out_dir, "metadata.json"))
 
     print(f"{'strategy':<14}{'rounds':>8}{'lambda_t (s)':>14}{'chi_r':>8}{'rho_t (min)':>14}"
           f"{'final acc':>12}{'converged':>11}")

@@ -1,9 +1,9 @@
 """Shared domain types: sample sets, datasets, UAV state and round records.
 
 All types validate their invariants at construction time and raise
-InvariantViolation instead of clamping. Everything is an immutable value
-type except UavState (battery/alive) and Dataset (dedup rebinds its
-samples), which are only mutated by the harness between rounds.
+InvariantViolation instead of clamping. Every type is immutable except
+Dataset, whose samples dedup rebinds to the ones it keeps. A run holds each
+UAV's charge and liveness itself; a UavState keeps the charge it starts with.
 """
 
 from __future__ import annotations
@@ -54,9 +54,9 @@ class Dataset:
     samples: Samples
 
 
-@dataclass
+@dataclass(frozen=True)
 class UavState:
-    """One UAV: its link rates to the base station, battery and local data.
+    """One UAV: its link rates to the base station, initial battery and local data.
 
     The rates follow from its fixed placement; CPU and radio constants are
     fleet-wide and live in `cost.CostParams`.
@@ -69,7 +69,6 @@ class UavState:
     battery_j: float
     battery_max_j: float
     dataset: Dataset
-    alive: bool = True
 
     def __post_init__(self):
         if not 0 <= self.battery_j <= self.battery_max_j:

@@ -35,7 +35,8 @@ def oracle_select(uavs: list[UavState], cohort_size: int, quota: int, xi: float,
                   diversity_cache: dict[int, DiversityScore],
                   cost_estimates: dict[int, RoundCost],
                   max_uavs: int = 20) -> Selection:
-    """Exhaustive search over all feasible cohorts meeting the quota constraints.
+    """Exhaustive search over all feasible cohorts meeting the quota constraints,
+    each UAV at the charge it starts with.
 
     Maximizes the summed score; ties break toward the lexicographically
     smallest sorted id list.
@@ -45,12 +46,10 @@ def oracle_select(uavs: list[UavState], cohort_size: int, quota: int, xi: float,
 
     candidates = []
     for u in sorted(uavs, key=lambda x: x.id):
-        if not u.alive:
-            continue
         cost = cost_estimates[u.id]
-        if not is_feasible(u, cost):
+        if not is_feasible(u.battery_j, cost):
             continue
-        score = deeps_score(u, diversity_cache[u.id], cost, xi)
+        score = deeps_score(u.battery_j, u.battery_max_j, diversity_cache[u.id], cost, xi)
         candidates.append((u.id, u.subregion_id, score))
 
     subregions = sorted({u.subregion_id for u in uavs})

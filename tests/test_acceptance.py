@@ -18,8 +18,8 @@ from oracles import oracle_select
 from uavfl.channel import (ChannelParams, LinkGeometry, capacity, channel_gain,
                            link_geometry, path_loss_exponent)
 from uavfl.config import config_from_dict, load_config
-from uavfl.cost import (CostParams, RoundCost, local_training_time, training_energy,
-                        transmit_energy, tx_time)
+from uavfl.cost import (CostParams, RoundCost, is_feasible, local_training_time,
+                        training_energy, transmit_energy, tx_time)
 from uavfl.datagen import generate_uav_dataset, subregion_scenes
 from uavfl.harness import build_scenario, compare_strategies, run_experiment
 from uavfl.learning import ModelSpec, aggregate, loss_and_grad
@@ -84,7 +84,7 @@ def test_criterion_1_formula_exactness(capsys):
     # selection score
     cost = RoundCost(train_time_s=3.5, uplink_time_s=0.032, downlink_time_s=0.032,
                      train_energy_j=0.35, tx_energy_j=0.009)
-    score = deeps_score(make_uav(), DiversityScore(0.2, 1), cost, 0.5)
+    score = deeps_score(5000.0, 10000.0, DiversityScore(0.2, 1), cost, 0.5)
     checks.append(rel_err(score, 0.5 * 0.8 + 0.5 * (5000.0 - 0.359) / 10000.0))
 
     elapsed = time.time() - t0
@@ -165,7 +165,11 @@ def test_criterion_4_selection_oracle_equivalence(capsys):
             costs[uid] = RoundCost(0.0, 0.0, 0.0,
                                    float(rng.uniform(0, 2)),
                                    float(rng.uniform(0, 0.1)))
-        greedy = deeps_select(uavs, 1, 0.5, diversity, costs)
+        # deeps_select gets what the harness's retire pass would hand it: the
+        # UAVs that can fund their cost; the oracle filters the raw instance itself
+        flying = [u for u in uavs if is_feasible(u.battery_j, costs[u.id])]
+        greedy = deeps_select(flying, {u.id: u.battery_j for u in flying}, n_sub, 1, 0.5,
+                              diversity, costs)
         exact = oracle_select(uavs, n_sub, 1, 0.5, diversity, costs)
         mismatches += sorted(greedy.ids) != sorted(exact.ids)
     elapsed = time.time() - t0

@@ -1,6 +1,5 @@
 import pytest
 
-from conftest import make_uav
 from uavfl.cost import (CostParams, RoundCost, charge_round, estimate_round_cost,
                         local_training_time, round_duration, training_energy,
                         transmit_energy, tx_time)
@@ -129,17 +128,12 @@ class TestRoundCost:
 
 class TestChargeRound:
     def test_hand_evaluated_debit(self):
-        uav = make_uav(battery=5000.0, battery_max=10000.0)
-        left = charge_round(uav, cost_of(e_train=0.35, e_tx=0.009))
+        left = charge_round(5000.0, cost_of(e_train=0.35, e_tx=0.009))
         assert rel_err(left, 4999.641) <= REL
-        assert uav.battery_j == left
 
     def test_exact_exhaustion_is_allowed(self):
-        uav = make_uav(battery=0.359, battery_max=1.0)
-        assert charge_round(uav, cost_of(e_train=0.35, e_tx=0.009)) == pytest.approx(0.0, abs=1e-15)
+        assert charge_round(0.359, cost_of(e_train=0.35, e_tx=0.009)) == pytest.approx(0.0, abs=1e-15)
 
     def test_insufficient_battery_leaves_state_untouched(self):
-        uav = make_uav(battery=0.1, battery_max=1.0)
-        with pytest.raises(InvariantViolation, match="round needs .* J, battery holds .* J"):
-            charge_round(uav, cost_of(e_train=0.35, e_tx=0.009))
-        assert uav.battery_j == 0.1
+        with pytest.raises(InvariantViolation, match="round needs .* J, battery holds 0.1 J"):
+            charge_round(0.1, cost_of(e_train=0.35, e_tx=0.009))

@@ -492,6 +492,51 @@ class TestRetire:
         assert spent > 0.0
         assert abs(drawdown - spent) <= 1e-9 * spent
 
+    @pytest.mark.parametrize("strategy", ["deeps", "random"])
+    def test_selection_sees_only_funded_alive_uavs(self, monkeypatch, strategy):
+        """Every candidate handed to a selector can fund its round's cost at the
+        charge its earlier rounds left, and was a candidate in every earlier
+        round; retire is the only gate, and the selectors do not filter."""
+        config = tiny_config(strategy=strategy, battery={"min_j": 0.0, "max_j": 0.03},
+                             n_rounds_max=6)
+        calls: list[dict[int, int]] = []  # per round: candidate id -> its dataset's length
+        seen = {}  # id -> the run's UavState, whose dataset ends deduplicated
+
+        def spy(real):
+            def selector(uavs, *args):
+                calls.append({u.id: len(u.dataset.samples) for u in uavs})
+                seen.update((u.id, u) for u in uavs)
+                return real(uavs, *args)
+            return selector
+
+        for name in ("deeps_select", "random_select"):
+            monkeypatch.setattr(harness, name, spy(getattr(harness, name)))
+        sc = build_scenario(config)
+        s = run_experiment(config, scenario=sc)
+        param_count = config.model.param_count(config.generator.image_side ** 2)
+        rates = {u.id: (u.rate_up_bps, u.rate_down_bps) for u in sc.uavs}
+
+        def cost(uid: int, k: int, n: int):
+            start, stop = harness._shard_bounds(n, k, config.n_rounds_max)
+            return stop - start, estimate_round_cost(config.cost, param_count, stop - start,
+                                                     *rates[uid])
+
+        battery = {u.id: u.battery_j for u in sc.uavs}
+        retired: set[int] = set()
+        for k, candidates in enumerate(calls, 1):
+            for uid, n in candidates.items():
+                assert uid not in retired, f"round {k}: UAV {uid} was retired"
+                assert cost(uid, k, n)[1].total_energy_j <= battery[uid], \
+                    f"round {k}: UAV {uid} cannot fund its round"
+            retired |= battery.keys() - candidates.keys()
+            if k <= len(s.records):  # a random run that aborts records no round k
+                for uid in s.records[k - 1].selected_ids:
+                    size, spent = cost(uid, k, len(seen[uid].dataset.samples))
+                    if size:
+                        battery[uid] -= spent.total_energy_j
+        assert calls[0].keys() - calls[-1].keys(), "no UAV retired after round 1"
+        assert s.final_battery_total_j == sum(battery.values())
+
 
 class TestConvergence:
     def test_finds_earliest_stable_window(self):
@@ -616,6 +661,15 @@ class TestCompare:
     @staticmethod
     def no_build(config):
         raise AssertionError("the scenario was built before every strategy was checked")
+
+    def test_unwritable_metadata_fails_before_any_work(self, tmp_path, monkeypatch):
+        # metadata.json depends on the config alone, so it is written first
+        monkeypatch.setattr(harness, "build_scenario", self.no_build)
+        (tmp_path / "metadata.json").mkdir()
+        with pytest.raises(UavFlError, match="cannot write .*metadata.json"):
+            compare_strategies(tiny_config(), [("deeps", 0.1), ("random", None)],
+                               out_dir=str(tmp_path))
+        assert os.listdir(tmp_path) == ["metadata.json"]
 
     def test_bad_strategy_fails_before_any_work(self, tmp_path, monkeypatch):
         monkeypatch.setattr(harness, "build_scenario", self.no_build)

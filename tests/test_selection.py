@@ -20,75 +20,65 @@ def diversity_of(ssim: float) -> DiversityScore:
     return DiversityScore(mean_pairwise_ssim=ssim, pairs_evaluated=1)
 
 
+def select(uavs, subregion_count, diversity, costs):
+    """deeps_select with quota 1 and xi 1.0, each UAV at its initial charge."""
+    return deeps_select(uavs, {u.id: u.battery_j for u in uavs}, subregion_count, 1, 1.0,
+                        diversity, costs)
+
+
 class TestDeepsScore:
     def test_hand_evaluated(self):
-        uav = make_uav(battery=5000.0, battery_max=10000.0)
-        score = deeps_score(uav, diversity_of(0.2), cost_of(0.35, 0.009), 0.5)
+        score = deeps_score(5000.0, 10000.0, diversity_of(0.2), cost_of(0.35, 0.009), 0.5)
         expected = 0.5 * 0.8 + 0.5 * (5000.0 - 0.359) / 10000.0
         assert abs(score - expected) / expected <= REL
         assert score == pytest.approx(0.64998, abs=1e-5)
 
     def test_pure_diversity(self):
-        uav = make_uav(battery=5000.0, battery_max=10000.0)
-        score = deeps_score(uav, diversity_of(0.2), cost_of(1.0, 1.0), 1.0)
+        score = deeps_score(5000.0, 10000.0, diversity_of(0.2), cost_of(1.0, 1.0), 1.0)
         assert score == pytest.approx(0.8, rel=1e-15)
 
     def test_pure_energy(self):
-        uav = make_uav(battery=5000.0, battery_max=10000.0)
-        score = deeps_score(uav, diversity_of(0.2), cost_of(), 0.0)
+        score = deeps_score(5000.0, 10000.0, diversity_of(0.2), cost_of(), 0.0)
         assert score == pytest.approx(0.5, rel=1e-15)
 
 
 class TestFeasibility:
     def test_boundary_is_feasible(self):
-        uav = make_uav(battery=0.359, battery_max=1.0)
-        assert is_feasible(uav, cost_of(0.35, 0.009))
+        assert is_feasible(0.359, cost_of(0.35, 0.009))
 
     def test_over_budget_is_not(self):
-        uav = make_uav(battery=0.358, battery_max=1.0)
-        assert not is_feasible(uav, cost_of(0.35, 0.009))
+        assert not is_feasible(0.358, cost_of(0.35, 0.009))
 
 
 class TestDeepsSelect:
     def test_argmax_per_subregion(self):
         uavs = [make_uav(uid=1), make_uav(uid=2)]
         diversity = {1: diversity_of(0.3), 2: diversity_of(0.4)}  # scores 0.7 / 0.6
-        sel = deeps_select(uavs, 1, 1.0, diversity, {1: cost_of(), 2: cost_of()})
+        sel = select(uavs, 1, diversity, {1: cost_of(), 2: cost_of()})
         assert sel.ids == (1,)
         assert sel.chosen[0][2] == pytest.approx(0.7, rel=1e-15)
 
     def test_tie_breaks_to_lower_id(self):
         uavs = [make_uav(uid=7), make_uav(uid=3)]
         diversity = {3: diversity_of(0.5), 7: diversity_of(0.5)}
-        sel = deeps_select(uavs, 1, 1.0, diversity, {3: cost_of(), 7: cost_of()})
+        sel = select(uavs, 1, diversity, {3: cost_of(), 7: cost_of()})
         assert sel.ids == (3,)
 
-    def test_infeasible_candidates_are_skipped(self):
-        rich = make_uav(uid=1, battery=100.0)
-        poor = make_uav(uid=2, battery=0.5)
-        diversity = {1: diversity_of(0.9), 2: diversity_of(0.0)}  # poor scores higher
-        costs = {1: cost_of(1.0), 2: cost_of(1.0)}
-        sel = deeps_select([rich, poor], 1, 1.0, diversity, costs)
-        assert sel.ids == (1,)
-
-    def test_degraded_subregion_reported(self):
-        ok = make_uav(uid=1, subregion=1, battery=100.0)
-        dead = make_uav(uid=2, subregion=2, battery=0.0)
-        diversity = {1: diversity_of(0.1), 2: diversity_of(0.1)}
-        costs = {1: cost_of(1.0), 2: cost_of(1.0)}
-        sel = deeps_select([ok, dead], 1, 1.0, diversity, costs)
-        assert sel.ids == (1,)
-        assert sel.degraded_subregions == (2,)
-
-    def test_dead_uavs_ignored(self):
-        downed = make_uav(uid=1)
-        downed.alive = False
-        alive = make_uav(uid=2)
-        diversity = {1: diversity_of(0.0), 2: diversity_of(0.9)}
-        sel = deeps_select([downed, alive], 1, 1.0, diversity,
+    def test_scores_at_the_given_charge(self):
+        # the run's charge, not the UAV's initial one, enters the score
+        uavs = [make_uav(uid=1, battery=100.0), make_uav(uid=2, battery=10.0)]
+        diversity = {1: diversity_of(0.5), 2: diversity_of(0.5)}
+        sel = deeps_select(uavs, {1: 10.0, 2: 90.0}, 1, 1, 0.0, diversity,
                            {1: cost_of(), 2: cost_of()})
         assert sel.ids == (2,)
+        assert sel.chosen[0][2] == pytest.approx(0.9, rel=1e-15)
 
+    def test_degraded_subregion_reported(self):
+        # sub-region 2 has no candidate: every UAV there has been retired
+        ok = make_uav(uid=1, subregion=1)
+        sel = select([ok], 2, {1: diversity_of(0.1)}, {1: cost_of(1.0)})
+        assert sel.ids == (1,)
+        assert sel.degraded_subregions == (2,)
 
 class TestRandomSelect:
     def _fleet(self, n=40, subregions=10):
@@ -156,7 +146,10 @@ class TestOracleSelect:
                 diversity[uid] = diversity_of(float(rng.uniform(0.0, 1.0)))
                 costs[uid] = cost_of(float(rng.uniform(0.0, 2.0)),
                                      float(rng.uniform(0.0, 0.1)))
-            greedy = deeps_select(uavs, 1, 0.5, diversity, costs)
+            # the UAVs the harness's retire pass would hand deeps_select
+            flying = [u for u in uavs if is_feasible(u.battery_j, costs[u.id])]
+            greedy = deeps_select(flying, {u.id: u.battery_j for u in flying}, n_sub, 1, 0.5,
+                                  diversity, costs)
             exact = oracle_select(uavs, n_sub, 1, 0.5, diversity, costs)
             assert sorted(greedy.ids) == sorted(exact.ids), \
                 f"case {case}: {greedy.ids} != {exact.ids}"

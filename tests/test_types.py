@@ -1,6 +1,11 @@
+import dataclasses
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 
+import uavfl
 from conftest import const_image, make_samples, make_uav, no_samples
 from uavfl.errors import InvariantViolation
 from uavfl.types import RoundRecord, Samples
@@ -78,3 +83,19 @@ class TestRoundRecord:
                         global_loss=0.0, round_duration_s=0.0,
                         cohort_energy_j=-1.0, dropouts=0, alive_uavs=1)
 
+
+
+def test_every_dataclass_but_dataset_is_frozen():
+    # a run holds its changing state itself; Dataset is the one value it rebinds
+    frozen = {}
+    for info in pkgutil.iter_modules(uavfl.__path__):
+        if info.name == "__main__":  # importing it runs the CLI
+            continue
+        module = importlib.import_module(f"uavfl.{info.name}")
+        for name, obj in vars(module).items():
+            if (isinstance(obj, type) and dataclasses.is_dataclass(obj)
+                    and obj.__module__ == module.__name__):
+                frozen[f"{info.name}.{name}"] = obj.__dataclass_params__.frozen
+    assert {"types.UavState", "harness.Scenario", "harness.RunSummary",
+            "datagen.UavData"} <= frozen.keys()
+    assert [name for name, is_frozen in frozen.items() if not is_frozen] == ["types.Dataset"]
