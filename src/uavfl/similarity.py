@@ -121,22 +121,6 @@ def _ssim_terms(mu_a, var_a, mu_b, var_b, cov):
     return num, den
 
 
-def ssim_pair(a: np.ndarray, b: np.ndarray) -> float:
-    """Global-statistics SSIM of two equally sized 2-D uint8 images, in [-1, 1].
-
-    Exactly 1.0 when both images have identical means, variances and
-    covariance (in particular when a and b are the same image).
-    """
-    if a.ndim != 2 or a.shape != b.shape:
-        raise InvariantViolation(f"ssim_pair needs two equal 2-D images, "
-                                 f"got {a.shape} and {b.shape}")
-    c, mu, var = _stack_moments(np.stack([a, b]))
-    # the same einsum kernel as the variances, so a self-pair gives cov == var
-    cov = np.einsum("i,i->", c[0], c[1]) / c.shape[1]
-    num, den = _ssim_terms(mu[0], var[0], mu[1], var[1], cov)
-    return float(num / den)
-
-
 @functools.lru_cache(maxsize=128)
 def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     """`np.triu_indices(n, 1)`, read-only: the (i, j) pairs, i < j, in
@@ -156,6 +140,12 @@ def dataset_diversity(shard: Samples, p: SsimParams = SsimParams(),
     sequentially in that order, so results are deterministic. A shard with
     0 or 1 samples has no pair and carries no evidence of redundancy: its
     diversity is 0.0 over 0 pairs.
+
+    Two copies of one image score exactly 1.0 when the pixel count is a
+    power of two <= 4096, where the Gram entry and the variance are the same
+    exact sum (see the module docstring). At other sizes the two sum the
+    squares in different orders, so the score may miss 1.0 by a few ulp
+    either way.
     """
     n = len(shard)
     if n < 2:

@@ -1,5 +1,9 @@
 """Reference implementations the tests check the package against.
 
+`ssim_pair` is the SSIM reference: the global-statistics SSIM of one image
+pair, from that pair's own moments. Acceptance criterion 2 and the
+similarity tests check the diversity and dedup kernels against it, and
+criterion 7 reads the generator's calibration anchor with it.
 `oracle_select` is the exhaustive selection oracle that the selection tests
 and acceptance criterion 4 check `deeps_select` against; combinatorial in the
 fleet size, so it is guarded to tiny instances. `oracle_uav_dataset` is the
@@ -20,15 +24,35 @@ import numpy as np
 from uavfl.cost import RoundCost, is_feasible
 from uavfl.datagen import (BASE_LEVEL, GenSpec, UavData, _entropy, _label_track,
                            _smooth_field)
-from uavfl.errors import CohortInfeasible, UavFlError
+from uavfl.errors import CohortInfeasible, InvariantViolation, UavFlError
 from uavfl.learning import ADAM_BETA1, ADAM_BETA2, ModelSpec, check_params, samples_to_matrix
 from uavfl.selection import Selection, deeps_score
-from uavfl.similarity import DiversityScore
+from uavfl.similarity import C1, C2, DiversityScore
 from uavfl.types import Samples, UavState
 
 
 class InstanceTooLarge(UavFlError):
     pass
+
+
+def ssim_pair(a: np.ndarray, b: np.ndarray) -> float:
+    """Global-statistics SSIM of two equally sized 2-D uint8 images, in [-1, 1].
+
+    Exactly 1.0 when both images have identical means, variances and
+    covariance (in particular when a and b are the same image).
+    """
+    if a.ndim != 2 or a.shape != b.shape:
+        raise InvariantViolation(f"ssim_pair needs two equal 2-D images, "
+                                 f"got {a.shape} and {b.shape}")
+    c = np.stack([a, b]).reshape(2, -1).astype(np.float64)
+    mu = c.mean(axis=1)
+    c -= mu[:, None]
+    var = np.einsum("ij,ij->i", c, c) / c.shape[1]
+    # the same einsum kernel as the variances, so a self-pair gives cov == var
+    cov = np.einsum("i,i->", c[0], c[1]) / c.shape[1]
+    num = (2.0 * mu[0] * mu[1] + C1) * (2.0 * cov + C2)
+    den = (mu[0] * mu[0] + mu[1] * mu[1] + C1) * (var[0] + var[1] + C2)
+    return float(num / den)
 
 
 def oracle_select(uavs: list[UavState], cohort_size: int, quota: int, xi: float,

@@ -3,7 +3,7 @@
 Every test prints its verdict line to the real terminal (outside pytest's
 capture) so a full `pytest -v` run shows the acceptance summary inline.
 Criterion 7 drives the calibrated end-to-end experiment and dominates the
-runtime of the suite (a few minutes); everything else is seconds.
+runtime of the suite (about 100 s on a 2-vCPU VM); everything else is seconds.
 """
 
 import math
@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import oracle_select
+from oracles import oracle_select, ssim_pair
 from uavfl.channel import (ChannelParams, LinkGeometry, capacity, channel_gain,
                            link_geometry, path_loss_exponent)
 from uavfl.config import config_from_dict, load_config
@@ -24,7 +24,7 @@ from uavfl.datagen import generate_uav_dataset, subregion_scenes
 from uavfl.harness import build_scenario, compare_strategies, run_experiment
 from uavfl.learning import ModelSpec, aggregate, loss_and_grad
 from uavfl.selection import deeps_score, deeps_select
-from uavfl.similarity import DiversityScore, SsimParams, ssim_pair
+from uavfl.similarity import DiversityScore, SsimParams, dataset_diversity, deduplicate
 from uavfl.types import Dataset, Samples, UavState
 
 HERE = os.path.dirname(__file__)
@@ -95,31 +95,79 @@ def test_criterion_1_formula_exactness(capsys):
             f"worst rel err {worst:.2e} (tol 1e-12), {elapsed:.2f}s (< 1s)")
 
 
+def pair_diversity(a: np.ndarray, b: np.ndarray) -> DiversityScore:
+    return dataset_diversity(Samples(np.stack([a, b]), [0, 0]))
+
+
+def dedup_decisions(a: np.ndarray, b: np.ndarray, thresholds) -> list[tuple[float, int, bool]]:
+    """For `deduplicate` of the shard [a, b] at each threshold: (threshold,
+    images kept, whether it kept [a] exactly when the oracle's SSIM exceeds
+    the threshold and [a, b] otherwise)."""
+    s = ssim_pair(a, b)
+    out = []
+    for th in thresholds:
+        d = Dataset(Samples(np.stack([a, b]), [0, 0]))
+        deduplicate(d, th)
+        expected = np.stack([a] if s > th else [a, b])
+        out.append((th, len(d.samples), np.array_equal(d.samples.images, expected)))
+    return out
+
+
 def test_criterion_2_ssim_correctness(capsys):
     t0 = time.time()
     rng = np.random.default_rng(2)
+    thresholds = (0.1, 0.5)
 
-    identity_ok = all(
-        ssim_pair(img, img) == 1.0
-        for img in (rng.integers(0, 256, (32, 32)).astype(np.uint8) for _ in range(50)))
+    images = [rng.integers(0, 256, (32, 32)).astype(np.uint8) for _ in range(50)]
+    identity_ok = all(ssim_pair(img, img) == 1.0 for img in images)
+    kernel_identity_ok = all(pair_diversity(img, img) == DiversityScore(1.0, 1)
+                             and dedup_decisions(img, img, (0.5,)) == [(0.5, 1, True)]
+                             for img in images)
 
-    sym_ok, bound_ok = True, True
+    sym_ok, bound_ok, kernel_ok = True, True, True
+    decisions = []
     for _ in range(1000):
         a = rng.integers(0, 256, (16, 16)).astype(np.uint8)
         b = rng.integers(0, 256, (16, 16)).astype(np.uint8)
         s = ssim_pair(a, b)
         sym_ok &= (s == ssim_pair(b, a))
         bound_ok &= (abs(s) <= 1.0 + 1e-12)
+        d_ab, d_ba = pair_diversity(a, b), pair_diversity(b, a)
+        kernel_ok &= (d_ab == d_ba == DiversityScore(s, 1)
+                      and abs(d_ab.mean_pairwise_ssim) <= 1.0 + 1e-12)
+        decisions += dedup_decisions(a, b, thresholds)
+
+    # near duplicates, b = a plus noise bounded by 1..255, so that dedup
+    # both keeps and removes at each threshold
+    near = 500
+    for _ in range(near):
+        a = rng.integers(0, 256, (16, 16))
+        bound = int(rng.integers(1, 256))
+        b = np.clip(a + rng.integers(-bound, bound + 1, (16, 16)), 0, 255)
+        decisions += dedup_decisions(a.astype(np.uint8), b.astype(np.uint8), thresholds)
+    dedup_ok = all(right for _, _, right in decisions)
+    both_outcomes = ({(th, kept) for th, kept, _ in decisions}
+                     == {(th, kept) for th in thresholds for kept in (1, 2)})
 
     extreme = ssim_pair(np.zeros((8, 8), dtype=np.uint8),
                         np.full((8, 8), 255, dtype=np.uint8))
     extreme_err = abs(extreme - 9.9990e-5)
+    kernel_extreme = pair_diversity(np.zeros((8, 8), dtype=np.uint8),
+                                    np.full((8, 8), 255, dtype=np.uint8))
+    kernel_extreme_err = abs(kernel_extreme.mean_pairwise_ssim - 9.9990e-5)
 
     elapsed = time.time() - t0
     ok = identity_ok and sym_ok and bound_ok and extreme_err <= 1e-9 and elapsed < 10.0
+    ok &= (kernel_identity_ok and kernel_ok and dedup_ok and both_outcomes
+           and kernel_extreme_err <= 1e-9)
     verdict(capsys, ok,
             f"criterion 2: SSIM identity/symmetry/bounds on 50+1000 cases, "
-            f"extreme pair err {extreme_err:.2e} (tol 1e-9), {elapsed:.2f}s (< 10s)")
+            f"extreme pair err {extreme_err:.2e} (tol 1e-9); dataset_diversity "
+            f"identity 1.0 on 50, symmetric and == oracle bit for bit on 1000, "
+            f"extreme pair err {kernel_extreme_err:.2e} (tol 1e-9); deduplicate "
+            f"removes every copy, and removes b iff oracle SSIM > th in "
+            f"{len(decisions)} decisions at th {thresholds} (both outcomes at "
+            f"each: {both_outcomes}), {elapsed:.2f}s (< 10s)")
 
 
 def test_criterion_3_gradient_check(capsys):
@@ -180,6 +228,22 @@ def test_criterion_4_selection_oracle_equivalence(capsys):
             f"{elapsed:.2f}s (< 60s)")
 
 
+def same_as_vectors(updates, ref) -> bool:
+    """`aggregate` of `updates` with each vector behind a callable, as a round
+    hands them over, gives `ref`'s bits and calls each callable exactly once,
+    in ascending id order."""
+    calls = []
+
+    def later(uid, vec):
+        def train():
+            calls.append(uid)
+            return vec
+        return train
+
+    out = aggregate([(uid, later(uid, vec), size) for uid, vec, size in updates])
+    return np.array_equal(out, ref) and calls == sorted(uid for uid, _, _ in updates)
+
+
 def test_criterion_5_fedavg_exactness(capsys):
     t0 = time.time()
     rng = np.random.default_rng(5)
@@ -188,6 +252,9 @@ def test_criterion_5_fedavg_exactness(capsys):
                 == pytest.approx(2.5, rel=1e-15))
     a, b = rng.normal(size=6), rng.normal(size=6)
     mean_ok = np.allclose(aggregate([(1, a, 4), (2, b, 4)]), (a + b) / 2, rtol=1e-14)
+    pair = [(1, np.array([1.0]), 1), (2, np.array([3.0]), 3)]
+    callable_ok = (same_as_vectors(pair, aggregate(pair))
+                   and same_as_vectors([(2, b, 4), (1, a, 4)], aggregate([(1, a, 4), (2, b, 4)])))
 
     perm_ok = True
     for _ in range(100):
@@ -197,12 +264,14 @@ def test_criterion_5_fedavg_exactness(capsys):
         ref = aggregate(updates)
         shuffled = [updates[i] for i in rng.permutation(k)]
         perm_ok &= np.array_equal(aggregate(shuffled), ref)
+        callable_ok &= same_as_vectors(updates, ref) and same_as_vectors(shuffled, ref)
 
     elapsed = time.time() - t0
-    ok = exact_ok and mean_ok and perm_ok and elapsed < 5.0
+    ok = exact_ok and mean_ok and perm_ok and elapsed < 5.0 and callable_ok
     verdict(capsys, ok,
             f"criterion 5: FedAvg weighted-mean exactness and bitwise permutation "
-            f"invariance over 100 update sets, {elapsed:.2f}s (< 5s)")
+            f"invariance over 100 update sets, as vectors and as callables (same "
+            f"bits, each called once in ascending id order), {elapsed:.2f}s (< 5s)")
 
 
 def test_criterion_6_energy_closure(capsys):
@@ -288,23 +357,30 @@ def test_criterion_8_determinism(capsys, tmp_path):
         "generator": {"image_side": 8, "samples_min": 40, "samples_max": 60,
                       "offset_span": 10, "test_fraction": 0.2},
     }
-    outputs = []
+    outputs, run_jsons = [], []
     for i, workers in enumerate((1, 4)):
         config = config_from_dict({**tiny, "workers": workers})
         out = str(tmp_path / f"run{i}")
         compare_strategies(config, strategies, out_dir=out)
-        blob = {}
+        blob, runs = {}, {}
         for name in sorted(os.listdir(out)):
             if name.endswith(".csv"):
                 blob[name] = open(os.path.join(out, name), "rb").read()
+            elif name.startswith("run_") and name.endswith(".json"):
+                # full-precision floats; metadata.json records workers on purpose
+                runs[name] = open(os.path.join(out, name), "rb").read()
         outputs.append(blob)
+        run_jsons.append(runs)
 
     same_files = outputs[0].keys() == outputs[1].keys()
     identical = same_files and all(outputs[0][n] == outputs[1][n]
                                    for n in outputs[0])
+    same_runs = run_jsons[0] == run_jsons[1]
     elapsed = time.time() - t0
     ok = identical and len(outputs[0]) == 4
+    ok &= same_runs and len(run_jsons[0]) == 3
     verdict(capsys, ok,
             f"criterion 8: byte-identical CSV artifacts across repeated compare "
-            f"runs with workers=1 vs workers=4 ({len(outputs[0])} files), "
+            f"runs with workers=1 vs workers=4 ({len(outputs[0])} files), and "
+            f"byte-identical run_<label>.json ({len(run_jsons[0])} files), "
             f"{elapsed:.1f}s")

@@ -4,9 +4,10 @@ from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import const_image, make_image, make_samples, no_samples, random_image
+from oracles import ssim_pair
 from uavfl.errors import InvariantViolation
 from uavfl.similarity import (C1, C2, DEDUP_BLOCK, DiversityScore, SsimParams, _pairs,
-                              dataset_diversity, deduplicate, ssim_pair)
+                              dataset_diversity, deduplicate)
 from uavfl.types import Dataset
 
 # hand-evaluated extreme-contrast pair: zero variances and covariance reduce
@@ -26,6 +27,8 @@ class TestSsimParams:
 
 
 class TestSsimPair:
+    """The SSIM reference in `tests/oracles.py`."""
+
     def test_identity_is_exactly_one(self, rng):
         for _ in range(50):
             img = random_image(rng, side=16)
@@ -60,6 +63,32 @@ class TestDatasetDiversity:
         shard = make_samples([const_image(0), const_image(255)])
         d = dataset_diversity(shard)
         assert d.mean_pairwise_ssim == pytest.approx(EXTREME_PAIR_SSIM, abs=1e-9)
+        assert d.mean_pairwise_ssim == pytest.approx(9.9990e-5, abs=1e-9)
+
+    def test_random_self_pair_is_exactly_one(self, rng):
+        for _ in range(50):
+            img = random_image(rng, side=16)
+            assert dataset_diversity(make_samples([img, img])) == DiversityScore(1.0, 1)
+
+    def test_self_pair_off_power_of_two_sizes(self, rng):
+        # 81 and 144 pixels: the Gram entry and the variance sum the squares in
+        # different orders, so a self-pair may miss 1.0 by a few ulp either way
+        # (at most 6 and 9 eps over 20000 random self-pairs per size)
+        eps = np.finfo(np.float64).eps
+        for side in (9, 12):
+            for _ in range(300):
+                img = random_image(rng, side=side)
+                d = dataset_diversity(make_samples([img, img]))
+                assert d.pairs_evaluated == 1
+                assert abs(1.0 - d.mean_pairwise_ssim) <= 16 * eps
+
+    def test_pair_symmetry_bounds_and_oracle(self, rng):
+        for _ in range(1000):
+            a, b = random_image(rng), random_image(rng)
+            d_ab = dataset_diversity(make_samples([a, b]))
+            assert d_ab == dataset_diversity(make_samples([b, a]))
+            assert d_ab == DiversityScore(ssim_pair(a, b), 1)
+            assert abs(d_ab.mean_pairwise_ssim) <= 1.0 + 1e-12
 
     def test_sampled_mode_degenerates_to_exhaustive(self, rng):
         shard = make_samples([random_image(rng) for _ in range(8)])
@@ -96,8 +125,8 @@ class TestDatasetDiversity:
 
 
 def dedup_oracle(samples, th):
-    """Reference greedy keep-first dedup built directly on ssim_pair; returns
-    the kept indices."""
+    """Reference greedy keep-first dedup built directly on the oracle's
+    ssim_pair; returns the kept indices."""
     kept = []
     for i, image in enumerate(samples.images):
         if all(ssim_pair(samples.images[k], image) <= th for k in kept):
